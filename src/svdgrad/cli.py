@@ -15,15 +15,13 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .backward import GradMode, StabilityParams
+from .backward import _VARIANTS, GradMode, StabilityParams
 from .experiments import UnrolledConfig, run_efficacy, train_unrolled
 from .oracle import FdSpec, finite_difference
 from .svt import ThresholdSpec, svt
 from .tape import Tape
 
 __all__ = ["RunConfig", "cmd_efficacy", "cmd_gradcheck", "cmd_train", "main"]
-
-_MODE_NAMES = ("exact", "tf", "clip", "taylor", "inv")
 
 
 @dataclass
@@ -47,7 +45,6 @@ class RunConfig:
     basis: str = "rotated"
     output: str | None = None
     format: str = "csv"
-    threads: int | None = None
     steps: int = 200
     algorithm: str = "admm"
     n_unroll: int = 5
@@ -57,11 +54,6 @@ class RunConfig:
     tolerance: float = 1e-5
 
     def __post_init__(self):
-        for m in self.modes:
-            if m not in _MODE_NAMES:
-                raise ValueError(f"unknown mode {m!r}")
-        if self.mode not in _MODE_NAMES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.precision not in ("single", "double"):
             raise ValueError("precision must be 'single' or 'double'")
         if self.format not in ("csv", "json"):
@@ -76,6 +68,11 @@ class RunConfig:
             raise ValueError("size must be two positive integers")
         if not 0.0 <= self.inject_duplicates <= 1.0:
             raise ValueError("inject-duplicates must be in [0, 1]")
+        # the mode and solver objects check their own names and ranges
+        for variant in (*self.modes, self.mode):
+            self.grad_mode(variant)
+        if self.command == "train":
+            self.unrolled_config()
 
     def grad_mode(self, variant: str | None = None) -> GradMode:
         return GradMode(
@@ -83,6 +80,19 @@ class RunConfig:
             clip_value=self.clip_value,
             taylor_k=self.taylor_k,
             stability=StabilityParams(t=self.t, clamp=self.clamp),
+        )
+
+    def unrolled_config(self) -> UnrolledConfig:
+        return UnrolledConfig(
+            size=self.size,
+            n_unroll=self.n_unroll,
+            algorithm=self.algorithm,
+            steps=self.steps,
+            lr=self.lr,
+            inject_rate=self.inject_duplicates,
+            mode=self.grad_mode(),
+            precision=self.precision,
+            seed=self.seed,
         )
 
     def resolved(self) -> dict:
@@ -254,7 +264,6 @@ def cmd_efficacy(cfg: RunConfig) -> int:
             seeds=seeds,
             size=cfg.size,
             basis=cfg.basis,
-            threads=cfg.threads,
         )
     except ValueError as e:
         raise SystemExit(f"error: {e}") from e
@@ -270,18 +279,7 @@ def cmd_efficacy(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    ucfg = UnrolledConfig(
-        size=cfg.size,
-        n_unroll=cfg.n_unroll,
-        algorithm=cfg.algorithm,
-        steps=cfg.steps,
-        lr=cfg.lr,
-        inject_rate=cfg.inject_duplicates,
-        mode=cfg.grad_mode(),
-        precision=cfg.precision,
-        seed=cfg.seed,
-    )
-    params, log = train_unrolled(ucfg)
+    params, log = train_unrolled(cfg.unrolled_config())
     _write_text(cfg.output, log.to_jsonl(config_line=cfg.resolved()))
     if log.halted:
         steps = log.nonfinite_steps()
@@ -341,11 +339,10 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--size", type=_size, help="matrix size, e.g. 10x10")
     e.add_argument("--basis", choices=("identity", "rotated"))
     e.add_argument("--format", choices=("csv", "json"))
-    e.add_argument("--threads", type=int)
 
     t = sub.add_parser("train", help="train an unrolled completion solver")
     common(t)
-    t.add_argument("--mode", choices=_MODE_NAMES)
+    t.add_argument("--mode", choices=_VARIANTS)
     t.add_argument("--algorithm", choices=("admm", "pgd"))
     t.add_argument("--steps", type=int)
     t.add_argument("--n-unroll", type=int, dest="n_unroll")

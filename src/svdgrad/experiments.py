@@ -16,7 +16,6 @@ with per-iteration learnable positive scalars and train them with Adam.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -251,7 +250,6 @@ def run_efficacy(
     seeds=(3407,),
     size=(10, 10),
     basis: str = "rotated",
-    threads: int | None = None,
 ) -> EfficacyReport:
     """Cumulative gradient-MSE benchmark over paired trials.
 
@@ -259,8 +257,7 @@ def run_efficacy(
     double-precision gradient as reference (regenerating with an incremented
     sub-seed when the reference itself is non-finite), runs the forward once
     in single precision, and accumulates each mode's squared gradient error.
-    Accumulation is in trial order regardless of threading, so reports are
-    bit-reproducible for a fixed configuration.
+    Reports are bit-reproducible for a fixed configuration.
     """
     modes = _normalize_modes(modes)
     if n_trials < 1:
@@ -268,6 +265,9 @@ def run_efficacy(
     seeds = tuple(int(s) for s in seeds)
     cases = tuple(cases)
     workflows = tuple(workflows)
+    for label, values in (("seeds", seeds), ("cases", cases), ("workflows", workflows)):
+        if not values:
+            raise ValueError(f"{label} must not be empty")
     cells: list[CellStats] = []
     for case in cases:
         for workflow in workflows:
@@ -275,16 +275,8 @@ def run_efficacy(
             means = [0.0] * len(modes)
             invalid = 0
             for master in seeds:
-                jobs = (
-                    (master, case, workflow, trial, size, basis, modes)
-                    for trial in range(n_trials)
-                )
-                if threads and threads > 1:
-                    with ThreadPoolExecutor(max_workers=threads) as ex:
-                        results = list(ex.map(lambda a: _efficacy_trial(*a), jobs))
-                else:
-                    results = [_efficacy_trial(*a) for a in jobs]
-                for per_mode, attempts in results:
+                for trial in range(n_trials):
+                    per_mode, attempts = _efficacy_trial(master, case, workflow, trial, size, basis, modes)
                     invalid += attempts
                     for i, (sumsq, meansq) in enumerate(per_mode):
                         sums[i] += sumsq
@@ -434,48 +426,54 @@ def _bind_tape_params(config: UnrolledConfig, positive: dict[str, float]) -> dic
     return out
 
 
+def _solver_bindings(config: UnrolledConfig, positive: dict[str, float], Y: np.ndarray) -> dict:
+    """Tape parameters, the observations Y and, for ADMM, L0 = 0."""
+    bindings = _bind_tape_params(config, positive)
+    bindings["Y"] = Y
+    if config.algorithm == "admm":
+        bindings["L0"] = np.zeros_like(Y)
+    return bindings
+
+
+def _solve(config: UnrolledConfig, mask: np.ndarray, Y: np.ndarray, positive: dict[str, float]) -> np.ndarray:
+    """Run the unrolled solver's forward pass and return the reconstruction."""
+    tape, out = _solver_tape(config, mask)
+    values = tape.forward(_solver_bindings(config, positive, Y))
+    return tape.value_of(values, out)
+
+
 def _theta_grads(
-    config: UnrolledConfig, positive: dict[str, float], tape_grads: dict[str, float]
+    config: UnrolledConfig, bound: dict[str, float], tape_grads: dict[str, float]
 ) -> dict[str, float]:
     """Chain tape-parameter gradients to log-space scalars.
 
-    With theta = log(p) the gradient is dL/dtheta = dL/dp * p; tau composes as
-    lambda/mu (ADMM) or lambda*rho (PGD).
+    `bound` holds the tape parameters from `_bind_tape_params`. With
+    theta = log(p) the gradient is dL/dtheta = dL/dp * p; tau composes as
+    lambda/mu (ADMM) or lambda*rho (PGD), so d tau/d theta is +-tau.
     """
     g = {}
     for i in range(1, config.n_unroll + 1):
         dtau = tape_grads.get(f"tau_{i}", 0.0)
-        tau = positive[f"lambda_{i}"] / positive[f"mu_{i}"] if config.algorithm == "admm" else positive[f"lambda_{i}"] * positive[f"rho_{i}"]
+        tau = bound[f"tau_{i}"]
         g[f"lambda_{i}"] = dtau * tau
         if config.algorithm == "admm":
             g[f"mu_{i}"] = -dtau * tau
-            g[f"eta_{i}"] = tape_grads.get(f"eta_{i}", 0.0) * positive[f"eta_{i}"]
+            g[f"eta_{i}"] = tape_grads.get(f"eta_{i}", 0.0) * bound[f"eta_{i}"]
         else:
-            g[f"rho_{i}"] = dtau * tau + tape_grads.get(f"rho_{i}", 0.0) * positive[f"rho_{i}"]
+            g[f"rho_{i}"] = dtau * tau + tape_grads.get(f"rho_{i}", 0.0) * bound[f"rho_{i}"]
     return g
 
 
 def unrolled_admm_forward(Y, mask, config: UnrolledConfig, params: dict[str, float] | None = None) -> np.ndarray:
     """Run the unrolled ADMM forward pass and return the reconstruction."""
-    tape, out = build_admm_tape(mask, config.n_unroll)
-    positive = params or _default_params(replace(config, algorithm="admm"))
-    bindings = dict(_bind_tape_params(replace(config, algorithm="admm"), positive))
-    Y = np.asarray(Y)
-    bindings["Y"] = Y
-    bindings["L0"] = np.zeros_like(Y)
-    values = tape.forward(bindings)
-    return tape.value_of(values, out)
+    config = replace(config, algorithm="admm")
+    return _solve(config, mask, np.asarray(Y), params or _default_params(config))
 
 
 def unrolled_pgd_forward(Y, mask, config: UnrolledConfig, params: dict[str, float] | None = None) -> np.ndarray:
     """Run the unrolled PGD forward pass and return the reconstruction."""
-    tape, out = build_pgd_tape(mask, config.n_unroll)
-    positive = params or _default_params(replace(config, algorithm="pgd"))
-    bindings = dict(_bind_tape_params(replace(config, algorithm="pgd"), positive))
-    Y = np.asarray(Y)
-    bindings["Y"] = Y
-    values = tape.forward(bindings)
-    return tape.value_of(values, out)
+    config = replace(config, algorithm="pgd")
+    return _solve(config, mask, np.asarray(Y), params or _default_params(config))
 
 
 def make_completion_dataset(config: UnrolledConfig, n: int, tag: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -536,13 +534,7 @@ def _val_mse(config: UnrolledConfig, val_set, positive: dict[str, float]) -> flo
     dt = _dtype_of(config)
     total = 0.0
     for Y, mask, X_true in val_set:
-        tape, out = _solver_tape(config, mask)
-        bindings = dict(_bind_tape_params(config, positive))
-        bindings["Y"] = Y.astype(dt)
-        if config.algorithm == "admm":
-            bindings["L0"] = np.zeros(config.size, dtype=dt)
-        values = tape.forward(bindings)
-        X = tape.value_of(values, out)
+        X = _solve(config, mask, Y.astype(dt), positive)
         total += float(np.mean((X.astype(np.float64) - X_true) ** 2))
     return total / len(val_set)
 
@@ -606,11 +598,8 @@ def train_unrolled(
         target = tape.input("target")
         loss = tape.mse_loss(out, target)
         positive = positive_of(theta)
-        bindings = dict(_bind_tape_params(config, positive))
-        bindings["Y"] = Y.astype(dt)
+        bindings = _solver_bindings(config, positive, Y.astype(dt))
         bindings["target"] = X_true.astype(dt)
-        if config.algorithm == "admm":
-            bindings["L0"] = np.zeros(config.size, dtype=dt)
         values = tape.forward(bindings)
         train_loss = values[loss]
         grads = tape.backward(values, loss, config.mode)
@@ -619,7 +608,7 @@ def train_unrolled(
             for name in bindings
             if tape.nodes[tape.names[name]].op == "parameter_scalar"
         }
-        tg = _theta_grads(config, positive, tape_grads)
+        tg = _theta_grads(config, bindings, tape_grads)
         grad_finite = all(math.isfinite(v) for v in tg.values())
 
         b1, b2 = config.beta1, config.beta2

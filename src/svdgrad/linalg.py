@@ -1,9 +1,8 @@
-"""Dense real/complex matrix primitives and a canonicalized economy SVD.
+"""Matrix operand validation and a canonicalized economy SVD.
 
 Everything operates on plain 2-D numpy arrays in one of the four supported
-dtypes (float32/float64/complex64/complex128). Mixed-precision arithmetic is
-rejected, conversion is explicit. All functions are pure; values are never
-mutated in place.
+dtypes (float32/float64/complex64/complex128). All functions are pure;
+values are never mutated in place.
 """
 
 from __future__ import annotations
@@ -15,15 +14,9 @@ import numpy as np
 __all__ = [
     "SUPPORTED_DTYPES",
     "SvdFactors",
-    "add",
     "conj_transpose",
     "ensure_matrix",
-    "frobenius",
-    "hadamard",
-    "matmul",
     "real_dtype_of",
-    "scale",
-    "sub",
     "svd",
 ]
 
@@ -56,62 +49,9 @@ def ensure_matrix(A, name: str = "matrix", require_finite: bool = False) -> np.n
     return A
 
 
-def _check_same_precision(A: np.ndarray, B: np.ndarray) -> None:
-    if real_dtype_of(A.dtype) != real_dtype_of(B.dtype):
-        raise TypeError(
-            f"mixed precisions {A.dtype} and {B.dtype}; convert explicitly"
-        )
-
-
-def matmul(A, B) -> np.ndarray:
-    A = ensure_matrix(A, "A")
-    B = ensure_matrix(B, "B")
-    _check_same_precision(A, B)
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"shape mismatch for matmul: {A.shape} @ {B.shape}")
-    return A @ B
-
-
 def conj_transpose(A) -> np.ndarray:
     A = ensure_matrix(A, "A")
     return A.conj().T.copy()
-
-
-def add(A, B) -> np.ndarray:
-    A = ensure_matrix(A, "A")
-    B = ensure_matrix(B, "B")
-    _check_same_precision(A, B)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch for add: {A.shape} vs {B.shape}")
-    return A + B
-
-
-def sub(A, B) -> np.ndarray:
-    A = ensure_matrix(A, "A")
-    B = ensure_matrix(B, "B")
-    _check_same_precision(A, B)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch for sub: {A.shape} vs {B.shape}")
-    return A - B
-
-
-def scale(c, A) -> np.ndarray:
-    A = ensure_matrix(A, "A")
-    return np.asarray(c, dtype=A.dtype) * A
-
-
-def hadamard(A, B) -> np.ndarray:
-    A = ensure_matrix(A, "A")
-    B = ensure_matrix(B, "B")
-    _check_same_precision(A, B)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch for hadamard: {A.shape} vs {B.shape}")
-    return A * B
-
-
-def frobenius(A) -> float:
-    A = ensure_matrix(A, "A")
-    return float(np.linalg.norm(A))
 
 
 @dataclass(frozen=True)

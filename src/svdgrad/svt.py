@@ -16,7 +16,7 @@ import numpy as np
 from .backward import GradMode, svd_vjp
 from .linalg import SvdFactors, ensure_matrix, real_dtype_of, svd
 
-__all__ = ["SvtCache", "ThresholdSpec", "svt", "svt_vjp"]
+__all__ = ["SvtCache", "ThresholdSpec", "factor_cotangents", "svt", "svt_vjp"]
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,19 @@ def kept_mask(s: np.ndarray, spec: ThresholdSpec) -> np.ndarray:
     return mask
 
 
+def factor_cotangents(factors: SvdFactors, s: np.ndarray, g: np.ndarray):
+    """(Ubar, sbar, Vbar) of B = U diag(s) V^H from the cotangent g of B.
+
+    Ubar = g V diag(s), Vbar = g^H U diag(s) and sbar = Re diag(U^H g V).
+    """
+    s_d = s.astype(g.dtype, copy=False)
+    gV = g @ factors.V
+    Ubar = gV * s_d[None, :]
+    Vbar = (g.conj().T @ factors.U) * s_d[None, :]
+    sbar = np.real(np.einsum("ij,ij->j", factors.U.conj(), gV))
+    return Ubar, sbar.astype(real_dtype_of(g.dtype), copy=False), Vbar
+
+
 def svt_vjp(Bbar, cached: SvtCache, mode: GradMode) -> tuple[np.ndarray, float]:
     """Pull the thresholded-matrix cotangent back to (Abar, taubar).
 
@@ -99,16 +112,12 @@ def svt_vjp(Bbar, cached: SvtCache, mode: GradMode) -> tuple[np.ndarray, float]:
     """
     Bbar = ensure_matrix(Bbar, "Bbar")
     A, factors, s_hat, spec = cached.A, cached.factors, cached.s_hat, cached.spec
-    U, s, V = factors.U, factors.s, factors.V
     if Bbar.shape != A.shape:
         raise ValueError(f"Bbar shape {Bbar.shape} does not match A shape {A.shape}")
     rdt = real_dtype_of(A.dtype)
 
-    s_hat_d = s_hat.astype(Bbar.dtype, copy=False)
-    Ubar = (Bbar @ V) * s_hat_d[None, :]
-    Vbar = (Bbar.conj().T @ U) * s_hat_d[None, :]
-    sbar_pre = np.real(np.einsum("ij,ij->j", U.conj(), Bbar @ V)).astype(rdt, copy=False)
-    kept = kept_mask(s, spec)
+    Ubar, sbar_pre, Vbar = factor_cotangents(factors, s_hat, Bbar)
+    kept = kept_mask(factors.s, spec)
     sbar = np.where(kept, sbar_pre, np.asarray(0, dtype=rdt))
     taubar = float(-sbar_pre[kept].sum()) if spec.kind == "soft" else 0.0
     Abar = svd_vjp(A, factors, Ubar, sbar, Vbar, mode)

@@ -17,12 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backward import GradMode, svd_vjp
-from .linalg import SvdFactors, ensure_matrix, real_dtype_of, svd as _svd
-from .svt import SvtCache, ThresholdSpec, kept_mask, svt as _svt, svt_vjp
+from .linalg import ensure_matrix, real_dtype_of, svd as _svd
+from .svt import SvtCache, ThresholdSpec, factor_cotangents, kept_mask, svt as _svt, svt_vjp
 
 __all__ = ["GradientSet", "Node", "Tape"]
-
-_LOSS_OPS = ("l1_loss", "mse_loss", "sum_singular_values")
 
 
 @dataclass(frozen=True)
@@ -49,24 +47,7 @@ class GradientSet:
         return self.cotangents.get(self.names[name])
 
     def all_finite(self) -> bool:
-        for g in self.cotangents.values():
-            arr = np.asarray(g)
-            if not np.isfinite(arr).all():
-                return False
-        return True
-
-
-class _FactorCotangent:
-    """Accumulator for (Ubar, sbar, Vbar) flowing into an svd node."""
-
-    __slots__ = ("Ubar", "sbar", "Vbar")
-
-    def __init__(self, factors: SvdFactors, dtype):
-        m, k = factors.U.shape
-        n = factors.V.shape[0]
-        self.Ubar = np.zeros((m, k), dtype=dtype)
-        self.Vbar = np.zeros((n, k), dtype=dtype)
-        self.sbar = np.zeros(k, dtype=real_dtype_of(dtype))
+        return all(_all_finite(g) for g in self.cotangents.values())
 
 
 class Tape:
@@ -163,66 +144,19 @@ class Tape:
             raise ValueError("sum_singular_values expects an svd node")
         return self._append("sum_singular_values", (svd_node,))
 
-    # -- forward ----------------------------------------------------------
+    # -- evaluation -------------------------------------------------------
 
     def forward(self, bindings: dict[str, object]) -> list:
         """Evaluate every node; returns the cached value list for backward."""
         values: list = [None] * len(self.nodes)
         for node in self.nodes:
-            v = [self.value_of(values, p) for p in node.parents]
-            op = node.op
-            if op in ("input", "parameter_scalar"):
-                if node.name not in bindings:
-                    raise ValueError(f"unbound {op} node {node.name!r}")
-                bound = bindings[node.name]
-                if op == "parameter_scalar":
-                    bound = float(bound)
-                else:
-                    bound = ensure_matrix(bound, node.name)
-                values[node.idx] = bound
-            elif op == "matmul":
-                values[node.idx] = v[0] @ v[1]
-            elif op == "add":
-                values[node.idx] = v[0] + v[1]
-            elif op == "sub":
-                values[node.idx] = v[0] - v[1]
-            elif op == "scale_by_param":
-                values[node.idx] = np.asarray(v[1], dtype=real_dtype_of(v[0].dtype)) * v[0]
-            elif op == "conj_transpose":
-                values[node.idx] = v[0].conj().T
-            elif op == "hadamard":
-                values[node.idx] = v[0] * v[1]
-            elif op == "mask_project":
-                mask = node.extra["mask"]
-                if mask.shape != v[0].shape:
-                    raise ValueError(f"mask shape {mask.shape} vs value {v[0].shape}")
-                values[node.idx] = v[0] * mask.astype(v[0].dtype)
-            elif op == "svd":
-                values[node.idx] = _svd(v[0])
-            elif op == "svt":
-                spec = node.extra["spec"] if node.extra else ThresholdSpec.soft(v[1])
-                B, factors, s_hat = _svt(v[0], spec)
-                values[node.idx] = _SvtValue(B, SvtCache(v[0], factors, s_hat, spec))
-            elif op == "reconstruct":
-                factors: SvdFactors = v[0]
-                s_used = factors.s if len(v) == 1 else v[1]
-                values[node.idx] = factors.reconstruct(s_used)
-            elif op == "soft_threshold_vector":
-                factors = v[0]
-                tau = node.extra["tau"] if node.extra else float(v[1])
-                rdt = factors.s.dtype
-                values[node.idx] = np.maximum(factors.s - np.asarray(tau, dtype=rdt), np.asarray(0, dtype=rdt))
-            elif op == "l1_loss":
-                values[node.idx] = float(np.abs(v[0]).sum())
-            elif op == "mse_loss":
-                if v[0].shape != v[1].shape:
-                    raise ValueError(f"mse_loss shape mismatch {v[0].shape} vs {v[1].shape}")
-                d = v[0] - v[1]
-                values[node.idx] = float(np.mean(np.abs(d) ** 2))
-            elif op == "sum_singular_values":
-                values[node.idx] = float(v[0].s.sum())
-            else:  # pragma: no cover
-                raise ValueError(f"unknown op {op!r}")
+            if node.parents:
+                args = [self.value_of(values, p) for p in node.parents]
+            elif node.name in bindings:
+                args = [bindings[node.name]]
+            else:
+                raise ValueError(f"unbound {node.op} node {node.name!r}")
+            values[node.idx] = _OPS[node.op][0](args, node)
         return values
 
     def value_of(self, values: list, idx: int):
@@ -230,124 +164,27 @@ class Tape:
         v = values[idx]
         return v.B if isinstance(v, _SvtValue) else v
 
-    # -- backward ---------------------------------------------------------
-
     def backward(self, values: list, loss: int, mode: GradMode, seed_cotangent: float = 1.0) -> GradientSet:
         """Reverse accumulation from `loss` (a real scalar node) down to leaves."""
         if not isinstance(values[loss], float):
             raise ValueError("loss node must evaluate to a real scalar")
         cot: dict[int, object] = {loss: float(seed_cotangent)}
         nonfinite: list[int] = []
-
-        def acc(idx: int, g):
-            prev = cot.get(idx)
-            node = self.nodes[idx]
-            if node.op == "svd":
-                if prev is None:
-                    prev = _FactorCotangent(values[idx], g[3])
-                    cot[idx] = prev
-                Ub, sb, Vb = g[0], g[1], g[2]
-                if Ub is not None:
-                    prev.Ubar = prev.Ubar + Ub
-                if sb is not None:
-                    prev.sbar = prev.sbar + sb
-                if Vb is not None:
-                    prev.Vbar = prev.Vbar + Vb
-            else:
-                cot[idx] = g if prev is None else prev + g
-
         for node in reversed(self.nodes):
             g = cot.get(node.idx)
             if g is None:
                 continue
-            if isinstance(g, _FactorCotangent):
-                if not (
-                    np.isfinite(g.Ubar).all()
-                    and np.isfinite(g.sbar).all()
-                    and np.isfinite(g.Vbar).all()
-                ):
-                    nonfinite.append(node.idx)
-            elif not np.isfinite(np.asarray(g)).all():
+            if not _all_finite(g):
                 nonfinite.append(node.idx)
-            op = node.op
-            v = [self.value_of(values, p) for p in node.parents]
-            if op in ("input", "parameter_scalar"):
+            if not node.parents:
                 continue
-            elif op == "matmul":
-                acc(node.parents[0], g @ v[1].conj().T)
-                acc(node.parents[1], v[0].conj().T @ g)
-            elif op == "add":
-                acc(node.parents[0], g)
-                acc(node.parents[1], g)
-            elif op == "sub":
-                acc(node.parents[0], g)
-                acc(node.parents[1], -g)
-            elif op == "scale_by_param":
-                c = np.asarray(v[1], dtype=real_dtype_of(v[0].dtype))
-                acc(node.parents[0], c * g)
-                acc(node.parents[1], float(np.real(np.vdot(v[0], g))))
-            elif op == "conj_transpose":
-                acc(node.parents[0], g.conj().T)
-            elif op == "hadamard":
-                acc(node.parents[0], g * v[1].conj())
-                acc(node.parents[1], g * v[0].conj())
-            elif op == "mask_project":
-                acc(node.parents[0], g * node.extra["mask"].astype(g.dtype))
-            elif op == "svd":
-                fc: _FactorCotangent = g
-                factors: SvdFactors = values[node.idx]
-                Abar = svd_vjp(v[0], factors, fc.Ubar, fc.sbar, fc.Vbar, mode)
-                acc(node.parents[0], Abar)
-            elif op == "svt":
-                cache: SvtCache = values[node.idx].cache
-                Abar, taubar = svt_vjp(g, cache, mode)
-                acc(node.parents[0], Abar)
-                if len(node.parents) == 2:
-                    acc(node.parents[1], taubar)
-            elif op == "reconstruct":
-                factors = v[0]
-                s_used = factors.s if len(v) == 1 else v[1]
-                s_d = s_used.astype(g.dtype, copy=False)
-                Ubar = (g @ factors.V) * s_d[None, :]
-                Vbar = (g.conj().T @ factors.U) * s_d[None, :]
-                sbar = np.real(np.einsum("ij,ij->j", factors.U.conj(), g @ factors.V))
-                sbar = sbar.astype(real_dtype_of(g.dtype), copy=False)
-                if len(node.parents) == 1:
-                    acc(node.parents[0], (Ubar, sbar, Vbar, g.dtype))
-                else:
-                    acc(node.parents[0], (Ubar, None, Vbar, g.dtype))
-                    acc(node.parents[1], sbar)
-            elif op == "soft_threshold_vector":
-                factors = v[0]
-                tau = node.extra["tau"] if node.extra else float(v[1])
-                spec = ThresholdSpec.soft(tau)
-                kept = kept_mask(factors.s, spec)
-                sbar = np.where(kept, g, np.asarray(0, dtype=g.dtype))
-                acc(node.parents[0], (None, sbar, None, factors.U.dtype))
-                if len(node.parents) == 2:
-                    acc(node.parents[1], float(-g[kept].sum()))
-            elif op == "l1_loss":
-                x = v[0]
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    sgn = np.where(x == 0, np.asarray(0, dtype=x.dtype), x / np.abs(x))
-                acc(node.parents[0], np.asarray(g, dtype=real_dtype_of(x.dtype)) * sgn)
-            elif op == "mse_loss":
-                d = v[0] - v[1]
-                scale = np.asarray(2.0 * g / d.size, dtype=real_dtype_of(d.dtype))
-                acc(node.parents[0], scale * d)
-                acc(node.parents[1], -scale * d)
-            elif op == "sum_singular_values":
-                factors = v[0]
-                sbar = np.full(factors.s.shape, g, dtype=factors.s.dtype)
-                acc(node.parents[0], (None, sbar, None, factors.U.dtype))
-            else:  # pragma: no cover
-                raise ValueError(f"unknown op {op!r}")
-
-        out: dict[int, object] = {}
-        for idx, g in cot.items():
-            if isinstance(g, _FactorCotangent):
-                continue
-            out[idx] = g
+            args = [self.value_of(values, p) for p in node.parents]
+            parent_cots = _OPS[node.op][1](g, args, node, values[node.idx], mode)
+            for p, gp in zip(node.parents, parent_cots):
+                if gp is not None:
+                    cot[p] = _merge(cot.get(p), gp)
+        # svd factor triples are internal to the graph, not gradients
+        out = {idx: g for idx, g in cot.items() if not isinstance(g, tuple)}
         return GradientSet(cotangents=out, names=dict(self.names), nonfinite_nodes=nonfinite)
 
 
@@ -360,10 +197,133 @@ class _SvtValue:
         self.B = B
         self.cache = cache
 
-    @property
-    def shape(self):
-        return self.B.shape
 
-    @property
-    def dtype(self):
-        return self.B.dtype
+# -- op table ---------------------------------------------------------------
+#
+# op -> (forward, vjp). forward(args, node) computes a node's value from its
+# parents' values (a leaf's one argument is its binding); vjp(g, args, node,
+# value, mode) returns one cotangent per parent, None for no contribution.
+# An svd node's cotangent is a (Ubar, sbar, Vbar) triple, None where unset.
+
+
+def _merge(prev, g):
+    """Sum of two cotangents; triples add entry by entry, skipping None."""
+    if prev is None:
+        return g
+    if isinstance(g, tuple):
+        return tuple(b if a is None else a if b is None else a + b for a, b in zip(prev, g))
+    return prev + g
+
+
+def _all_finite(g) -> bool:
+    if isinstance(g, tuple):
+        return all(x is None or np.isfinite(x).all() for x in g)
+    return bool(np.isfinite(np.asarray(g)).all())
+
+
+def _tau(args, node) -> float:
+    """Threshold of a soft_threshold_vector node: fixed, or its parameter."""
+    return node.extra["tau"] if node.extra else float(args[1])
+
+
+def _scale_by_param_forward(args, node):
+    return np.asarray(args[1], dtype=real_dtype_of(args[0].dtype)) * args[0]
+
+
+def _scale_by_param_vjp(g, args, *_):
+    c = np.asarray(args[1], dtype=real_dtype_of(args[0].dtype))
+    return c * g, float(np.real(np.vdot(args[0], g)))
+
+
+def _mask_project_forward(args, node):
+    mask = node.extra["mask"]
+    if mask.shape != args[0].shape:
+        raise ValueError(f"mask shape {mask.shape} vs value {args[0].shape}")
+    return args[0] * mask.astype(args[0].dtype)
+
+
+def _svt_forward(args, node):
+    spec = node.extra["spec"] if node.extra else ThresholdSpec.soft(args[1])
+    B, factors, s_hat = _svt(args[0], spec)
+    return _SvtValue(B, SvtCache(args[0], factors, s_hat, spec))
+
+
+def _svt_vjp(g, args, node, value, mode):
+    Abar, taubar = svt_vjp(g, value.cache, mode)
+    return (Abar, taubar)[: len(node.parents)]
+
+
+def _reconstruct_vjp(g, args, *_):
+    factors = args[0]
+    Ubar, sbar, Vbar = factor_cotangents(factors, factors.s if len(args) == 1 else args[1], g)
+    if len(args) == 1:
+        return ((Ubar, sbar, Vbar),)
+    return (Ubar, None, Vbar), sbar
+
+
+def _soft_threshold_vector_forward(args, node):
+    rdt = args[0].s.dtype
+    return np.maximum(args[0].s - np.asarray(_tau(args, node), dtype=rdt), np.asarray(0, dtype=rdt))
+
+
+def _soft_threshold_vector_vjp(g, args, node, *_):
+    kept = kept_mask(args[0].s, ThresholdSpec.soft(_tau(args, node)))
+    sbar = np.where(kept, g, np.asarray(0, dtype=g.dtype))
+    return ((None, sbar, None), float(-g[kept].sum()))[: len(node.parents)]
+
+
+def _l1_loss_vjp(g, args, *_):
+    x = args[0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sgn = np.where(x == 0, np.asarray(0, dtype=x.dtype), x / np.abs(x))
+    return (np.asarray(g, dtype=real_dtype_of(x.dtype)) * sgn,)
+
+
+def _mse_loss_forward(args, node):
+    if args[0].shape != args[1].shape:
+        raise ValueError(f"mse_loss shape mismatch {args[0].shape} vs {args[1].shape}")
+    d = args[0] - args[1]
+    return float(np.mean(np.abs(d) ** 2))
+
+
+def _mse_loss_vjp(g, args, *_):
+    d = args[0] - args[1]
+    scale = np.asarray(2.0 * g / d.size, dtype=real_dtype_of(d.dtype))
+    return scale * d, -scale * d
+
+
+def _sum_singular_values_vjp(g, args, *_):
+    s = args[0].s
+    return ((None, np.full(s.shape, g, dtype=s.dtype), None),)
+
+
+_OPS = {
+    "input": (lambda args, node: ensure_matrix(args[0], node.name), None),
+    "parameter_scalar": (lambda args, node: float(args[0]), None),
+    "matmul": (
+        lambda args, node: args[0] @ args[1],
+        lambda g, args, *_: (g @ args[1].conj().T, args[0].conj().T @ g),
+    ),
+    "add": (lambda args, node: args[0] + args[1], lambda g, *_: (g, g)),
+    "sub": (lambda args, node: args[0] - args[1], lambda g, *_: (g, -g)),
+    "scale_by_param": (_scale_by_param_forward, _scale_by_param_vjp),
+    "conj_transpose": (lambda args, node: args[0].conj().T, lambda g, *_: (g.conj().T,)),
+    "hadamard": (
+        lambda args, node: args[0] * args[1],
+        lambda g, args, *_: (g * args[1].conj(), g * args[0].conj()),
+    ),
+    "mask_project": (
+        _mask_project_forward,
+        lambda g, args, node, *_: (g * node.extra["mask"].astype(g.dtype),),
+    ),
+    "svd": (
+        lambda args, node: _svd(args[0]),
+        lambda g, args, node, value, mode: (svd_vjp(args[0], value, *g, mode),),
+    ),
+    "svt": (_svt_forward, _svt_vjp),
+    "reconstruct": (lambda args, node: args[0].reconstruct(*args[1:]), _reconstruct_vjp),
+    "soft_threshold_vector": (_soft_threshold_vector_forward, _soft_threshold_vector_vjp),
+    "l1_loss": (lambda args, node: float(np.abs(args[0]).sum()), _l1_loss_vjp),
+    "mse_loss": (_mse_loss_forward, _mse_loss_vjp),
+    "sum_singular_values": (lambda args, node: float(args[0].s.sum()), _sum_singular_values_vjp),
+}

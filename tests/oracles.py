@@ -1,9 +1,8 @@
 """Independent reference routines the tests check the library against.
 
 Everything here deliberately avoids the library's own code paths: the SVD is
-a hand-rolled one-sided Jacobi (no LAPACK), the matrix product is a triple
-loop, and the nuclear-norm prox shrinks the Jacobi spectrum directly. Slow is
-fine; these run on small matrices only.
+a hand-rolled one-sided Jacobi (no LAPACK), and the nuclear-norm prox shrinks
+the Jacobi spectrum directly. Slow is fine; these run on small matrices only.
 """
 
 import numpy as np
@@ -59,23 +58,6 @@ def jacobi_svd(A, tol=1e-14, max_sweeps=60):
     U[:, nz] = W[:, nz] / s[nz]
     order = np.argsort(-s, kind="stable")
     return U[:, order], s[order], V[:, order]
-
-
-def matmul_triple_loop(A, B):
-    """Textbook three-loop matrix product, accumulation in the input dtype."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    m, k = A.shape
-    k2, n = B.shape
-    assert k == k2
-    C = np.zeros((m, n), dtype=np.result_type(A.dtype, B.dtype))
-    for i in range(m):
-        for j in range(n):
-            acc = C[i, j]
-            for p in range(k):
-                acc = acc + A[i, p] * B[p, j]
-            C[i, j] = acc
-    return C
 
 
 def nuclear_prox(A, tau):

@@ -166,6 +166,15 @@ def test_missing_config_exits_two(tmp_path, capsys):
     (["efficacy", "--modes", "tf,clip", "--trials", "1"], "inv"),
     (["train", "--inject-duplicates", "1.5"], "inject"),
     (["gradcheck", "--tolerance", "-1"], "tolerance"),
+    (["gradcheck", "--t", "-1"], "t must be positive"),
+    (["gradcheck", "--clamp", "-1"], "clamp"),
+    (["efficacy", "--clip-value", "0"], "clip_value"),
+    (["train", "--taylor-k", "0"], "taylor_k"),
+    (["train", "--n-unroll", "0"], "n_unroll"),
+    (["train", "--size", "1x1"], "rank"),
+    (["efficacy", "--seeds", ""], "seeds"),
+    (["efficacy", "--cases", ""], "cases"),
+    (["efficacy", "--workflows", ""], "workflows"),
 ])
 def test_invalid_values_exit_two(argv, needle, capsys):
     rc = main(argv)

@@ -221,16 +221,15 @@ def test_construction_errors():
 
 
 def test_multiple_consumers_of_one_svd():
-    # sum of singular values plus the reconstruction L1 share one svd node
+    # the sum of singular values and the reconstruction MSE share one svd
+    # node, so both send a spectrum cotangent into it
     rng = np.random.default_rng(47)
     A0 = _random(rng, (4, 4))
     t = Tape()
     a = t.input("A")
     f = t.svd(a)
     z = t.input("Z")
-    # combine through mse so both factor consumers feed the same node
-    recon = t.reconstruct(f)
-    loss = t.mse_loss(recon, z)
+    loss = t.add(t.sum_singular_values(f), t.mse_loss(t.reconstruct(f), z))
     binds = {"A": A0, "Z": 0.5 * A0}
     values = t.forward(binds)
     g = t.backward(values, loss, GradMode.inv())
