@@ -530,12 +530,19 @@ def _dtype_of(config: UnrolledConfig):
     return np.float32 if config.precision == "single" else np.float64
 
 
-def _val_mse(config: UnrolledConfig, val_set, positive: dict[str, float]) -> float:
-    dt = _dtype_of(config)
+def _val_mse(
+    config: UnrolledConfig, solver: tuple[Tape, int], Y: np.ndarray, val_set, positive: dict[str, float]
+) -> float:
+    """Held-out completion MSE from one forward over the stacked set.
+
+    `solver` is the tape built from the stacked validation masks and `Y` the
+    stacked observations; the per-sample MSEs are summed in `val_set` order.
+    """
+    tape, out = solver
+    X = tape.value_of(tape.forward(_solver_bindings(config, positive, Y)), out)
     total = 0.0
-    for Y, mask, X_true in val_set:
-        X = _solve(config, mask, Y.astype(dt), positive)
-        total += float(np.mean((X.astype(np.float64) - X_true) ** 2))
+    for X_i, (_, _, X_true) in zip(X, val_set):
+        total += float(np.mean((X_i.astype(np.float64) - X_true) ** 2))
     return total / len(val_set)
 
 
@@ -561,13 +568,17 @@ def train_unrolled(
     gradient finiteness flag, and the current positive parameters. An update
     that leaves any parameter non-finite halts training with a diagnostic
     line; safeguarded modes never trigger it, the exact mode does under
-    injected duplicate spectra.
+    injected duplicate spectra. The held-out set is scored as one stack, so
+    its samples must share one shape.
     """
     if not dataset:
         dataset = make_completion_dataset(config, 32, tag=1)
     if not val_set:
         val_set = make_completion_dataset(config, config.val_size, tag=2)
     dt = _dtype_of(config)
+    # the validation tape depends only on the fixed masks: built once per run
+    val_solver = _solver_tape(config, np.stack([mask for _, mask, _ in val_set]))
+    val_Y = np.stack([Y for Y, _, _ in val_set]).astype(dt)
     theta = {name: 0.0 for name in _theta_names(config)}
     adam_m = {name: 0.0 for name in theta}
     adam_v = {name: 0.0 for name in theta}
@@ -581,7 +592,7 @@ def train_unrolled(
     log.lines.append(
         {
             "step": 0,
-            "loss": _val_mse(config, val_set, positive),
+            "loss": _val_mse(config, val_solver, val_Y, val_set, positive),
             "train_loss": None,
             "grad_finite": True,
             "params": positive,
@@ -624,7 +635,7 @@ def train_unrolled(
         halted = not all(math.isfinite(v) for v in params_now.values())
         line = {
             "step": step,
-            "loss": _val_mse(config, val_set, positive_of(theta)) if not halted else None,
+            "loss": _val_mse(config, val_solver, val_Y, val_set, params_now) if not halted else None,
             "train_loss": train_loss,
             "grad_finite": grad_finite,
             "injected": injected,

@@ -57,19 +57,21 @@ class SvtCache:
 
 
 def svt(A, spec: ThresholdSpec) -> tuple[np.ndarray, SvdFactors, np.ndarray]:
-    """Threshold the spectrum of A; returns (B, factors, s_hat)."""
-    A = ensure_matrix(A, "A", require_finite=True)
+    """Threshold the spectrum of A; returns (B, factors, s_hat).
+
+    A may be one matrix or a (..., m, n) stack, thresholded matrix by matrix.
+    """
     factors = svd(A)
     s = factors.s
-    rdt = real_dtype_of(A.dtype)
+    k = factors.k
     if spec.kind == "soft":
-        s_hat = np.maximum(s - np.asarray(spec.tau, dtype=rdt), np.asarray(0, dtype=rdt))
+        s_hat = np.maximum(s - np.asarray(spec.tau, dtype=s.dtype), np.asarray(0, dtype=s.dtype))
     else:
-        if spec.d > s.shape[0]:
-            raise ValueError(f"hard_tail d={spec.d} exceeds k={s.shape[0]}")
+        if spec.d > k:
+            raise ValueError(f"hard_tail d={spec.d} exceeds k={k}")
         s_hat = s.copy()
         if spec.d > 0:
-            s_hat[s.shape[0] - spec.d :] = 0
+            s_hat[..., k - spec.d :] = 0
     B = factors.reconstruct(s_hat)
     return B, factors, s_hat
 

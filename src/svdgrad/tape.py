@@ -8,6 +8,11 @@ several modes — the paired design the gradient benchmarks rely on.
 
 Complex convention throughout: dL = Re tr(cot^H dX) for a real scalar loss.
 Parameters are real scalars only.
+
+The forward also runs on stacks: inputs bound to (..., m, n) arrays flow
+through every op matrix by matrix, and a loss sums or averages over the whole
+stack. The backward is for 2-D forwards; through an svd or svt node it raises
+ValueError on a stacked one.
 """
 
 from __future__ import annotations
@@ -221,6 +226,11 @@ def _all_finite(g) -> bool:
     return bool(np.isfinite(np.asarray(g)).all())
 
 
+def _ct(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
 def _tau(args, node) -> float:
     """Threshold of a soft_threshold_vector node: fixed, or its parameter."""
     return node.extra["tau"] if node.extra else float(args[1])
@@ -254,6 +264,7 @@ def _svt_vjp(g, args, node, value, mode):
 
 
 def _reconstruct_vjp(g, args, *_):
+    g = ensure_matrix(g, "reconstruct cotangent")  # the svd backward is 2-D only
     factors = args[0]
     Ubar, sbar, Vbar = factor_cotangents(factors, factors.s if len(args) == 1 else args[1], g)
     if len(args) == 1:
@@ -298,16 +309,16 @@ def _sum_singular_values_vjp(g, args, *_):
 
 
 _OPS = {
-    "input": (lambda args, node: ensure_matrix(args[0], node.name), None),
+    "input": (lambda args, node: ensure_matrix(args[0], node.name, stack=True), None),
     "parameter_scalar": (lambda args, node: float(args[0]), None),
     "matmul": (
         lambda args, node: args[0] @ args[1],
-        lambda g, args, *_: (g @ args[1].conj().T, args[0].conj().T @ g),
+        lambda g, args, *_: (g @ _ct(args[1]), _ct(args[0]) @ g),
     ),
     "add": (lambda args, node: args[0] + args[1], lambda g, *_: (g, g)),
     "sub": (lambda args, node: args[0] - args[1], lambda g, *_: (g, -g)),
     "scale_by_param": (_scale_by_param_forward, _scale_by_param_vjp),
-    "conj_transpose": (lambda args, node: args[0].conj().T, lambda g, *_: (g.conj().T,)),
+    "conj_transpose": (lambda args, node: _ct(args[0]), lambda g, *_: (_ct(g),)),
     "hadamard": (
         lambda args, node: args[0] * args[1],
         lambda g, args, *_: (g * args[1].conj(), g * args[0].conj()),

@@ -2,10 +2,14 @@
 
 Everything here deliberately avoids the library's own code paths: the SVD is
 a hand-rolled one-sided Jacobi (no LAPACK), and the nuclear-norm prox shrinks
-the Jacobi spectrum directly. Slow is fine; these run on small matrices only.
+the Jacobi spectrum directly. The per-item loops at the end are the plain
+forms that vectorized library code must reproduce bit for bit. Slow is fine;
+these run on small matrices only.
 """
 
 import numpy as np
+
+from svdgrad.experiments import _dtype_of, _solve
 
 
 def jacobi_svd(A, tol=1e-14, max_sweeps=60):
@@ -73,3 +77,32 @@ def soft_threshold_loss_straightline(A, tau):
     shrunk = np.maximum(s - tau, 0.0)
     B = (U * shrunk[None, :]) @ V.conj().T
     return float(np.abs(B).sum())
+
+
+def gauge_fixed_svd_loop(A):
+    """Economy (U, s, V) of one matrix with the library's gauge, column by
+    column: each U column's first exactly-nonzero entry made real positive."""
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    V = Vh.conj().T
+    for j in range(s.shape[0]):
+        col = U[:, j]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        lead = col[nz[0]]
+        phase = np.conj(lead / abs(lead))
+        if phase != 1:
+            U[:, j] = col * phase
+            V[:, j] = V[:, j] * phase
+            U[nz[0], j] = abs(lead)
+    return U, s, V
+
+
+def val_mse_per_sample(config, val_set, positive):
+    """Held-out MSE with one solver tape built and run per validation sample."""
+    dt = _dtype_of(config)
+    total = 0.0
+    for Y, mask, X_true in val_set:
+        X = _solve(config, mask, Y.astype(dt), positive)
+        total += float(np.mean((X.astype(np.float64) - X_true) ** 2))
+    return total / len(val_set)

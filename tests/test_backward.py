@@ -401,6 +401,10 @@ def test_vjp_shape_validation():
         svd_vjp(A, f, np.zeros((4, 4)), None, None, GradMode.inv())
     with pytest.raises(ValueError):
         svd_vjp(A, f, None, np.zeros(4), None, GradMode.inv())
+    # the backward is 2-D only: a stacked forward is refused, not summed
+    stack = np.stack([A, A])
+    with pytest.raises(ValueError):
+        svd_vjp(stack, svd(stack), None, np.zeros((2, 3)), None, GradMode.inv())
 
 
 def test_vjp_matches_jacobi_factors():

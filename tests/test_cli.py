@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import svdgrad
+from svdgrad import Tape
 from svdgrad.cli import main
 
 
@@ -27,6 +28,22 @@ def test_gradcheck_healthy_run_exits_zero(capsys):
     assert "gradcheck: PASS" in out
     for op in ("sum_singular_values", "reconstruct", "svt", "chain"):
         assert f"op={op}" in out
+
+
+def test_gradcheck_backward_calls(monkeypatch, capsys):
+    # two per check (exact and inv); the chain group reads the parameter
+    # gradient from the inv pass instead of running a third backward
+    calls = []
+    backward = Tape.backward
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return backward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "backward", counting)
+    assert main(["gradcheck", "--checks", "1", "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 8
 
 
 def test_gradcheck_impossible_tolerance_exits_one(capsys):

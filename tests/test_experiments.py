@@ -19,6 +19,9 @@ from svdgrad import (
     unrolled_admm_forward,
     unrolled_pgd_forward,
 )
+from svdgrad.experiments import _solver_tape, _theta_names, _val_mse
+
+from oracles import val_mse_per_sample
 
 
 def test_scenario_validation():
@@ -272,6 +275,20 @@ def test_unrolled_config_validation():
         UnrolledConfig(algorithm="fista")
     with pytest.raises(ValueError):
         UnrolledConfig(inject_rate=1.5)
+
+
+@pytest.mark.parametrize("algorithm", ["admm", "pgd"])
+@pytest.mark.parametrize("precision", ["single", "double"])
+def test_stacked_validation_matches_per_sample(algorithm, precision):
+    cfg = UnrolledConfig(size=(9, 11), n_unroll=3, algorithm=algorithm, precision=precision, seed=5)
+    val_set = make_completion_dataset(cfg, 5, tag=2)
+    dt = np.float32 if precision == "single" else np.float64
+    solver = _solver_tape(cfg, np.stack([mask for _, mask, _ in val_set]))
+    Y = np.stack([Y for Y, _, _ in val_set]).astype(dt)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        positive = {name: float(rng.uniform(0.2, 2.0)) for name in _theta_names(cfg)}
+        assert _val_mse(cfg, solver, Y, val_set, positive) == val_mse_per_sample(cfg, val_set, positive)
 
 
 def test_train_zero_learning_rate():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from svdgrad import linalg
-from oracles import jacobi_svd
+from oracles import gauge_fixed_svd_loop, jacobi_svd
 
 DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
 
@@ -93,6 +93,64 @@ def test_svd_sign_convention_and_determinism():
             assert np.real(lead) > 0
 
 
+def _gauge_cases(rng, dtype):
+    """Random matrices plus permuted diagonals: the U columns of the latter
+    are signed or phased unit vectors, mostly with leading exact zeros."""
+    mats = [_random(rng, (6, 6), dtype) for _ in range(4)]
+    for _ in range(2):
+        D = np.diag(_random(rng, 6, dtype))
+        mats.append(D[rng.permutation(6)][:, rng.permutation(6)])
+    # both kinds of columns the gauge has to move occur among the raw factors
+    leads = []
+    for A in mats:
+        for col in np.linalg.svd(A, full_matrices=False)[0].T:
+            row = np.nonzero(col)[0][0]
+            leads.append((row, col[row]))
+    assert any(row > 0 for row, _ in leads)
+    if np.dtype(dtype).kind == "f":
+        assert any(lead < 0 for _, lead in leads)
+    else:
+        assert any(np.imag(lead) != 0 for _, lead in leads)
+    return mats
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_svd_matches_column_loop_gauge(dtype):
+    # the vectorized gauge fix reproduces the per-column loop bit for bit,
+    # including the complex lead magnitude
+    rng = np.random.default_rng(11)
+    mats = _gauge_cases(rng, dtype) + [_random(rng, (7, 4), dtype) for _ in range(40)]
+    mats += [_random(rng, (4, 7), dtype) for _ in range(40)]
+    for A in mats:
+        f = linalg.svd(A)
+        U, s, V = gauge_fixed_svd_loop(A)
+        assert _same_bytes(f.U, U) and _same_bytes(f.s, s) and _same_bytes(f.V, V)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_svd_stack_matches_per_matrix(dtype):
+    rng = np.random.default_rng(12)
+    mats = _gauge_cases(rng, dtype)
+    stack = np.stack(mats)
+    f = linalg.svd(stack)
+    assert f.U.shape == (6, 6, 6) and f.s.shape == (6, 6) and f.k == 6
+    for i, A in enumerate(mats):
+        g = linalg.svd(A)
+        assert _same_bytes(f.U[i], g.U) and _same_bytes(f.s[i], g.s) and _same_bytes(f.V[i], g.V)
+        assert _same_bytes(f.reconstruct()[i], g.reconstruct())
+    # any number of leading axes, rectangular matrices
+    wide = np.stack([_random(rng, (3, 5), dtype) for _ in range(6)])
+    f = linalg.svd(wide.reshape(2, 3, 3, 5))
+    assert f.V.shape == (2, 3, 5, 3)
+    for i, A in enumerate(wide):
+        g = linalg.svd(A)
+        assert _same_bytes(f.U[i // 3, i % 3], g.U) and _same_bytes(f.V[i // 3, i % 3], g.V)
+
+
 def test_svd_vector_shapes():
     rng = np.random.default_rng(10)
     row = _random(rng, (1, 5), np.float64)
@@ -114,3 +172,11 @@ def test_degenerate_inputs_rejected():
         linalg.svd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(TypeError):
         linalg.svd(np.eye(2, dtype=int))
+    with pytest.raises(ValueError):
+        linalg.svd(np.zeros((0, 2, 2)))
+    stack = np.stack([np.eye(2), np.eye(2)])
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(ValueError):
+        linalg.svd(stack)
+    with pytest.raises(ValueError):
+        linalg.ensure_matrix(np.zeros((2, 2, 2)))

@@ -36,6 +36,22 @@ def test_hard_tail_zeroes_trailing():
         svt(A, ThresholdSpec.hard_tail(6))
 
 
+@pytest.mark.parametrize("spec", [ThresholdSpec.soft(0.7), ThresholdSpec.hard_tail(2)])
+@pytest.mark.parametrize("dtype", [np.float32, np.complex128])
+def test_stack_matches_per_matrix(spec, dtype):
+    rng = np.random.default_rng(34)
+    mats = [_random(rng, (5, 4), dtype) for _ in range(3)]
+    B, factors, s_hat = svt(np.stack(mats), spec)
+    assert B.shape == (3, 5, 4) and s_hat.shape == (3, 4)
+    for i, A in enumerate(mats):
+        B_i, f_i, s_hat_i = svt(A, spec)
+        assert B[i].tobytes() == B_i.tobytes() and s_hat[i].tobytes() == s_hat_i.tobytes()
+        assert factors.U[i].tobytes() == f_i.U.tobytes()
+        assert factors.V[i].tobytes() == f_i.V.tobytes()
+    with pytest.raises(ValueError):
+        svt(np.stack(mats), ThresholdSpec.hard_tail(5))
+
+
 def test_threshold_spec_validation():
     with pytest.raises(ValueError):
         ThresholdSpec.soft(-0.1)

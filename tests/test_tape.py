@@ -202,6 +202,31 @@ def test_forward_errors():
         t.forward({"A": np.zeros((2, 2)), "B": np.zeros((3, 3))})
 
 
+def test_stacked_forward_runs_and_backward_refuses():
+    rng = np.random.default_rng(19)
+    mats = [_random(rng, (4, 3)) for _ in range(3)]
+    for through in ("svt", "svt_tau_param", "reconstruct"):
+        t = Tape()
+        a = t.input("A")
+        if through == "svt":
+            b = t.svt(a, ThresholdSpec.soft(0.3))
+        elif through == "svt_tau_param":
+            b = t.svt(a, tau_param=t.parameter_scalar("tau"))
+        else:
+            b = t.reconstruct(t.svd(a))
+        loss = t.l1_loss(b)
+
+        def run(A):
+            return t.forward({"A": A, "tau": 0.3})
+
+        values = run(np.stack(mats))
+        per_matrix = [t.value_of(run(A), b) for A in mats]
+        assert t.value_of(values, b).tobytes() == np.stack(per_matrix).tobytes()
+        assert values[loss] == pytest.approx(sum(run(A)[loss] for A in mats), rel=1e-14)
+        with pytest.raises(ValueError):
+            t.backward(values, loss, GradMode.inv())
+
+
 def test_construction_errors():
     t = Tape()
     a = t.input("A")
