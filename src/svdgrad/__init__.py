@@ -29,7 +29,7 @@ from .experiments import (
 )
 from .linalg import SvdFactors, svd
 from .oracle import FdSpec, finite_difference, reference_gradient
-from .svt import SvtCache, ThresholdSpec, kept_mask, svt, svt_vjp
+from .svt import SvtCache, ThresholdSpec, kept_mask, svt_vjp
 from .tape import GradientSet, Node, Tape
 
 __version__ = "0.1.0"
@@ -62,7 +62,6 @@ __all__ = [
     "run_efficacy",
     "svd",
     "svd_vjp",
-    "svt",
     "svt_vjp",
     "train_unrolled",
     "unrolled_admm_forward",

@@ -62,8 +62,12 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if self.checks < 1:
             raise ValueError("checks must be >= 1")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:  # also rejects nan
             raise ValueError("tolerance must be >= 0")
+        if not 0 < self.lr < float("inf"):
+            raise ValueError("lr must be positive and finite")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
         if len(self.size) != 2 or min(self.size) < 1:
             raise ValueError("size must be two positive integers")
         if not 0.0 <= self.inject_duplicates <= 1.0:
@@ -161,11 +165,9 @@ def _gradcheck_case(op: str, rng: np.random.Generator, cfg: RunConfig, complex_:
     if op == "sum_singular_values":
         loss = tape.sum_singular_values(tape.svd(a))
     elif op == "reconstruct":
-        f = tape.svd(a)
-        sv = tape.soft_threshold_vector(f, tau=float(np.sort(svals)[1] * 0.5))
         z = tape.input("Z")
         extra["Z"] = np.zeros_like(A)
-        loss = tape.mse_loss(tape.reconstruct(f, sv), z)
+        loss = tape.mse_loss(tape.svt(a, ThresholdSpec.soft(float(np.sort(svals)[1] * 0.5))), z)
     elif op == "svt":
         # the L1 loss has kinks at zero entries; redraw until the output is
         # safely away from them at the FD step size
@@ -283,11 +285,8 @@ def cmd_train(cfg: RunConfig) -> int:
     params, log = train_unrolled(cfg.unrolled_config())
     _write_text(cfg.output, log.to_jsonl(config_line=cfg.resolved()))
     if log.halted:
-        steps = log.nonfinite_steps()
-        print(
-            f"training halted: non-finite parameter after step {steps[-1] if steps else '?'}",
-            file=sys.stderr,
-        )
+        step = log.lines[-1]["step"]
+        print(f"training halted: non-finite parameter after step {step}", file=sys.stderr)
     return 0
 
 

@@ -314,6 +314,12 @@ def run_efficacy(
 
 # -- unrolled solvers -------------------------------------------------------
 
+# Adam decay rates and denominator guard, and the default held-out set size
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+_VAL_SIZE = 8
+
 
 @dataclass(frozen=True)
 class UnrolledConfig:
@@ -326,13 +332,9 @@ class UnrolledConfig:
     algorithm: str = "admm"
     steps: int = 200
     lr: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     inject_rate: float = 0.0
     mode: GradMode = field(default_factory=GradMode.inv)
     precision: str = "single"
-    val_size: int = 8
     seed: int = 3407
 
     def __post_init__(self):
@@ -546,6 +548,14 @@ def _val_mse(
     return total / len(val_set)
 
 
+def _exp(x: float) -> float:
+    """math.exp, with an overflow mapped to inf so the update halts training."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _injected_sample(config: UnrolledConfig, step: int):
     """Full-observation duplicate-spectrum matrix (the instability trigger)."""
     A = generate_scenario(
@@ -574,7 +584,7 @@ def train_unrolled(
     if not dataset:
         dataset = make_completion_dataset(config, 32, tag=1)
     if not val_set:
-        val_set = make_completion_dataset(config, config.val_size, tag=2)
+        val_set = make_completion_dataset(config, _VAL_SIZE, tag=2)
     dt = _dtype_of(config)
     # the validation tape depends only on the fixed masks: built once per run
     val_solver = _solver_tape(config, np.stack([mask for _, mask, _ in val_set]))
@@ -585,7 +595,7 @@ def train_unrolled(
     inject_rng = _rng(config.seed, 7000)
 
     def positive_of(th):
-        return {name: math.exp(v) for name, v in th.items()}
+        return {name: _exp(v) for name, v in th.items()}
 
     log = TrainingLog(lines=[])
     positive = positive_of(theta)
@@ -622,14 +632,14 @@ def train_unrolled(
         tg = _theta_grads(config, bindings, tape_grads)
         grad_finite = all(math.isfinite(v) for v in tg.values())
 
-        b1, b2 = config.beta1, config.beta2
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         for name in theta:
             g = tg[name]
             adam_m[name] = b1 * adam_m[name] + (1 - b1) * g
             adam_v[name] = b2 * adam_v[name] + (1 - b2) * g * g
             mhat = adam_m[name] / (1 - b1**step)
             vhat = adam_v[name] / (1 - b2**step)
-            theta[name] -= config.lr * mhat / (math.sqrt(vhat) + config.adam_eps)
+            theta[name] -= config.lr * mhat / (math.sqrt(vhat) + _ADAM_EPS)
 
         params_now = positive_of(theta)
         halted = not all(math.isfinite(v) for v in params_now.values())

@@ -13,15 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SUPPORTED_DTYPES",
     "SvdFactors",
     "conj_transpose",
     "ensure_matrix",
     "real_dtype_of",
     "svd",
 ]
-
-SUPPORTED_DTYPES = (np.float32, np.float64, np.complex64, np.complex128)
 
 _REAL_OF = {
     np.dtype(np.float32): np.dtype(np.float32),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .backward import GradMode, svd_vjp
 from .linalg import ensure_matrix, real_dtype_of, svd as _svd
-from .svt import SvtCache, ThresholdSpec, factor_cotangents, kept_mask, svt as _svt, svt_vjp
+from .svt import SvtCache, ThresholdSpec, factor_cotangents, svt as _svt, svt_vjp
 
 __all__ = ["GradientSet", "Node", "Tape"]
 
@@ -44,9 +44,6 @@ class GradientSet:
     cotangents: dict[int, object]
     names: dict[str, int]
     nonfinite_nodes: list[int] = field(default_factory=list)
-
-    def by_id(self, idx: int):
-        return self.cotangents.get(idx)
 
     def by_name(self, name: str):
         return self.cotangents.get(self.names[name])
@@ -119,24 +116,11 @@ class Tape:
             return self._append("svt", (a, tau_param))
         return self._append("svt", (a,), extra={"spec": spec})
 
-    def reconstruct(self, svd_node: int, s_node: int | None = None) -> int:
-        """U diag(s) V^H from an svd node, spectrum optionally overridden."""
+    def reconstruct(self, svd_node: int) -> int:
+        """U diag(s) V^H from an svd node."""
         if self.nodes[svd_node].op != "svd":
             raise ValueError("reconstruct expects an svd node")
-        parents = (svd_node,) if s_node is None else (svd_node, s_node)
-        return self._append("reconstruct", parents)
-
-    def soft_threshold_vector(self, svd_node: int, tau: float | None = None, tau_param: int | None = None) -> int:
-        """max(s - tau, 0) applied to an svd node's spectrum."""
-        if self.nodes[svd_node].op != "svd":
-            raise ValueError("soft_threshold_vector expects an svd node")
-        if (tau is None) == (tau_param is None):
-            raise ValueError("soft_threshold_vector needs exactly one of tau or tau_param")
-        if tau_param is not None:
-            if self.nodes[tau_param].op != "parameter_scalar":
-                raise ValueError("tau_param must be a parameter_scalar node")
-            return self._append("soft_threshold_vector", (svd_node, tau_param))
-        return self._append("soft_threshold_vector", (svd_node,), extra={"tau": float(tau)})
+        return self._append("reconstruct", (svd_node,))
 
     def l1_loss(self, a: int) -> int:
         return self._append("l1_loss", (a,))
@@ -169,11 +153,11 @@ class Tape:
         v = values[idx]
         return v.B if isinstance(v, _SvtValue) else v
 
-    def backward(self, values: list, loss: int, mode: GradMode, seed_cotangent: float = 1.0) -> GradientSet:
+    def backward(self, values: list, loss: int, mode: GradMode) -> GradientSet:
         """Reverse accumulation from `loss` (a real scalar node) down to leaves."""
         if not isinstance(values[loss], float):
             raise ValueError("loss node must evaluate to a real scalar")
-        cot: dict[int, object] = {loss: float(seed_cotangent)}
+        cot: dict[int, object] = {loss: 1.0}
         nonfinite: list[int] = []
         for node in reversed(self.nodes):
             g = cot.get(node.idx)
@@ -231,11 +215,6 @@ def _ct(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
-def _tau(args, node) -> float:
-    """Threshold of a soft_threshold_vector node: fixed, or its parameter."""
-    return node.extra["tau"] if node.extra else float(args[1])
-
-
 def _scale_by_param_forward(args, node):
     return np.asarray(args[1], dtype=real_dtype_of(args[0].dtype)) * args[0]
 
@@ -265,22 +244,7 @@ def _svt_vjp(g, args, node, value, mode):
 
 def _reconstruct_vjp(g, args, *_):
     g = ensure_matrix(g, "reconstruct cotangent")  # the svd backward is 2-D only
-    factors = args[0]
-    Ubar, sbar, Vbar = factor_cotangents(factors, factors.s if len(args) == 1 else args[1], g)
-    if len(args) == 1:
-        return ((Ubar, sbar, Vbar),)
-    return (Ubar, None, Vbar), sbar
-
-
-def _soft_threshold_vector_forward(args, node):
-    rdt = args[0].s.dtype
-    return np.maximum(args[0].s - np.asarray(_tau(args, node), dtype=rdt), np.asarray(0, dtype=rdt))
-
-
-def _soft_threshold_vector_vjp(g, args, node, *_):
-    kept = kept_mask(args[0].s, ThresholdSpec.soft(_tau(args, node)))
-    sbar = np.where(kept, g, np.asarray(0, dtype=g.dtype))
-    return ((None, sbar, None), float(-g[kept].sum()))[: len(node.parents)]
+    return (factor_cotangents(args[0], args[0].s, g),)
 
 
 def _l1_loss_vjp(g, args, *_):
@@ -332,8 +296,7 @@ _OPS = {
         lambda g, args, node, value, mode: (svd_vjp(args[0], value, *g, mode),),
     ),
     "svt": (_svt_forward, _svt_vjp),
-    "reconstruct": (lambda args, node: args[0].reconstruct(*args[1:]), _reconstruct_vjp),
-    "soft_threshold_vector": (_soft_threshold_vector_forward, _soft_threshold_vector_vjp),
+    "reconstruct": (lambda args, node: args[0].reconstruct(), _reconstruct_vjp),
     "l1_loss": (lambda args, node: float(np.abs(args[0]).sum()), _l1_loss_vjp),
     "mse_loss": (_mse_loss_forward, _mse_loss_vjp),
     "sum_singular_values": (lambda args, node: float(args[0].s.sum()), _sum_singular_values_vjp),

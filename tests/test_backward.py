@@ -10,10 +10,9 @@ from svdgrad import (
     classify_pairs,
     svd,
     svd_vjp,
-    svt,
 )
 from svdgrad.backward import EQUAL_NONZERO, EQUAL_ZERO, UNEQUAL
-from svdgrad.svt import ThresholdSpec
+from svdgrad.svt import ThresholdSpec, svt
 
 from oracles import jacobi_svd
 

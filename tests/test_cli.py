@@ -192,6 +192,11 @@ def test_missing_config_exits_two(tmp_path, capsys):
     (["efficacy", "--seeds", ""], "seeds"),
     (["efficacy", "--cases", ""], "cases"),
     (["efficacy", "--workflows", ""], "workflows"),
+    (["gradcheck", "--tolerance", "nan"], "tolerance"),
+    (["train", "--lr", "nan"], "lr"),
+    (["train", "--lr", "-1"], "lr"),
+    (["train", "--lr", "0"], "lr"),
+    (["train", "--steps", "-2"], "steps"),
 ])
 def test_invalid_values_exit_two(argv, needle, capsys):
     rc = main(argv)
@@ -241,6 +246,18 @@ def test_train_exact_with_injection_halts(tmp_path, capsys):
     # the log stops at the step that produced the non-finite update
     assert lines[-1]["step"] == bad[0]["step"]
     assert lines[-1]["step"] < 40
+
+
+def test_train_parameter_overflow_halts(tmp_path, capsys):
+    path = tmp_path / "log.jsonl"
+    rc = main(["train", "--steps", "3", "--lr", "1e300", "--size", "6x6",
+               "--output", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert "halted: non-finite parameter after step 1" in err
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    assert lines[-1]["step"] == 1
+    assert lines[-1]["halted"] is True
 
 
 def test_console_script_smoke():

@@ -1,6 +1,7 @@
 """Efficacy benchmark scenarios and the unrolled completion demos."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -300,6 +301,17 @@ def test_train_zero_learning_rate():
     first_loss = log.lines[0]["loss"]
     assert all(line["loss"] == first_loss for line in log.lines)
     assert all(v == 1.0 for line in log.lines for v in line["params"].values())
+
+
+def test_train_parameter_overflow_halts():
+    # lr 1e300 drives a log-space parameter past exp's range in step 1
+    cfg = UnrolledConfig(size=(6, 6), n_unroll=2, steps=3, lr=1e300, seed=3407)
+    params, log = train_unrolled(cfg)
+    assert log.halted
+    assert [line["step"] for line in log.lines] == [0, 1]
+    assert log.lines[-1]["diagnostic"] == "non-finite parameter after update"
+    assert log.lines[-1]["grad_finite"] is True
+    assert math.inf in params.values()
 
 
 def test_train_inv_mode_stays_finite_under_injection():

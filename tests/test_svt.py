@@ -1,14 +1,24 @@
 """Singular value thresholding: forward semantics, prox identity, backward."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from svdgrad import GradMode, ThresholdSpec, kept_mask, svt, svt_vjp
-from svdgrad.svt import SvtCache
+from svdgrad import GradMode, ThresholdSpec, kept_mask, svt_vjp
+from svdgrad.svt import SvtCache, svt
 
 from oracles import nuclear_prox
 
 from test_backward import _fd, _random
+
+
+def test_svt_submodule_not_shadowed():
+    # the package exposes the submodule under its name, not the function
+    import svdgrad.svt as m
+
+    assert inspect.ismodule(m)
+    assert callable(m.svt)
 
 
 def test_soft_diagonal():
