@@ -68,6 +68,10 @@ class RunConfig:
             raise ValueError("lr must be positive and finite")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.seeds is not None and min(self.seeds, default=0) < 0:
+            raise ValueError("seeds must be >= 0")
         if len(self.size) != 2 or min(self.size) < 1:
             raise ValueError("size must be two positive integers")
         if not 0.0 <= self.inject_duplicates <= 1.0:
@@ -163,7 +167,7 @@ def _gradcheck_case(op: str, rng: np.random.Generator, cfg: RunConfig, complex_:
     a = tape.input("A")
     extra: dict[str, np.ndarray] = {}
     if op == "sum_singular_values":
-        loss = tape.sum_singular_values(tape.svd(a))
+        loss = tape.sum_singular_values(a)
     elif op == "reconstruct":
         z = tape.input("Z")
         extra["Z"] = np.zeros_like(A)
@@ -285,8 +289,9 @@ def cmd_train(cfg: RunConfig) -> int:
     params, log = train_unrolled(cfg.unrolled_config())
     _write_text(cfg.output, log.to_jsonl(config_line=cfg.resolved()))
     if log.halted:
-        step = log.lines[-1]["step"]
-        print(f"training halted: non-finite parameter after step {step}", file=sys.stderr)
+        last = log.lines[-1]
+        what = last["diagnostic"].removesuffix(" after update")
+        print(f"training halted: {what} after step {last['step']}", file=sys.stderr)
     return 0
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .backward import GradMode, StabilityParams
-from .linalg import real_dtype_of
+from .linalg import NonFiniteError
 from .oracle import reference_gradient
 from .svt import ThresholdSpec
 from .tape import Tape
@@ -116,7 +116,8 @@ def _workflow_tape(workflow: int, tau: float | None = None) -> tuple[Tape, int]:
     t = Tape()
     a = t.input("A")
     if workflow == 1:
-        b = t.reconstruct(t.svd(a))
+        # hard_tail(0) keeps the spectrum: U S V^H back through the SVD
+        b = t.svt(a, ThresholdSpec.hard_tail(0))
     elif workflow == 2:
         b = t.svt(a, ThresholdSpec.hard_tail(2))
     else:
@@ -314,11 +315,13 @@ def run_efficacy(
 
 # -- unrolled solvers -------------------------------------------------------
 
-# Adam decay rates and denominator guard, and the default held-out set size
+# Adam decay rates and denominator guard, the default held-out set size, and
+# the diagnostic of a halt on a solver forward that met a non-finite value
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 _VAL_SIZE = 8
+_SOLVER_HALT = "non-finite solver value"
 
 
 @dataclass(frozen=True)
@@ -440,8 +443,7 @@ def _solver_bindings(config: UnrolledConfig, positive: dict[str, float], Y: np.n
 def _solve(config: UnrolledConfig, mask: np.ndarray, Y: np.ndarray, positive: dict[str, float]) -> np.ndarray:
     """Run the unrolled solver's forward pass and return the reconstruction."""
     tape, out = _solver_tape(config, mask)
-    values = tape.forward(_solver_bindings(config, positive, Y))
-    return tape.value_of(values, out)
+    return tape.forward(_solver_bindings(config, positive, Y))[out]
 
 
 def _theta_grads(
@@ -541,11 +543,17 @@ def _val_mse(
     stacked observations; the per-sample MSEs are summed in `val_set` order.
     """
     tape, out = solver
-    X = tape.value_of(tape.forward(_solver_bindings(config, positive, Y)), out)
+    X = tape.forward(_solver_bindings(config, positive, Y))[out]
     total = 0.0
     for X_i, (_, _, X_true) in zip(X, val_set):
         total += float(np.mean((X_i.astype(np.float64) - X_true) ** 2))
     return total / len(val_set)
+
+
+def _halt(log: TrainingLog, line: dict, diagnostic: str) -> None:
+    """Append the last log line, marked with why training stopped."""
+    log.lines.append({**line, "halted": True, "diagnostic": diagnostic})
+    log.halted = True
 
 
 def _exp(x: float) -> float:
@@ -578,8 +586,10 @@ def train_unrolled(
     gradient finiteness flag, and the current positive parameters. An update
     that leaves any parameter non-finite halts training with a diagnostic
     line; safeguarded modes never trigger it, the exact mode does under
-    injected duplicate spectra. The held-out set is scored as one stack, so
-    its samples must share one shape.
+    injected duplicate spectra. So does a solver forward that meets a
+    non-finite value (a parameter too large for the tape's precision, or one
+    that drives an iterate to inf). The held-out set is scored as one stack,
+    so its samples must share one shape.
     """
     if not dataset:
         dataset = make_completion_dataset(config, 32, tag=1)
@@ -621,7 +631,13 @@ def train_unrolled(
         positive = positive_of(theta)
         bindings = _solver_bindings(config, positive, Y.astype(dt))
         bindings["target"] = X_true.astype(dt)
-        values = tape.forward(bindings)
+        try:
+            values = tape.forward(bindings)
+        except NonFiniteError:
+            line = {"step": step, "loss": None, "train_loss": None, "grad_finite": None,
+                    "injected": injected, "params": positive}
+            _halt(log, line, _SOLVER_HALT)
+            break
         train_loss = values[loss]
         grads = tape.backward(values, loss, config.mode)
         tape_grads = {
@@ -642,20 +658,21 @@ def train_unrolled(
             theta[name] -= config.lr * mhat / (math.sqrt(vhat) + _ADAM_EPS)
 
         params_now = positive_of(theta)
-        halted = not all(math.isfinite(v) for v in params_now.values())
         line = {
             "step": step,
-            "loss": _val_mse(config, val_solver, val_Y, val_set, params_now) if not halted else None,
+            "loss": None,
             "train_loss": train_loss,
             "grad_finite": grad_finite,
             "injected": injected,
             "params": params_now,
         }
-        if halted:
-            line["halted"] = True
-            line["diagnostic"] = "non-finite parameter after update"
-            log.lines.append(line)
-            log.halted = True
+        if not all(math.isfinite(v) for v in params_now.values()):
+            _halt(log, line, "non-finite parameter after update")
+            break
+        try:
+            line["loss"] = _val_mse(config, val_solver, val_Y, val_set, params_now)
+        except NonFiniteError:
+            _halt(log, line, _SOLVER_HALT)
             break
         log.lines.append(line)
     return positive_of(theta), log

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NonFiniteError",
     "SvdFactors",
     "conj_transpose",
     "ensure_matrix",
@@ -26,6 +27,10 @@ _REAL_OF = {
     np.dtype(np.complex64): np.dtype(np.float32),
     np.dtype(np.complex128): np.dtype(np.float64),
 }
+
+
+class NonFiniteError(ValueError):
+    """A value that must be finite (an SVD operand, a threshold) is inf or nan."""
 
 
 def real_dtype_of(dtype) -> np.dtype:
@@ -49,7 +54,7 @@ def ensure_matrix(
     if A.dtype not in _REAL_OF:
         raise TypeError(f"{name} has unsupported dtype {A.dtype}")
     if require_finite and not np.isfinite(A).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return A
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import GradMode, svd_vjp
-from .linalg import SvdFactors, ensure_matrix, real_dtype_of, svd
+from .linalg import NonFiniteError, SvdFactors, ensure_matrix, real_dtype_of, svd
 
-__all__ = ["SvtCache", "ThresholdSpec", "factor_cotangents", "svt", "svt_vjp"]
+__all__ = ["SvtCache", "ThresholdSpec", "svt", "svt_vjp"]
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,10 @@ class ThresholdSpec:
         if self.kind not in ("soft", "hard_tail"):
             raise ValueError(f"unknown threshold kind {self.kind!r}")
         if self.kind == "soft":
-            if not np.isfinite(self.tau) or self.tau < 0:
-                raise ValueError("soft threshold tau must be finite and >= 0")
+            if not np.isfinite(self.tau):
+                raise NonFiniteError("soft threshold tau must be finite")
+            if self.tau < 0:
+                raise ValueError("soft threshold tau must be >= 0")
         else:
             if self.d < 0:
                 raise ValueError("hard_tail d must be >= 0")
@@ -91,19 +93,6 @@ def kept_mask(s: np.ndarray, spec: ThresholdSpec) -> np.ndarray:
     return mask
 
 
-def factor_cotangents(factors: SvdFactors, s: np.ndarray, g: np.ndarray):
-    """(Ubar, sbar, Vbar) of B = U diag(s) V^H from the cotangent g of B.
-
-    Ubar = g V diag(s), Vbar = g^H U diag(s) and sbar = Re diag(U^H g V).
-    """
-    s_d = s.astype(g.dtype, copy=False)
-    gV = g @ factors.V
-    Ubar = gV * s_d[None, :]
-    Vbar = (g.conj().T @ factors.U) * s_d[None, :]
-    sbar = np.real(np.einsum("ij,ij->j", factors.U.conj(), gV))
-    return Ubar, sbar.astype(real_dtype_of(g.dtype), copy=False), Vbar
-
-
 def svt_vjp(Bbar, cached: SvtCache, mode: GradMode) -> tuple[np.ndarray, float]:
     """Pull the thresholded-matrix cotangent back to (Abar, taubar).
 
@@ -118,7 +107,12 @@ def svt_vjp(Bbar, cached: SvtCache, mode: GradMode) -> tuple[np.ndarray, float]:
         raise ValueError(f"Bbar shape {Bbar.shape} does not match A shape {A.shape}")
     rdt = real_dtype_of(A.dtype)
 
-    Ubar, sbar_pre, Vbar = factor_cotangents(factors, s_hat, Bbar)
+    s_d = s_hat.astype(Bbar.dtype, copy=False)
+    gV = Bbar @ factors.V
+    Ubar = gV * s_d[None, :]
+    Vbar = (Bbar.conj().T @ factors.U) * s_d[None, :]
+    sbar_pre = np.real(np.einsum("ij,ij->j", factors.U.conj(), gV))
+    sbar_pre = sbar_pre.astype(real_dtype_of(Bbar.dtype), copy=False)
     kept = kept_mask(factors.s, spec)
     sbar = np.where(kept, sbar_pre, np.asarray(0, dtype=rdt))
     taubar = float(-sbar_pre[kept].sum()) if spec.kind == "soft" else 0.0

@@ -9,10 +9,14 @@ several modes — the paired design the gradient benchmarks rely on.
 Complex convention throughout: dL = Re tr(cot^H dX) for a real scalar loss.
 Parameters are real scalars only.
 
+Every node's value is an array or a real scalar; the SVD an svt or
+sum_singular_values node took in the forward travels beside the values (in
+`values.saved`) for the backward to reuse, never recomputed.
+
 The forward also runs on stacks: inputs bound to (..., m, n) arrays flow
 through every op matrix by matrix, and a loss sums or averages over the whole
-stack. The backward is for 2-D forwards; through an svd or svt node it raises
-ValueError on a stacked one.
+stack. The backward is for 2-D forwards; through an svt or sum_singular_values
+node it raises ValueError on a stacked one.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .backward import GradMode, svd_vjp
 from .linalg import ensure_matrix, real_dtype_of, svd as _svd
-from .svt import SvtCache, ThresholdSpec, factor_cotangents, svt as _svt, svt_vjp
+from .svt import SvtCache, ThresholdSpec, svt as _svt, svt_vjp
 
 __all__ = ["GradientSet", "Node", "Tape"]
 
@@ -103,9 +107,6 @@ class Tape:
         mask = np.asarray(mask, dtype=bool)
         return self._append("mask_project", (a,), extra={"mask": mask})
 
-    def svd(self, a: int) -> int:
-        return self._append("svd", (a,))
-
     def svt(self, a: int, spec: ThresholdSpec | None = None, tau_param: int | None = None) -> int:
         """Singular value thresholding node; tau either fixed or a parameter."""
         if (spec is None) == (tau_param is None):
@@ -116,44 +117,32 @@ class Tape:
             return self._append("svt", (a, tau_param))
         return self._append("svt", (a,), extra={"spec": spec})
 
-    def reconstruct(self, svd_node: int) -> int:
-        """U diag(s) V^H from an svd node."""
-        if self.nodes[svd_node].op != "svd":
-            raise ValueError("reconstruct expects an svd node")
-        return self._append("reconstruct", (svd_node,))
-
     def l1_loss(self, a: int) -> int:
         return self._append("l1_loss", (a,))
 
     def mse_loss(self, a: int, b: int) -> int:
         return self._append("mse_loss", (a, b))
 
-    def sum_singular_values(self, svd_node: int) -> int:
-        if self.nodes[svd_node].op != "svd":
-            raise ValueError("sum_singular_values expects an svd node")
-        return self._append("sum_singular_values", (svd_node,))
+    def sum_singular_values(self, a: int) -> int:
+        """Nuclear norm of a matrix node (summed over a stack)."""
+        return self._append("sum_singular_values", (a,))
 
     # -- evaluation -------------------------------------------------------
 
-    def forward(self, bindings: dict[str, object]) -> list:
-        """Evaluate every node; returns the cached value list for backward."""
-        values: list = [None] * len(self.nodes)
+    def forward(self, bindings: dict[str, object]) -> _Values:
+        """Evaluate every node; returns the value list, indexed by node id."""
+        values = _Values([None] * len(self.nodes))
         for node in self.nodes:
             if node.parents:
-                args = [self.value_of(values, p) for p in node.parents]
+                args = [values[p] for p in node.parents]
             elif node.name in bindings:
                 args = [bindings[node.name]]
             else:
                 raise ValueError(f"unbound {node.op} node {node.name!r}")
-            values[node.idx] = _OPS[node.op][0](args, node)
+            values[node.idx] = _OPS[node.op][0](args, node, values.saved)
         return values
 
-    def value_of(self, values: list, idx: int):
-        """Consumer-visible value of a node (svt nodes expose the matrix)."""
-        v = values[idx]
-        return v.B if isinstance(v, _SvtValue) else v
-
-    def backward(self, values: list, loss: int, mode: GradMode) -> GradientSet:
+    def backward(self, values: _Values, loss: int, mode: GradMode) -> GradientSet:
         """Reverse accumulation from `loss` (a real scalar node) down to leaves."""
         if not isinstance(values[loss], float):
             raise ValueError("loss node must evaluate to a real scalar")
@@ -167,46 +156,32 @@ class Tape:
                 nonfinite.append(node.idx)
             if not node.parents:
                 continue
-            args = [self.value_of(values, p) for p in node.parents]
-            parent_cots = _OPS[node.op][1](g, args, node, values[node.idx], mode)
+            args = [values[p] for p in node.parents]
+            parent_cots = _OPS[node.op][1](g, args, node, values.saved.get(node.idx), mode)
             for p, gp in zip(node.parents, parent_cots):
                 if gp is not None:
-                    cot[p] = _merge(cot.get(p), gp)
-        # svd factor triples are internal to the graph, not gradients
-        out = {idx: g for idx, g in cot.items() if not isinstance(g, tuple)}
-        return GradientSet(cotangents=out, names=dict(self.names), nonfinite_nodes=nonfinite)
+                    cot[p] = gp if p not in cot else cot[p] + gp
+        return GradientSet(cotangents=cot, names=dict(self.names), nonfinite_nodes=nonfinite)
 
 
-class _SvtValue:
-    """Forward value of an svt node: the matrix plus cached products."""
+class _Values(list):
+    """Node values by id, plus `saved`: node id -> the SVD state its VJP reuses."""
 
-    __slots__ = ("B", "cache")
-
-    def __init__(self, B: np.ndarray, cache: SvtCache):
-        self.B = B
-        self.cache = cache
+    def __init__(self, values: list):
+        super().__init__(values)
+        self.saved: dict[int, object] = {}
 
 
 # -- op table ---------------------------------------------------------------
 #
-# op -> (forward, vjp). forward(args, node) computes a node's value from its
-# parents' values (a leaf's one argument is its binding); vjp(g, args, node,
-# value, mode) returns one cotangent per parent, None for no contribution.
-# An svd node's cotangent is a (Ubar, sbar, Vbar) triple, None where unset.
-
-
-def _merge(prev, g):
-    """Sum of two cotangents; triples add entry by entry, skipping None."""
-    if prev is None:
-        return g
-    if isinstance(g, tuple):
-        return tuple(b if a is None else a if b is None else a + b for a, b in zip(prev, g))
-    return prev + g
+# op -> (forward, vjp). forward(args, node, saved) computes a node's value, an
+# array or a float, from its parents' values (a leaf's one argument is its
+# binding); an SVD-backed op also stores its SVD state in saved[node.idx].
+# vjp(g, args, node, state, mode) gets that state back and returns one
+# cotangent per parent, None for no contribution.
 
 
 def _all_finite(g) -> bool:
-    if isinstance(g, tuple):
-        return all(x is None or np.isfinite(x).all() for x in g)
     return bool(np.isfinite(np.asarray(g)).all())
 
 
@@ -215,7 +190,7 @@ def _ct(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
-def _scale_by_param_forward(args, node):
+def _scale_by_param_forward(args, *_):
     return np.asarray(args[1], dtype=real_dtype_of(args[0].dtype)) * args[0]
 
 
@@ -224,27 +199,23 @@ def _scale_by_param_vjp(g, args, *_):
     return c * g, float(np.real(np.vdot(args[0], g)))
 
 
-def _mask_project_forward(args, node):
+def _mask_project_forward(args, node, _):
     mask = node.extra["mask"]
     if mask.shape != args[0].shape:
         raise ValueError(f"mask shape {mask.shape} vs value {args[0].shape}")
     return args[0] * mask.astype(args[0].dtype)
 
 
-def _svt_forward(args, node):
+def _svt_forward(args, node, saved):
     spec = node.extra["spec"] if node.extra else ThresholdSpec.soft(args[1])
     B, factors, s_hat = _svt(args[0], spec)
-    return _SvtValue(B, SvtCache(args[0], factors, s_hat, spec))
+    saved[node.idx] = SvtCache(args[0], factors, s_hat, spec)
+    return B
 
 
-def _svt_vjp(g, args, node, value, mode):
-    Abar, taubar = svt_vjp(g, value.cache, mode)
+def _svt_vjp(g, args, node, cache, mode):
+    Abar, taubar = svt_vjp(g, cache, mode)
     return (Abar, taubar)[: len(node.parents)]
-
-
-def _reconstruct_vjp(g, args, *_):
-    g = ensure_matrix(g, "reconstruct cotangent")  # the svd backward is 2-D only
-    return (factor_cotangents(args[0], args[0].s, g),)
 
 
 def _l1_loss_vjp(g, args, *_):
@@ -254,7 +225,7 @@ def _l1_loss_vjp(g, args, *_):
     return (np.asarray(g, dtype=real_dtype_of(x.dtype)) * sgn,)
 
 
-def _mse_loss_forward(args, node):
+def _mse_loss_forward(args, *_):
     if args[0].shape != args[1].shape:
         raise ValueError(f"mse_loss shape mismatch {args[0].shape} vs {args[1].shape}")
     d = args[0] - args[1]
@@ -267,37 +238,37 @@ def _mse_loss_vjp(g, args, *_):
     return scale * d, -scale * d
 
 
-def _sum_singular_values_vjp(g, args, *_):
-    s = args[0].s
-    return ((None, np.full(s.shape, g, dtype=s.dtype), None),)
+def _sum_singular_values_forward(args, node, saved):
+    factors = saved[node.idx] = _svd(args[0])
+    return float(factors.s.sum())
+
+
+def _sum_singular_values_vjp(g, args, node, factors, mode):
+    s = factors.s
+    return (svd_vjp(args[0], factors, None, np.full(s.shape, g, dtype=s.dtype), None, mode),)
 
 
 _OPS = {
-    "input": (lambda args, node: ensure_matrix(args[0], node.name, stack=True), None),
-    "parameter_scalar": (lambda args, node: float(args[0]), None),
+    "input": (lambda args, node, _: ensure_matrix(args[0], node.name, stack=True), None),
+    "parameter_scalar": (lambda args, *_: float(args[0]), None),
     "matmul": (
-        lambda args, node: args[0] @ args[1],
+        lambda args, *_: args[0] @ args[1],
         lambda g, args, *_: (g @ _ct(args[1]), _ct(args[0]) @ g),
     ),
-    "add": (lambda args, node: args[0] + args[1], lambda g, *_: (g, g)),
-    "sub": (lambda args, node: args[0] - args[1], lambda g, *_: (g, -g)),
+    "add": (lambda args, *_: args[0] + args[1], lambda g, *_: (g, g)),
+    "sub": (lambda args, *_: args[0] - args[1], lambda g, *_: (g, -g)),
     "scale_by_param": (_scale_by_param_forward, _scale_by_param_vjp),
-    "conj_transpose": (lambda args, node: _ct(args[0]), lambda g, *_: (_ct(g),)),
+    "conj_transpose": (lambda args, *_: _ct(args[0]), lambda g, *_: (_ct(g),)),
     "hadamard": (
-        lambda args, node: args[0] * args[1],
+        lambda args, *_: args[0] * args[1],
         lambda g, args, *_: (g * args[1].conj(), g * args[0].conj()),
     ),
     "mask_project": (
         _mask_project_forward,
         lambda g, args, node, *_: (g * node.extra["mask"].astype(g.dtype),),
     ),
-    "svd": (
-        lambda args, node: _svd(args[0]),
-        lambda g, args, node, value, mode: (svd_vjp(args[0], value, *g, mode),),
-    ),
     "svt": (_svt_forward, _svt_vjp),
-    "reconstruct": (lambda args, node: args[0].reconstruct(), _reconstruct_vjp),
-    "l1_loss": (lambda args, node: float(np.abs(args[0]).sum()), _l1_loss_vjp),
+    "l1_loss": (lambda args, *_: float(np.abs(args[0]).sum()), _l1_loss_vjp),
     "mse_loss": (_mse_loss_forward, _mse_loss_vjp),
-    "sum_singular_values": (lambda args, node: float(args[0].s.sum()), _sum_singular_values_vjp),
+    "sum_singular_values": (_sum_singular_values_forward, _sum_singular_values_vjp),
 }

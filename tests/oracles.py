@@ -3,12 +3,15 @@
 Everything here deliberately avoids the library's own code paths: the SVD is
 a hand-rolled one-sided Jacobi (no LAPACK), and the nuclear-norm prox shrinks
 the Jacobi spectrum directly. The per-item loops at the end are the plain
-forms that vectorized library code must reproduce bit for bit. Slow is fine;
-these run on small matrices only.
+forms that vectorized library code must reproduce bit for bit. The last
+routine assembles the reconstruct-through-SVD gradient by hand from the
+public `svd` and `svd_vjp`; the tape's svt with hard_tail(0) must match it bit
+for bit. Slow is fine; these run on small matrices only.
 """
 
 import numpy as np
 
+from svdgrad import svd, svd_vjp
 from svdgrad.experiments import _dtype_of, _solve
 
 
@@ -106,3 +109,18 @@ def val_mse_per_sample(config, val_set, positive):
         X = _solve(config, mask, Y.astype(dt), positive)
         total += float(np.mean((X.astype(np.float64) - X_true) ** 2))
     return total / len(val_set)
+
+
+def reconstruct_l1_gradient(A, mode):
+    """Gradient of ||U S V^H||_1 through the SVD, from the factor cotangents
+    Ubar = g V S, Vbar = g^H U S and sbar = Re diag(U^H g V) of g = sign(B)."""
+    factors = svd(A)
+    B = factors.reconstruct()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g = np.where(B == 0, np.asarray(0, dtype=B.dtype), B / np.abs(B))
+    s_d = factors.s.astype(g.dtype, copy=False)
+    gV = g @ factors.V
+    Ubar = gV * s_d[None, :]
+    Vbar = (g.conj().T @ factors.U) * s_d[None, :]
+    sbar = np.real(np.einsum("ij,ij->j", factors.U.conj(), gV))
+    return svd_vjp(A, factors, Ubar, sbar, Vbar, mode)

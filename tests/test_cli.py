@@ -197,6 +197,9 @@ def test_missing_config_exits_two(tmp_path, capsys):
     (["train", "--lr", "-1"], "lr"),
     (["train", "--lr", "0"], "lr"),
     (["train", "--steps", "-2"], "steps"),
+    (["gradcheck", "--seed", "-1"], "seed must be"),
+    (["train", "--seed", "-2"], "seed must be"),
+    (["efficacy", "--seeds", "-5"], "seeds must be"),
 ])
 def test_invalid_values_exit_two(argv, needle, capsys):
     rc = main(argv)
@@ -258,6 +261,21 @@ def test_train_parameter_overflow_halts(tmp_path, capsys):
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines[-1]["step"] == 1
     assert lines[-1]["halted"] is True
+
+
+@pytest.mark.parametrize("algorithm,lr", [("admm", "100"), ("pgd", "100"), ("pgd", "50")])
+def test_train_large_learning_rate_halts(tmp_path, capsys, algorithm, lr):
+    # the parameters stay finite in float64, but the single-precision solver
+    # forward meets a non-finite value; that halts training, it is no crash
+    path = tmp_path / "log.jsonl"
+    rc = main(["train", "--steps", "4", "--lr", lr, "--size", "6x6",
+               "--algorithm", algorithm, "--output", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert "halted: non-finite solver value after step" in err
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    assert lines[-1]["halted"] is True
+    assert lines[-1]["diagnostic"] == "non-finite solver value"
 
 
 def test_console_script_smoke():

@@ -10,6 +10,7 @@ from svdgrad import (
     GradMode,
     Scenario,
     Tape,
+    ThresholdSpec,
     UnrolledConfig,
     generate_scenario,
     make_completion_dataset,
@@ -20,9 +21,9 @@ from svdgrad import (
     unrolled_admm_forward,
     unrolled_pgd_forward,
 )
-from svdgrad.experiments import _solver_tape, _theta_names, _val_mse
+from svdgrad.experiments import _solver_tape, _theta_names, _val_mse, _workflow_tape
 
-from oracles import val_mse_per_sample
+from oracles import reconstruct_l1_gradient, val_mse_per_sample
 
 
 def test_scenario_validation():
@@ -156,7 +157,7 @@ def test_single_trial_well_separated_matches_reference():
     A = (q1 * s[None, :]) @ q2.T
     t = Tape()
     a = t.input("A")
-    loss = t.l1_loss(t.reconstruct(t.svd(a)))
+    loss = t.l1_loss(t.svt(a, ThresholdSpec.hard_tail(0)))
     ref, ok = reference_gradient(t, {"A": A}, loss)
     assert ok
     refA = ref.by_name("A")
@@ -165,6 +166,24 @@ def test_single_trial_well_separated_matches_reference():
         g = t.backward(v32, loss, GradMode(name)).by_name("A").astype(np.float64)
         rel = np.linalg.norm(g - refA) / np.linalg.norm(refA)
         assert rel <= 1e-3, name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+def test_workflow1_matches_reconstruct_oracle(dtype):
+    # workflow 1 runs svt with hard_tail(0); its gradient must equal, bit for
+    # bit, the L1 gradient of U S V^H pulled back through the SVD by hand
+    rng = np.random.default_rng(78)
+    near_tie = generate_scenario(Scenario(case=1, seed=5, size=(6, 5), basis="rotated"))
+    dense = rng.standard_normal((6, 5))
+    if np.issubdtype(dtype, np.complexfloating):
+        dense = dense + 1j * rng.standard_normal((6, 5))
+    tape, loss = _workflow_tape(1)
+    for A in (near_tie.astype(dtype), dense.astype(dtype)):
+        values = tape.forward({"A": A})
+        for variant in ("exact", "tf", "clip", "taylor", "inv"):
+            mode = GradMode(variant)
+            g = tape.backward(values, loss, mode).by_name("A")
+            assert g.tobytes() == reconstruct_l1_gradient(A, mode).tobytes(), variant
 
 
 # -- unrolled solvers ---------------------------------------------------------
@@ -312,6 +331,36 @@ def test_train_parameter_overflow_halts():
     assert log.lines[-1]["diagnostic"] == "non-finite parameter after update"
     assert log.lines[-1]["grad_finite"] is True
     assert math.inf in params.values()
+
+
+@pytest.mark.parametrize("algorithm,lr,precision", [
+    ("admm", 100.0, "single"),
+    ("pgd", 100.0, "single"),
+    ("pgd", 50.0, "single"),
+    ("admm", 150.0, "double"),  # tau = lambda / mu overflows float64
+])
+def test_train_large_learning_rate_halts(algorithm, lr, precision):
+    # every parameter stays finite in float64, yet the solver forward meets a
+    # non-finite value: a parameter beyond the tape's precision, an iterate
+    # driven to inf, or an overflowing threshold
+    cfg = UnrolledConfig(size=(6, 6), steps=4, lr=lr, algorithm=algorithm, precision=precision)
+    _, log = train_unrolled(cfg)
+    assert log.halted
+    assert log.lines[-1]["diagnostic"] == "non-finite solver value"
+    assert log.lines[-1]["loss"] is None
+    assert all(math.isfinite(v) for v in log.lines[-1]["params"].values())
+
+
+def test_train_overflowing_sample_halts():
+    # a training sample beyond single precision makes the step's own solver
+    # forward meet inf before any gradient exists
+    cfg = UnrolledConfig(size=(6, 6), n_unroll=2, steps=3, seed=3407)
+    Y = np.full((6, 6), 1e39)
+    _, log = train_unrolled(cfg, dataset=[(Y, np.ones((6, 6), dtype=bool), Y)])
+    assert log.halted
+    assert [line["step"] for line in log.lines] == [0, 1]
+    assert log.lines[-1]["diagnostic"] == "non-finite solver value"
+    assert log.lines[-1]["train_loss"] is None
 
 
 def test_train_inv_mode_stays_finite_under_injection():

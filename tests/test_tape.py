@@ -53,7 +53,7 @@ def test_mse_backward_example():
 def test_sum_singular_values_backward_diagonal():
     t = Tape()
     a = t.input("A")
-    loss = t.sum_singular_values(t.svd(a))
+    loss = t.sum_singular_values(a)
     values = t.forward({"A": np.diag([3.0, 2.0, 1.0])})
     g = t.backward(values, loss, GradMode.inv())
     assert np.allclose(g.by_name("A"), np.eye(3), atol=1e-14)
@@ -166,7 +166,7 @@ def test_nonfinite_cotangent_reported_with_node_id():
     # the core; the input node must be listed as carrying the bad cotangent
     t = Tape()
     a = t.input("A")
-    loss = t.l1_loss(t.reconstruct(t.svd(a)))
+    loss = t.l1_loss(t.svt(a, ThresholdSpec.hard_tail(0)))
     values = t.forward({"A": np.diag([2.0, 2.0, 1.0])})
     g = t.backward(values, loss, GradMode.exact())
     assert not g.all_finite()
@@ -190,23 +190,25 @@ def test_forward_errors():
 def test_stacked_forward_runs_and_backward_refuses():
     rng = np.random.default_rng(19)
     mats = [_random(rng, (4, 3)) for _ in range(3)]
-    for through in ("svt", "svt_tau_param", "reconstruct"):
+    for through in ("svt", "svt_tau_param", "hard_tail", "sum_singular_values"):
         t = Tape()
         a = t.input("A")
         if through == "svt":
             b = t.svt(a, ThresholdSpec.soft(0.3))
         elif through == "svt_tau_param":
             b = t.svt(a, tau_param=t.parameter_scalar("tau"))
+        elif through == "hard_tail":
+            b = t.svt(a, ThresholdSpec.hard_tail(0))
         else:
-            b = t.reconstruct(t.svd(a))
-        loss = t.l1_loss(b)
+            b = a
+        loss = t.sum_singular_values(b) if through == "sum_singular_values" else t.l1_loss(b)
 
         def run(A):
             return t.forward({"A": A, "tau": 0.3})
 
         values = run(np.stack(mats))
-        per_matrix = [t.value_of(run(A), b) for A in mats]
-        assert t.value_of(values, b).tobytes() == np.stack(per_matrix).tobytes()
+        per_matrix = [run(A)[b] for A in mats]
+        assert values[b].tobytes() == np.stack(per_matrix).tobytes()
         assert values[loss] == pytest.approx(sum(run(A)[loss] for A in mats), rel=1e-14)
         with pytest.raises(ValueError):
             t.backward(values, loss, GradMode.inv())
@@ -220,8 +222,6 @@ def test_construction_errors():
     with pytest.raises(ValueError):
         t.scale_by_param(a, a)  # not a parameter node
     with pytest.raises(ValueError):
-        t.reconstruct(a)  # not an svd node
-    with pytest.raises(ValueError):
         t.svt(a)  # needs spec or tau_param
     with pytest.raises(ValueError):
         t.matmul(a, 99)  # parent out of range
@@ -231,15 +231,14 @@ def test_construction_errors():
 
 
 def test_multiple_consumers_of_one_svd():
-    # the sum of singular values and the reconstruction MSE share one svd
-    # node, so both send a spectrum cotangent into it
+    # the sum of singular values and the reconstruction MSE are two
+    # SVD-backed consumers of one input, whose cotangents add up there
     rng = np.random.default_rng(47)
     A0 = _random(rng, (4, 4))
     t = Tape()
     a = t.input("A")
-    f = t.svd(a)
     z = t.input("Z")
-    loss = t.add(t.sum_singular_values(f), t.mse_loss(t.reconstruct(f), z))
+    loss = t.add(t.sum_singular_values(a), t.mse_loss(t.svt(a, ThresholdSpec.hard_tail(0)), z))
     binds = {"A": A0, "Z": 0.5 * A0}
     values = t.forward(binds)
     g = t.backward(values, loss, GradMode.inv())
