@@ -24,8 +24,7 @@ from .experiments import (
     make_completion_dataset,
     run_efficacy,
     train_unrolled,
-    unrolled_admm_forward,
-    unrolled_pgd_forward,
+    unrolled_forward,
 )
 from .linalg import SvdFactors, svd
 from .oracle import FdSpec, finite_difference, reference_gradient
@@ -64,7 +63,6 @@ __all__ = [
     "svd_vjp",
     "svt_vjp",
     "train_unrolled",
-    "unrolled_admm_forward",
-    "unrolled_pgd_forward",
+    "unrolled_forward",
     "__version__",
 ]

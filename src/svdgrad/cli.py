@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .backward import _VARIANTS, GradMode, StabilityParams
-from .experiments import UnrolledConfig, run_efficacy, train_unrolled
+from .experiments import _SOLVERS, UnrolledConfig, run_efficacy, train_unrolled
 from .oracle import FdSpec, finite_difference
 from .svt import ThresholdSpec, svt
 from .tape import Tape
@@ -168,7 +168,7 @@ def _gradcheck_case(op: str, rng: np.random.Generator, cfg: RunConfig, complex_:
     extra: dict[str, np.ndarray] = {}
     if op == "sum_singular_values":
         loss = tape.sum_singular_values(a)
-    elif op == "reconstruct":
+    elif op == "svt_mse":
         z = tape.input("Z")
         extra["Z"] = np.zeros_like(A)
         loss = tape.mse_loss(tape.svt(a, ThresholdSpec.soft(float(np.sort(svals)[1] * 0.5))), z)
@@ -227,7 +227,7 @@ def _gradcheck_case(op: str, rng: np.random.Generator, cfg: RunConfig, complex_:
 def cmd_gradcheck(cfg: RunConfig) -> int:
     """FD and double-precision cross-checks over a random suite; exit 1 on
     any worst-case relative error above the tolerance."""
-    ops = ("sum_singular_values", "reconstruct", "svt", "chain")
+    ops = ("sum_singular_values", "svt_mse", "svt", "chain")
     results = []
     failed = False
     print(f"gradcheck seed={cfg.seed} checks={cfg.checks} tolerance={cfg.tolerance:g}")
@@ -348,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train an unrolled completion solver")
     common(t)
     t.add_argument("--mode", choices=_VARIANTS)
-    t.add_argument("--algorithm", choices=("admm", "pgd"))
+    t.add_argument("--algorithm", choices=tuple(_SOLVERS))
     t.add_argument("--steps", type=int)
     t.add_argument("--n-unroll", type=int, dest="n_unroll")
     t.add_argument("--lr", type=float)

@@ -16,15 +16,15 @@ with per-iteration learnable positive scalars and train them with Adam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backward import GradMode, StabilityParams
+from .backward import GradMode
 from .linalg import NonFiniteError
 from .oracle import reference_gradient
 from .svt import ThresholdSpec
-from .tape import Tape
+from .tape import GradientSet, Tape
 
 __all__ = [
     "CellStats",
@@ -38,8 +38,7 @@ __all__ = [
     "make_completion_dataset",
     "run_efficacy",
     "train_unrolled",
-    "unrolled_admm_forward",
-    "unrolled_pgd_forward",
+    "unrolled_forward",
 ]
 
 _CASE_SCALES = {1: 1e-10, 2: 1e-18}
@@ -68,7 +67,6 @@ class Scenario:
     """
 
     case: int = 1
-    workflow: int = 1
     seed: tuple | int = 0
     size: tuple[int, int] = (10, 10)
     basis: str = "identity"
@@ -76,8 +74,6 @@ class Scenario:
     def __post_init__(self):
         if self.case not in _CASE_SCALES:
             raise ValueError("case must be 1 or 2")
-        if self.workflow not in (1, 2, 3):
-            raise ValueError("workflow must be 1, 2 or 3")
         if self.basis not in ("identity", "rotated"):
             raise ValueError("basis must be 'identity' or 'rotated'")
         if min(self.size) < 3:
@@ -201,7 +197,6 @@ def _efficacy_trial(master: int, case: int, workflow: int, trial: int, size, bas
     while True:
         spec = Scenario(
             case=case,
-            workflow=workflow,
             seed=(master, case, workflow, trial, attempt),
             size=size,
             basis=basis,
@@ -269,6 +264,8 @@ def run_efficacy(
     for label, values in (("seeds", seeds), ("cases", cases), ("workflows", workflows)):
         if not values:
             raise ValueError(f"{label} must not be empty")
+    if min(seeds) < 0:
+        raise ValueError("seeds must be >= 0")
     cells: list[CellStats] = []
     for case in cases:
         for workflow in workflows:
@@ -315,13 +312,23 @@ def run_efficacy(
 
 # -- unrolled solvers -------------------------------------------------------
 
-# Adam decay rates and denominator guard, the default held-out set size, and
-# the diagnostic of a halt on a solver forward that met a non-finite value
+# Adam decay rates and denominator guard, the default held-out set size, the
+# diagnostic of a halt on a solver forward that met a non-finite value, and the
+# NumPy warnings silenced on the way to it (the halt line reports the value)
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 _VAL_SIZE = 8
 _SOLVER_HALT = "non-finite solver value"
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
+# algorithm -> (tape parameters, tape inputs bound to zeros). Each iteration
+# i binds tape parameter `name_i` to the product of the positive scalars
+# `stem_i ** exponent`; the trainer learns theta = log of those scalars.
+_SOLVERS = {
+    "admm": ({"tau": (("lambda", 1), ("mu", -1)), "eta": (("eta", 1),)}, ("L0",)),
+    "pgd": ({"tau": (("lambda", 1), ("rho", 1)), "rho": (("rho", 1),)}, ()),
+}
 
 
 @dataclass(frozen=True)
@@ -347,12 +354,14 @@ class UnrolledConfig:
             raise ValueError("n_unroll must be >= 1")
         if self.rank < 1 or self.rank > min(self.size):
             raise ValueError("rank must be in [1, min(size)]")
-        if self.algorithm not in ("admm", "pgd"):
-            raise ValueError("algorithm must be 'admm' or 'pgd'")
+        if self.algorithm not in _SOLVERS:
+            raise ValueError("algorithm must be " + " or ".join(map(repr, _SOLVERS)))
         if not 0 <= self.inject_rate <= 1:
             raise ValueError("inject_rate must be in [0, 1]")
         if self.precision not in ("single", "double"):
             raise ValueError("precision must be 'single' or 'double'")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def build_admm_tape(mask: np.ndarray, n_unroll: int) -> tuple[Tape, int]:
@@ -399,85 +408,62 @@ def build_pgd_tape(mask: np.ndarray, n_unroll: int) -> tuple[Tape, int]:
 
 
 def _solver_tape(config: UnrolledConfig, mask: np.ndarray) -> tuple[Tape, int]:
+    # builders go by module name, not in _SOLVERS: the benchmark tracer wraps
+    # them as module attributes, and a reference held elsewhere escapes it
     if config.algorithm == "admm":
         return build_admm_tape(mask, config.n_unroll)
     return build_pgd_tape(mask, config.n_unroll)
 
 
-def _default_params(config: UnrolledConfig) -> dict[str, float]:
-    """lambda = mu = eta = rho = 1 per iteration, before reparameterization."""
-    names = _theta_names(config)
-    return {name: 1.0 for name in names}
-
-
 def _theta_names(config: UnrolledConfig) -> list[str]:
-    if config.algorithm == "admm":
-        stems = ("lambda", "mu", "eta")
-    else:
-        stems = ("lambda", "rho")
+    params, _ = _SOLVERS[config.algorithm]
+    stems = dict.fromkeys(stem for factors in params.values() for stem, _ in factors)
     return [f"{stem}_{i}" for i in range(1, config.n_unroll + 1) for stem in stems]
 
 
-def _bind_tape_params(config: UnrolledConfig, positive: dict[str, float]) -> dict[str, float]:
-    """Tape parameters (tau_i, eta_i / rho_i) from the positive scalars."""
-    out = {}
-    for i in range(1, config.n_unroll + 1):
-        if config.algorithm == "admm":
-            out[f"tau_{i}"] = positive[f"lambda_{i}"] / positive[f"mu_{i}"]
-            out[f"eta_{i}"] = positive[f"eta_{i}"]
-        else:
-            out[f"tau_{i}"] = positive[f"lambda_{i}"] * positive[f"rho_{i}"]
-            out[f"rho_{i}"] = positive[f"rho_{i}"]
-    return out
-
-
 def _solver_bindings(config: UnrolledConfig, positive: dict[str, float], Y: np.ndarray) -> dict:
-    """Tape parameters, the observations Y and, for ADMM, L0 = 0."""
-    bindings = _bind_tape_params(config, positive)
+    """Tape parameters from the positive scalars, the observations Y and the
+    zero inputs. Each product starts from 1.0 and takes its factors in table
+    order, so lambda/mu and lambda*rho round as the plain expressions."""
+    params, zeros = _SOLVERS[config.algorithm]
+    bindings = {}
+    for i in range(1, config.n_unroll + 1):
+        for name, factors in params.items():
+            value = 1.0
+            for stem, exponent in factors:
+                p = positive[f"{stem}_{i}"]
+                value = value * p if exponent > 0 else value / p
+            bindings[f"{name}_{i}"] = value
     bindings["Y"] = Y
-    if config.algorithm == "admm":
-        bindings["L0"] = np.zeros_like(Y)
+    for name in zeros:
+        bindings[name] = np.zeros_like(Y)
     return bindings
 
 
-def _solve(config: UnrolledConfig, mask: np.ndarray, Y: np.ndarray, positive: dict[str, float]) -> np.ndarray:
-    """Run the unrolled solver's forward pass and return the reconstruction."""
-    tape, out = _solver_tape(config, mask)
-    return tape.forward(_solver_bindings(config, positive, Y))[out]
+def _theta_grads(config: UnrolledConfig, bound: dict, grads: GradientSet) -> dict[str, float]:
+    """Chain tape-parameter gradients to log-space scalars theta = log(p).
 
-
-def _theta_grads(
-    config: UnrolledConfig, bound: dict[str, float], tape_grads: dict[str, float]
-) -> dict[str, float]:
-    """Chain tape-parameter gradients to log-space scalars.
-
-    `bound` holds the tape parameters from `_bind_tape_params`. With
-    theta = log(p) the gradient is dL/dtheta = dL/dp * p; tau composes as
-    lambda/mu (ADMM) or lambda*rho (PGD), so d tau/d theta is +-tau.
+    `bound` holds the tape parameters q from `_solver_bindings`. As q is a
+    product of p**exponent, dL/dtheta_p = sum_q exponent * dL/dq * q, summed
+    from 0.0 in table order; a parameter with no cotangent contributes 0.
     """
-    g = {}
+    params, _ = _SOLVERS[config.algorithm]
+    g = {name: 0.0 for name in _theta_names(config)}
     for i in range(1, config.n_unroll + 1):
-        dtau = tape_grads.get(f"tau_{i}", 0.0)
-        tau = bound[f"tau_{i}"]
-        g[f"lambda_{i}"] = dtau * tau
-        if config.algorithm == "admm":
-            g[f"mu_{i}"] = -dtau * tau
-            g[f"eta_{i}"] = tape_grads.get(f"eta_{i}", 0.0) * bound[f"eta_{i}"]
-        else:
-            g[f"rho_{i}"] = dtau * tau + tape_grads.get(f"rho_{i}", 0.0) * bound[f"rho_{i}"]
+        for name, factors in params.items():
+            cot = grads.by_name(f"{name}_{i}")
+            dq = float(cot) if cot is not None else 0.0
+            for stem, exponent in factors:
+                g[f"{stem}_{i}"] += exponent * dq * bound[f"{name}_{i}"]
     return g
 
 
-def unrolled_admm_forward(Y, mask, config: UnrolledConfig, params: dict[str, float] | None = None) -> np.ndarray:
-    """Run the unrolled ADMM forward pass and return the reconstruction."""
-    config = replace(config, algorithm="admm")
-    return _solve(config, mask, np.asarray(Y), params or _default_params(config))
-
-
-def unrolled_pgd_forward(Y, mask, config: UnrolledConfig, params: dict[str, float] | None = None) -> np.ndarray:
-    """Run the unrolled PGD forward pass and return the reconstruction."""
-    config = replace(config, algorithm="pgd")
-    return _solve(config, mask, np.asarray(Y), params or _default_params(config))
+def unrolled_forward(Y, mask, config: UnrolledConfig, params: dict[str, float] | None = None) -> np.ndarray:
+    """Run the unrolled `config.algorithm` forward pass and return the
+    reconstruction; every positive scalar defaults to 1."""
+    positive = params or {name: 1.0 for name in _theta_names(config)}
+    tape, out = _solver_tape(config, mask)
+    return tape.forward(_solver_bindings(config, positive, np.asarray(Y)))[out]
 
 
 def make_completion_dataset(config: UnrolledConfig, n: int, tag: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -543,10 +529,11 @@ def _val_mse(
     stacked observations; the per-sample MSEs are summed in `val_set` order.
     """
     tape, out = solver
-    X = tape.forward(_solver_bindings(config, positive, Y))[out]
     total = 0.0
-    for X_i, (_, _, X_true) in zip(X, val_set):
-        total += float(np.mean((X_i.astype(np.float64) - X_true) ** 2))
+    with np.errstate(**_QUIET):
+        X = tape.forward(_solver_bindings(config, positive, Y))[out]
+        for X_i, (_, _, X_true) in zip(X, val_set):
+            total += float(np.mean((X_i.astype(np.float64) - X_true) ** 2))
     return total / len(val_set)
 
 
@@ -567,7 +554,7 @@ def _exp(x: float) -> float:
 def _injected_sample(config: UnrolledConfig, step: int):
     """Full-observation duplicate-spectrum matrix (the instability trigger)."""
     A = generate_scenario(
-        Scenario(case=2, workflow=1, seed=(config.seed, 7001, step), size=config.size, basis="rotated")
+        Scenario(case=2, seed=(config.seed, 7001, step), size=config.size, basis="rotated")
     )
     mask = np.ones(config.size, dtype=bool)
     return A, mask, A
@@ -629,23 +616,19 @@ def train_unrolled(
         target = tape.input("target")
         loss = tape.mse_loss(out, target)
         positive = positive_of(theta)
-        bindings = _solver_bindings(config, positive, Y.astype(dt))
-        bindings["target"] = X_true.astype(dt)
-        try:
-            values = tape.forward(bindings)
-        except NonFiniteError:
-            line = {"step": step, "loss": None, "train_loss": None, "grad_finite": None,
-                    "injected": injected, "params": positive}
-            _halt(log, line, _SOLVER_HALT)
-            break
-        train_loss = values[loss]
-        grads = tape.backward(values, loss, config.mode)
-        tape_grads = {
-            name: float(grads.by_name(name)) if grads.by_name(name) is not None else 0.0
-            for name in bindings
-            if tape.nodes[tape.names[name]].op == "parameter_scalar"
-        }
-        tg = _theta_grads(config, bindings, tape_grads)
+        with np.errstate(**_QUIET):
+            bindings = _solver_bindings(config, positive, Y.astype(dt))
+            bindings["target"] = X_true.astype(dt)
+            try:
+                values = tape.forward(bindings)
+            except NonFiniteError:
+                line = {"step": step, "loss": None, "train_loss": None, "grad_finite": None,
+                        "injected": injected, "params": positive}
+                _halt(log, line, _SOLVER_HALT)
+                break
+            train_loss = values[loss]
+            grads = tape.backward(values, loss, config.mode)
+        tg = _theta_grads(config, bindings, grads)
         grad_finite = all(math.isfinite(v) for v in tg.values())
 
         b1, b2 = _ADAM_BETA1, _ADAM_BETA2

@@ -6,13 +6,15 @@ the Jacobi spectrum directly. The per-item loops at the end are the plain
 forms that vectorized library code must reproduce bit for bit. The last
 routine assembles the reconstruct-through-SVD gradient by hand from the
 public `svd` and `svd_vjp`; the tape's svt with hard_tail(0) must match it bit
-for bit. Slow is fine; these run on small matrices only.
+for bit. The unrolled solvers' reparameterisation is also written out by hand,
+per algorithm, for the table-driven bindings and chain rule to match exactly.
+Slow is fine; these run on small matrices only.
 """
 
 import numpy as np
 
-from svdgrad import svd, svd_vjp
-from svdgrad.experiments import _dtype_of, _solve
+from svdgrad import svd, svd_vjp, unrolled_forward
+from svdgrad.experiments import _dtype_of
 
 
 def jacobi_svd(A, tol=1e-14, max_sweeps=60):
@@ -106,7 +108,7 @@ def val_mse_per_sample(config, val_set, positive):
     dt = _dtype_of(config)
     total = 0.0
     for Y, mask, X_true in val_set:
-        X = _solve(config, mask, Y.astype(dt), positive)
+        X = unrolled_forward(Y.astype(dt), mask, config, positive)
         total += float(np.mean((X.astype(np.float64) - X_true) ** 2))
     return total / len(val_set)
 
@@ -124,3 +126,33 @@ def reconstruct_l1_gradient(A, mode):
     Vbar = (g.conj().T @ factors.U) * s_d[None, :]
     sbar = np.real(np.einsum("ij,ij->j", factors.U.conj(), gV))
     return svd_vjp(A, factors, Ubar, sbar, Vbar, mode)
+
+
+def bind_tape_params(config, positive):
+    """Tape parameters (tau_i, eta_i / rho_i) from the positive scalars."""
+    out = {}
+    for i in range(1, config.n_unroll + 1):
+        if config.algorithm == "admm":
+            out[f"tau_{i}"] = positive[f"lambda_{i}"] / positive[f"mu_{i}"]
+            out[f"eta_{i}"] = positive[f"eta_{i}"]
+        else:
+            out[f"tau_{i}"] = positive[f"lambda_{i}"] * positive[f"rho_{i}"]
+            out[f"rho_{i}"] = positive[f"rho_{i}"]
+    return out
+
+
+def theta_grads(config, bound, tape_grads):
+    """Chain tape-parameter gradients to log-space scalars by hand: with
+    theta = log(p), dL/dtheta = dL/dp * p, and tau composes as lambda/mu
+    (ADMM) or lambda*rho (PGD), so d tau/d theta is +-tau."""
+    g = {}
+    for i in range(1, config.n_unroll + 1):
+        dtau = tape_grads.get(f"tau_{i}", 0.0)
+        tau = bound[f"tau_{i}"]
+        g[f"lambda_{i}"] = dtau * tau
+        if config.algorithm == "admm":
+            g[f"mu_{i}"] = -dtau * tau
+            g[f"eta_{i}"] = tape_grads.get(f"eta_{i}", 0.0) * bound[f"eta_{i}"]
+        else:
+            g[f"rho_{i}"] = dtau * tau + tape_grads.get(f"rho_{i}", 0.0) * bound[f"rho_{i}"]
+    return g

@@ -276,7 +276,7 @@ def test_criterion_5_tf_clip_equivalence(efficacy_reports):
     for case in (1, 2):
         for wf in (2, 3):
             for trial in range(1000):
-                spec = Scenario(case=case, workflow=wf,
+                spec = Scenario(case=case,
                                 seed=(MASTER_SEEDS[0], case, wf, trial, 0),
                                 size=(10, 10), basis="rotated")
                 A64, svals = _scenario_parts(spec)

@@ -1,9 +1,10 @@
 """End-to-end checks of the command line entry point.
 
-Everything drives main(argv) in-process so exit codes and output files
-can be asserted directly; one smoke test runs the console script (or
-`python -m svdgrad` in an uninstalled checkout) in a subprocess and checks
-the packaging wiring in pyproject.toml.
+Nearly everything drives main(argv) in-process so exit codes and output
+files can be asserted directly. Two kinds of test run a subprocess: one smoke
+test runs the console script (or `python -m svdgrad` in an uninstalled
+checkout) and checks the packaging wiring in pyproject.toml, and the halting
+`train` runs check the exact stderr a user sees, warnings included.
 """
 
 import json
@@ -21,12 +22,21 @@ from svdgrad import Tape
 from svdgrad.cli import main
 
 
+def _module_env() -> dict:
+    """Environment in which `python -m svdgrad` imports the svdgrad this
+    test imported, installed or not."""
+    env = dict(os.environ)
+    root = str(Path(svdgrad.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_gradcheck_healthy_run_exits_zero(capsys):
     rc = main(["gradcheck", "--checks", "3", "--seed", "3407"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "gradcheck: PASS" in out
-    for op in ("sum_singular_values", "reconstruct", "svt", "chain"):
+    for op in ("sum_singular_values", "svt_mse", "svt", "chain"):
         assert f"op={op}" in out
 
 
@@ -65,7 +75,7 @@ def test_gradcheck_json_report(tmp_path, capsys):
     assert report["config"]["command"] == "gradcheck"
     assert report["config"]["seed"] == 11
     ops = {row["op"] for row in report["results"]}
-    assert ops == {"sum_singular_values", "reconstruct", "svt", "chain"}
+    assert ops == {"sum_singular_values", "svt_mse", "svt", "chain"}
     for row in report["results"]:
         assert row["ok"] is True
         assert row["worst_fd_rel_err"] <= 1e-5
@@ -264,18 +274,21 @@ def test_train_parameter_overflow_halts(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("algorithm,lr", [("admm", "100"), ("pgd", "100"), ("pgd", "50")])
-def test_train_large_learning_rate_halts(tmp_path, capsys, algorithm, lr):
+def test_train_large_learning_rate_halts(tmp_path, algorithm, lr):
     # the parameters stay finite in float64, but the single-precision solver
-    # forward meets a non-finite value; that halts training, it is no crash
+    # forward meets a non-finite value; that halts training, it is no crash.
+    # A subprocess shows the stderr a user sees: the halt line and no NumPy
+    # warning ahead of it
     path = tmp_path / "log.jsonl"
-    rc = main(["train", "--steps", "4", "--lr", lr, "--size", "6x6",
-               "--algorithm", algorithm, "--output", str(path)])
-    err = capsys.readouterr().err
-    assert rc == 0
-    assert "halted: non-finite solver value after step" in err
+    proc = subprocess.run([sys.executable, "-m", "svdgrad", "train", "--steps", "4", "--lr", lr,
+                           "--size", "6x6", "--algorithm", algorithm, "--output", str(path)],
+                          capture_output=True, text=True, timeout=120, env=_module_env())
+    assert proc.returncode == 0
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines[-1]["halted"] is True
     assert lines[-1]["diagnostic"] == "non-finite solver value"
+    step = lines[-1]["step"]
+    assert proc.stderr == f"training halted: non-finite solver value after step {step}\n"
 
 
 def test_console_script_smoke():
@@ -290,11 +303,9 @@ def test_console_script_smoke():
     if exe is not None:
         cmd = [exe]
     else:
-        # not installed: run the package's __main__, importing the same
-        # svdgrad this test imported
+        # not installed: run the package's __main__
         cmd = [sys.executable, "-m", "svdgrad"]
-        root = str(Path(svdgrad.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+        env = _module_env()
     proc = subprocess.run(cmd + ["gradcheck", "--checks", "1", "--seed", "2"],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from svdgrad import (
+    GradientSet,
     GradMode,
     Scenario,
     Tape,
@@ -18,19 +19,24 @@ from svdgrad import (
     run_efficacy,
     svd,
     train_unrolled,
-    unrolled_admm_forward,
-    unrolled_pgd_forward,
+    unrolled_forward,
 )
-from svdgrad.experiments import _solver_tape, _theta_names, _val_mse, _workflow_tape
+from svdgrad.experiments import (
+    _solver_bindings,
+    _solver_tape,
+    _theta_grads,
+    _theta_names,
+    _val_mse,
+    _workflow_tape,
+)
+from svdgrad.svt import SvtCache
 
-from oracles import reconstruct_l1_gradient, val_mse_per_sample
+from oracles import bind_tape_params, reconstruct_l1_gradient, theta_grads, val_mse_per_sample
 
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(case=3)
-    with pytest.raises(ValueError):
-        Scenario(workflow=0)
     with pytest.raises(ValueError):
         Scenario(basis="fourier")
     with pytest.raises(ValueError):
@@ -38,18 +44,18 @@ def test_scenario_validation():
 
 
 def test_generate_scenario_deterministic():
-    a = generate_scenario(Scenario(case=1, workflow=1, seed=5))
-    b = generate_scenario(Scenario(case=1, workflow=1, seed=5))
+    a = generate_scenario(Scenario(case=1, seed=5))
+    b = generate_scenario(Scenario(case=1, seed=5))
     assert np.array_equal(a, b)
-    c = generate_scenario(Scenario(case=1, workflow=1, seed=6))
+    c = generate_scenario(Scenario(case=1, seed=6))
     assert not np.array_equal(a, c)
-    r = generate_scenario(Scenario(case=1, workflow=1, seed=5, basis="rotated"))
+    r = generate_scenario(Scenario(case=1, seed=5, basis="rotated"))
     assert not np.array_equal(a, r)
     assert a.dtype == np.float64
 
 
 def test_identity_basis_spectrum_is_exact():
-    spec = Scenario(case=1, workflow=1, seed=12)
+    spec = Scenario(case=1, seed=12)
     A = generate_scenario(spec)
     d = np.diag(A)
     assert np.array_equal(A, np.diag(d))  # strictly diagonal
@@ -60,8 +66,8 @@ def test_identity_basis_spectrum_is_exact():
 
 
 def test_rotated_basis_preserves_spectrum():
-    spec_i = Scenario(case=2, workflow=1, seed=4)
-    spec_r = Scenario(case=2, workflow=1, seed=4, basis="rotated")
+    spec_i = Scenario(case=2, seed=4)
+    spec_r = Scenario(case=2, seed=4, basis="rotated")
     d = np.sort(np.diag(generate_scenario(spec_i)))[::-1]
     s = np.linalg.svd(generate_scenario(spec_r), compute_uv=False)
     assert np.allclose(s, d, rtol=1e-12)
@@ -73,7 +79,7 @@ def test_case1_pair_inverse_gap_range():
     # 1e37, so the band is a typicality statement, not a per-seed bound
     vals = []
     for seed in range(1000):
-        A = generate_scenario(Scenario(case=1, workflow=1, seed=seed))
+        A = generate_scenario(Scenario(case=1, seed=seed))
         d = np.diag(A)
         vals.append(1.0 / (d[1] ** 2 - d[0] ** 2))
     vals = np.array(vals)
@@ -85,7 +91,7 @@ def test_case1_pair_inverse_gap_range():
 def test_case2_pair_gap_overflows_single():
     f32_max = float(np.finfo(np.float32).max)
     for seed in range(1000):
-        A = generate_scenario(Scenario(case=2, workflow=1, seed=seed))
+        A = generate_scenario(Scenario(case=2, seed=seed))
         d = np.diag(A)
         assert 1.0 / (d[1] ** 2 - d[0] ** 2) > f32_max, seed
 
@@ -102,6 +108,8 @@ def test_run_efficacy_input_validation():
     for empty in ("seeds", "cases", "workflows"):
         with pytest.raises(ValueError, match=empty):
             run_efficacy(2, ["tf", "inv"], **{empty: ()})
+    with pytest.raises(ValueError, match="seeds"):
+        run_efficacy(1, ("tf", "inv"), seeds=(3407, -5))
 
 
 def test_run_efficacy_reproducible():
@@ -202,7 +210,7 @@ def test_admm_full_mask_copies_observations():
     rng = np.random.default_rng(60)
     Y = rng.standard_normal((6, 6))
     cfg = UnrolledConfig(size=(6, 6), n_unroll=1, algorithm="admm", precision="double")
-    X = unrolled_admm_forward(Y, np.ones((6, 6), dtype=bool), cfg, _flat_admm_params(1, 1e-8))
+    X = unrolled_forward(Y, np.ones((6, 6), dtype=bool), cfg, _flat_admm_params(1, 1e-8))
     assert np.linalg.norm(X - Y) <= 1e-6 * np.linalg.norm(Y)
 
 
@@ -210,7 +218,7 @@ def test_admm_empty_mask_returns_zero():
     rng = np.random.default_rng(61)
     Y = rng.standard_normal((5, 5))
     cfg = UnrolledConfig(size=(5, 5), n_unroll=3, algorithm="admm", precision="double")
-    X = unrolled_admm_forward(Y, np.zeros((5, 5), dtype=bool), cfg, _flat_admm_params(3, 0.5))
+    X = unrolled_forward(Y, np.zeros((5, 5), dtype=bool), cfg, _flat_admm_params(3, 0.5))
     assert np.array_equal(X, np.zeros((5, 5)))
 
 
@@ -223,7 +231,7 @@ def test_admm_beats_zero_filled_baseline():
     zero_filled = np.where(mask, Y, 0.0)
     err_zf = np.linalg.norm(zero_filled - X_true) / np.linalg.norm(X_true)
     tau = 0.1 * np.linalg.norm(Y, 2)
-    X = unrolled_admm_forward(Y, mask, cfg, _flat_admm_params(10, float(tau)))
+    X = unrolled_forward(Y, mask, cfg, _flat_admm_params(10, float(tau)))
     err = np.linalg.norm(X - X_true) / np.linalg.norm(X_true)
     assert err <= err_zf / 2
 
@@ -232,7 +240,7 @@ def test_pgd_one_step_exact_on_rank_one():
     rng = np.random.default_rng(62)
     X_true = np.outer(rng.standard_normal(6), rng.standard_normal(5))
     cfg = UnrolledConfig(size=(6, 5), rank=1, n_unroll=1, algorithm="pgd", precision="double")
-    X = unrolled_pgd_forward(X_true, np.ones((6, 5), dtype=bool), cfg, {"lambda_1": 1e-8, "rho_1": 1.0})
+    X = unrolled_forward(X_true, np.ones((6, 5), dtype=bool), cfg, {"lambda_1": 1e-8, "rho_1": 1.0})
     assert np.linalg.norm(X - X_true) <= 1e-6 * np.linalg.norm(X_true)
 
 
@@ -241,7 +249,7 @@ def test_pgd_full_shrinkage_returns_zero():
     Y = rng.standard_normal((5, 5))
     smax = float(np.linalg.norm(Y, 2))
     cfg = UnrolledConfig(size=(5, 5), n_unroll=1, algorithm="pgd", precision="double")
-    X = unrolled_pgd_forward(Y, np.ones((5, 5), dtype=bool), cfg, {"lambda_1": smax * 1.1, "rho_1": 1.0})
+    X = unrolled_forward(Y, np.ones((5, 5), dtype=bool), cfg, {"lambda_1": smax * 1.1, "rho_1": 1.0})
     assert np.array_equal(X, np.zeros((5, 5)))
 
 
@@ -267,7 +275,7 @@ def test_pgd_objective_monotone():
         for i in range(1, depth + 1):
             params[f"lambda_{i}"] = lam
             params[f"rho_{i}"] = 1.0
-        objs.append(objective(unrolled_pgd_forward(Y, mask, dcfg, params)))
+        objs.append(objective(unrolled_forward(Y, mask, dcfg, params)))
     diffs = np.diff(objs)
     assert np.all(diffs <= 1e-10), objs
 
@@ -295,6 +303,59 @@ def test_unrolled_config_validation():
         UnrolledConfig(algorithm="fista")
     with pytest.raises(ValueError):
         UnrolledConfig(inject_rate=1.5)
+    with pytest.raises(ValueError, match="seed"):
+        UnrolledConfig(seed=-1)
+
+
+@pytest.mark.parametrize("algorithm", ["admm", "pgd"])
+def test_bindings_and_theta_grads_match_hand_written(algorithm):
+    # the table-driven reparameterisation against the per-algorithm formulas,
+    # bit for bit. The last tape parameter gets no cotangent, as the last
+    # ADMM eta never does: it feeds nothing the output depends on
+    cfg = UnrolledConfig(n_unroll=3, algorithm=algorithm)
+    rng = np.random.default_rng(8)
+    Y = rng.standard_normal((4, 4))
+    tape, _ = _solver_tape(cfg, np.ones((4, 4), dtype=bool))
+    for _ in range(20):
+        positive = {name: math.exp(rng.uniform(-30, 30)) for name in _theta_names(cfg)}
+        bound = _solver_bindings(cfg, positive, Y)
+        assert bound.pop("Y") is Y
+        if algorithm == "admm":
+            assert np.array_equal(bound.pop("L0"), np.zeros_like(Y))
+        assert bound == bind_tape_params(cfg, positive)
+        tape_grads = {name: float(rng.standard_normal()) for name in list(bound)[:-1]}
+        grads = GradientSet(
+            cotangents={tape.names[name]: g for name, g in tape_grads.items()}, names=tape.names
+        )
+        assert _theta_grads(cfg, bound, grads) == theta_grads(cfg, bound, tape_grads)
+
+
+@pytest.mark.parametrize("algorithm", ["admm", "pgd"])
+def test_theta_grads_match_finite_differences(algorithm):
+    # dL/dtheta for theta = log p through the whole unrolled solver, against
+    # central differences; at this seed every singular value stays at least
+    # 10% of tau away from tau, far beyond what the FD step moves it
+    cfg = UnrolledConfig(size=(8, 7), n_unroll=3, algorithm=algorithm, precision="double", seed=2)
+    ((Y, mask, X_true),) = make_completion_dataset(cfg, 1, tag=1)
+    tape, out = _solver_tape(cfg, mask)
+    loss = tape.mse_loss(out, tape.input("target"))
+    rng = np.random.default_rng(2)
+    theta = {name: float(rng.uniform(-0.5, 0.5)) for name in _theta_names(cfg)}
+
+    def run(th):
+        bindings = _solver_bindings(cfg, {name: math.exp(v) for name, v in th.items()}, Y)
+        bindings["target"] = X_true
+        return bindings, tape.forward(bindings)
+
+    bindings, values = run(theta)
+    caches = [c for c in values.saved.values() if isinstance(c, SvtCache)]
+    assert len(caches) == 3
+    assert all(np.min(np.abs(c.factors.s - c.spec.tau)) > 0.1 * c.spec.tau for c in caches)
+    g = _theta_grads(cfg, bindings, tape.backward(values, loss, GradMode.inv()))
+    h = 1e-6
+    for name, v in theta.items():
+        fd = (run({**theta, name: v + h})[1][loss] - run({**theta, name: v - h})[1][loss]) / (2 * h)
+        assert math.isclose(fd, g[name], rel_tol=1e-5), (name, fd, g[name])
 
 
 @pytest.mark.parametrize("algorithm", ["admm", "pgd"])
@@ -322,6 +383,7 @@ def test_train_zero_learning_rate():
     assert all(v == 1.0 for line in log.lines for v in line["params"].values())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_parameter_overflow_halts():
     # lr 1e300 drives a log-space parameter past exp's range in step 1
     cfg = UnrolledConfig(size=(6, 6), n_unroll=2, steps=3, lr=1e300, seed=3407)
@@ -339,6 +401,7 @@ def test_train_parameter_overflow_halts():
     ("pgd", 50.0, "single"),
     ("admm", 150.0, "double"),  # tau = lambda / mu overflows float64
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_large_learning_rate_halts(algorithm, lr, precision):
     # every parameter stays finite in float64, yet the solver forward meets a
     # non-finite value: a parameter beyond the tape's precision, an iterate
@@ -351,6 +414,7 @@ def test_train_large_learning_rate_halts(algorithm, lr, precision):
     assert all(math.isfinite(v) for v in log.lines[-1]["params"].values())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_overflowing_sample_halts():
     # a training sample beyond single precision makes the step's own solver
     # forward meet inf before any gradient exists
