@@ -27,7 +27,7 @@ from .experiments import (
     unrolled_forward,
 )
 from .linalg import SvdFactors, svd
-from .oracle import FdSpec, finite_difference, reference_gradient
+from .oracle import finite_difference, reference_gradient
 from .svt import SvtCache, ThresholdSpec, kept_mask, svt_vjp
 from .tape import GradientSet, Node, Tape
 
@@ -37,7 +37,6 @@ __all__ = [
     "AuxMatrices",
     "CellStats",
     "EfficacyReport",
-    "FdSpec",
     "GradMode",
     "GradientSet",
     "Node",

@@ -107,8 +107,9 @@ def generate_scenario(spec: Scenario) -> np.ndarray:
     return _scenario_parts(spec)[0]
 
 
-def _workflow_tape(workflow: int, tau: float | None = None) -> tuple[Tape, int]:
-    """Tape computing the workflow's L1 loss; returns (tape, loss node id)."""
+def _workflow_tape(workflow: int) -> tuple[Tape, int]:
+    """Tape computing the workflow's L1 loss; returns (tape, loss node id).
+    Workflow 3 thresholds at the bound parameter `tau`."""
     t = Tape()
     a = t.input("A")
     if workflow == 1:
@@ -117,9 +118,7 @@ def _workflow_tape(workflow: int, tau: float | None = None) -> tuple[Tape, int]:
     elif workflow == 2:
         b = t.svt(a, ThresholdSpec.hard_tail(2))
     else:
-        if tau is None:
-            raise ValueError("workflow 3 needs tau")
-        b = t.svt(a, ThresholdSpec.soft(tau))
+        b = t.svt(a, tau_param=t.parameter_scalar("tau"))
     return t, t.l1_loss(b)
 
 
@@ -191,8 +190,10 @@ def _normalize_modes(modes) -> list[GradMode]:
     return out
 
 
-def _efficacy_trial(master: int, case: int, workflow: int, trial: int, size, basis: str, modes):
-    """One paired trial: (per-mode (sumsq, meansq) errors, attempts used)."""
+def _efficacy_trial(solver, master: int, case: int, workflow: int, trial: int, size, basis: str, modes):
+    """One paired trial on the cell's (workflow tape, loss node): (per-mode
+    (sumsq, meansq) errors, attempts used)."""
+    tape, loss = solver
     attempt = 0
     while True:
         spec = Scenario(
@@ -203,7 +204,7 @@ def _efficacy_trial(master: int, case: int, workflow: int, trial: int, size, bas
         )
         A64, svals = _scenario_parts(spec)
         valid = True
-        if workflow == 2 and min(size) > 2:
+        if workflow == 2:
             # hard_tail(2) cuts the spectrum between the third- and
             # second-smallest values. When that boundary splits a pair the
             # single-precision forward cannot represent as distinct (relative
@@ -216,9 +217,9 @@ def _efficacy_trial(master: int, case: int, workflow: int, trial: int, size, bas
             a2, b2 = sd[-3] ** 2, sd[-2] ** 2
             valid = a2 - b2 >= np.finfo(np.float32).eps * a2
         if valid:
-            tau = _workflow_tau(svals) if workflow == 3 else None
-            tape, loss = _workflow_tape(workflow, tau)
-            ref, ok = reference_gradient(tape, {"A": A64}, loss)
+            # only the workflow-3 tape has a `tau` node; the others ignore it
+            bindings = {"A": A64, "tau": _workflow_tau(svals)}
+            ref, ok = reference_gradient(tape, bindings, loss)
             if ok:
                 break
         attempt += 1
@@ -228,7 +229,7 @@ def _efficacy_trial(master: int, case: int, workflow: int, trial: int, size, bas
                 f"(case {case}, workflow {workflow}, trial {trial})"
             )
     Aref = ref.by_name("A")
-    values32 = tape.forward({"A": A64.astype(np.float32)})
+    values32 = tape.forward({**bindings, "A": A64.astype(np.float32)})
     per_mode = []
     for mode in modes:
         g = tape.backward(values32, loss, mode)
@@ -269,12 +270,15 @@ def run_efficacy(
     cells: list[CellStats] = []
     for case in cases:
         for workflow in workflows:
+            solver = _workflow_tape(workflow)
             sums = [0.0] * len(modes)
             means = [0.0] * len(modes)
             invalid = 0
             for master in seeds:
                 for trial in range(n_trials):
-                    per_mode, attempts = _efficacy_trial(master, case, workflow, trial, size, basis, modes)
+                    per_mode, attempts = _efficacy_trial(
+                        solver, master, case, workflow, trial, size, basis, modes
+                    )
                     invalid += attempts
                     for i, (sumsq, meansq) in enumerate(per_mode):
                         sums[i] += sumsq
@@ -364,7 +368,7 @@ class UnrolledConfig:
             raise ValueError("seed must be >= 0")
 
 
-def build_admm_tape(mask: np.ndarray, n_unroll: int) -> tuple[Tape, int]:
+def build_admm_tape(n_unroll: int) -> tuple[Tape, int]:
     """Unrolled ADMM for completion: returns (tape, output node id).
 
     X_0 = P_Omega(Y), L_0 = 0, then per iteration i:
@@ -372,47 +376,51 @@ def build_admm_tape(mask: np.ndarray, n_unroll: int) -> tuple[Tape, int]:
       X_i = P_Omega(Y) + P_Omega^c(Z_i - L_{i-1})
       L_i = L_{i-1} - eta_i (Z_i - X_i)
     with tau_i = lambda_i/mu_i and eta_i learnable through the trainer.
+    P_Omega multiplies by the bound 0/1 input `mask`, P_Omega^c by `unobserved`.
     """
-    mask = np.asarray(mask, dtype=bool)
     t = Tape()
     y = t.input("Y")
     l = t.input("L0")
-    x = t.mask_project(y, mask)
+    mask = t.input("mask")
+    unobserved = t.input("unobserved")
+    b = t.hadamard(y, mask)
+    x = b
     for i in range(1, n_unroll + 1):
         tau_i = t.parameter_scalar(f"tau_{i}")
         eta_i = t.parameter_scalar(f"eta_{i}")
         z = t.svt(t.add(x, l), tau_param=tau_i)
         d = t.sub(z, l)
-        x = t.add(t.mask_project(y, mask), t.mask_project(d, ~mask))
+        x = t.add(b, t.hadamard(d, unobserved))
         r = t.sub(z, x)
         l = t.sub(l, t.scale_by_param(r, eta_i))
     return t, x
 
 
-def build_pgd_tape(mask: np.ndarray, n_unroll: int) -> tuple[Tape, int]:
+def build_pgd_tape(n_unroll: int) -> tuple[Tape, int]:
     """Unrolled proximal gradient descent with the sampling operator P_Omega:
       Z = X - rho_i P_Omega(X - Y),  X^+ = SVT(Z, tau_i)
-    with tau_i = lambda_i * rho_i learnable through the trainer."""
-    mask = np.asarray(mask, dtype=bool)
+    with tau_i = lambda_i * rho_i learnable through the trainer. P_Omega
+    multiplies by the bound 0/1 input `mask`."""
     t = Tape()
     y = t.input("Y")
-    b = t.mask_project(y, mask)
+    mask = t.input("mask")
+    b = t.hadamard(y, mask)
     x = b
     for i in range(1, n_unroll + 1):
         rho_i = t.parameter_scalar(f"rho_{i}")
         tau_i = t.parameter_scalar(f"tau_{i}")
-        resid = t.sub(t.mask_project(x, mask), b)
+        resid = t.sub(t.hadamard(x, mask), b)
         z = t.sub(x, t.scale_by_param(resid, rho_i))
         x = t.svt(z, tau_param=tau_i)
     return t, x
 
 
-def _solver_tape(config: UnrolledConfig, mask: np.ndarray) -> tuple[Tape, int]:
+def _solver_tape(config: UnrolledConfig) -> tuple[Tape, int]:
     # builders go by module name, not in _SOLVERS: the benchmark tracer wraps
     # them as module attributes, and a reference held elsewhere escapes it
     if config.algorithm == "admm":
-        return build_admm_tape(mask, config.n_unroll)
-    return build_pgd_tape(mask, config.n_unroll)
+        return build_admm_tape(config.n_unroll)
+    return build_pgd_tape(config.n_unroll)
 
 
 def _theta_names(config: UnrolledConfig) -> list[str]:
@@ -421,10 +429,14 @@ def _theta_names(config: UnrolledConfig) -> list[str]:
     return [f"{stem}_{i}" for i in range(1, config.n_unroll + 1) for stem in stems]
 
 
-def _solver_bindings(config: UnrolledConfig, positive: dict[str, float], Y: np.ndarray) -> dict:
-    """Tape parameters from the positive scalars, the observations Y and the
+def _solver_bindings(config: UnrolledConfig, positive: dict[str, float], Y: np.ndarray, mask) -> dict:
+    """Tape parameters from the positive scalars, the observations Y, the
+    sampling mask as 0/1 inputs `mask` and `unobserved` in Y's dtype, and the
     zero inputs. Each product starts from 1.0 and takes its factors in table
     order, so lambda/mu and lambda*rho round as the plain expressions."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != Y.shape:
+        raise ValueError(f"mask shape {mask.shape} vs Y shape {Y.shape}")
     params, zeros = _SOLVERS[config.algorithm]
     bindings = {}
     for i in range(1, config.n_unroll + 1):
@@ -435,6 +447,8 @@ def _solver_bindings(config: UnrolledConfig, positive: dict[str, float], Y: np.n
                 value = value * p if exponent > 0 else value / p
             bindings[f"{name}_{i}"] = value
     bindings["Y"] = Y
+    bindings["mask"] = mask.astype(Y.dtype)
+    bindings["unobserved"] = (~mask).astype(Y.dtype)
     for name in zeros:
         bindings[name] = np.zeros_like(Y)
     return bindings
@@ -462,8 +476,8 @@ def unrolled_forward(Y, mask, config: UnrolledConfig, params: dict[str, float] |
     """Run the unrolled `config.algorithm` forward pass and return the
     reconstruction; every positive scalar defaults to 1."""
     positive = params or {name: 1.0 for name in _theta_names(config)}
-    tape, out = _solver_tape(config, mask)
-    return tape.forward(_solver_bindings(config, positive, np.asarray(Y)))[out]
+    tape, out = _solver_tape(config)
+    return tape.forward(_solver_bindings(config, positive, np.asarray(Y), mask))[out]
 
 
 def make_completion_dataset(config: UnrolledConfig, n: int, tag: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -520,21 +534,27 @@ def _dtype_of(config: UnrolledConfig):
     return np.float32 if config.precision == "single" else np.float64
 
 
-def _val_mse(
-    config: UnrolledConfig, solver: tuple[Tape, int], Y: np.ndarray, val_set, positive: dict[str, float]
-) -> float:
-    """Held-out completion MSE from one forward over the stacked set.
+def _run_bindings(config: UnrolledConfig, positive: dict[str, float], sample) -> dict:
+    """Bindings of the run's tape, the solver plus a `target` input, for one
+    (Y, mask, X_true) sample or a stack of them, in the config's precision."""
+    Y, mask, X_true = sample
+    dt = _dtype_of(config)
+    bindings = _solver_bindings(config, positive, Y.astype(dt, copy=False), mask)
+    bindings["target"] = X_true.astype(dt, copy=False)
+    return bindings
 
-    `solver` is the tape built from the stacked validation masks and `Y` the
-    stacked observations; the per-sample MSEs are summed in `val_set` order.
-    """
+
+def _val_mse(config: UnrolledConfig, solver: tuple[Tape, int], val, positive: dict[str, float]) -> float:
+    """Held-out completion MSE from one forward of the run's (tape, output
+    node) over `val`, the held-out (Y, mask, X_true) stacked; the per-sample
+    MSEs are summed in stack order."""
     tape, out = solver
     total = 0.0
     with np.errstate(**_QUIET):
-        X = tape.forward(_solver_bindings(config, positive, Y))[out]
-        for X_i, (_, _, X_true) in zip(X, val_set):
+        X = tape.forward(_run_bindings(config, positive, val))[out]
+        for X_i, X_true in zip(X, val[2]):
             total += float(np.mean((X_i.astype(np.float64) - X_true) ** 2))
-    return total / len(val_set)
+    return total / len(X)
 
 
 def _halt(log: TrainingLog, line: dict, diagnostic: str) -> None:
@@ -575,17 +595,18 @@ def train_unrolled(
     line; safeguarded modes never trigger it, the exact mode does under
     injected duplicate spectra. So does a solver forward that meets a
     non-finite value (a parameter too large for the tape's precision, or one
-    that drives an iterate to inf). The held-out set is scored as one stack,
-    so its samples must share one shape.
+    that drives an iterate to inf), the held-out score before the first step
+    included. One tape serves every forward of the run; each sample's mask
+    is bound data. The held-out set is scored as one stack, so its samples
+    must share one shape.
     """
     if not dataset:
         dataset = make_completion_dataset(config, 32, tag=1)
     if not val_set:
         val_set = make_completion_dataset(config, _VAL_SIZE, tag=2)
-    dt = _dtype_of(config)
-    # the validation tape depends only on the fixed masks: built once per run
-    val_solver = _solver_tape(config, np.stack([mask for _, mask, _ in val_set]))
-    val_Y = np.stack([Y for Y, _, _ in val_set]).astype(dt)
+    tape, out = solver = _solver_tape(config)
+    loss = tape.mse_loss(out, tape.input("target"))
+    val = tuple(np.stack(column) for column in zip(*val_set))
     theta = {name: 0.0 for name in _theta_names(config)}
     adam_m = {name: 0.0 for name in theta}
     adam_v = {name: 0.0 for name in theta}
@@ -596,29 +617,20 @@ def train_unrolled(
 
     log = TrainingLog(lines=[])
     positive = positive_of(theta)
-    log.lines.append(
-        {
-            "step": 0,
-            "loss": _val_mse(config, val_solver, val_Y, val_set, positive),
-            "train_loss": None,
-            "grad_finite": True,
-            "params": positive,
-        }
-    )
+    line = {"step": 0, "loss": None, "train_loss": None, "grad_finite": True, "params": positive}
+    try:
+        line["loss"] = _val_mse(config, solver, val, positive)
+    except NonFiniteError:
+        _halt(log, line, _SOLVER_HALT)
+        return positive, log
+    log.lines.append(line)
 
     for step in range(1, config.steps + 1):
         injected = config.inject_rate > 0 and float(inject_rng.random()) < config.inject_rate
-        if injected:
-            Y, mask, X_true = _injected_sample(config, step)
-        else:
-            Y, mask, X_true = dataset[(step - 1) % len(dataset)]
-        tape, out = _solver_tape(config, mask)
-        target = tape.input("target")
-        loss = tape.mse_loss(out, target)
+        sample = _injected_sample(config, step) if injected else dataset[(step - 1) % len(dataset)]
         positive = positive_of(theta)
         with np.errstate(**_QUIET):
-            bindings = _solver_bindings(config, positive, Y.astype(dt))
-            bindings["target"] = X_true.astype(dt)
+            bindings = _run_bindings(config, positive, sample)
             try:
                 values = tape.forward(bindings)
             except NonFiniteError:
@@ -653,7 +665,7 @@ def train_unrolled(
             _halt(log, line, "non-finite parameter after update")
             break
         try:
-            line["loss"] = _val_mse(config, val_solver, val_Y, val_set, params_now)
+            line["loss"] = _val_mse(config, solver, val, params_now)
         except NonFiniteError:
             _halt(log, line, _SOLVER_HALT)
             break

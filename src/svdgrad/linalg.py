@@ -38,9 +38,7 @@ def real_dtype_of(dtype) -> np.dtype:
     return _REAL_OF[np.dtype(dtype)]
 
 
-def ensure_matrix(
-    A, name: str = "matrix", require_finite: bool = False, stack: bool = False
-) -> np.ndarray:
+def ensure_matrix(A, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Validate a 2-D matrix operand and return it as an ndarray.
 
     With stack=True a (..., m, n) stack of matrices is accepted as well.
@@ -53,8 +51,6 @@ def ensure_matrix(
         raise ValueError(f"{name} must have positive dimensions, got {A.shape}")
     if A.dtype not in _REAL_OF:
         raise TypeError(f"{name} has unsupported dtype {A.dtype}")
-    if require_finite and not np.isfinite(A).all():
-        raise NonFiniteError(f"{name} contains non-finite entries")
     return A
 
 
@@ -97,7 +93,9 @@ def svd(A) -> SvdFactors:
     decomposed matrix by matrix, with factors bit-identical to decomposing
     each matrix alone.
     """
-    A = ensure_matrix(A, "A", require_finite=True, stack=True)
+    A = ensure_matrix(A, "A", stack=True)
+    if not np.isfinite(A).all():
+        raise NonFiniteError("A contains non-finite entries")
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     U, V = _fix_gauge(U, Vh.conj().swapaxes(-1, -2))
     return SvdFactors(U=U, s=s.astype(real_dtype_of(A.dtype), copy=False), V=V)

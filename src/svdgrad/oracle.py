@@ -10,14 +10,12 @@ two oracles are directly comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .backward import GradMode
 from .tape import GradientSet, Tape
 
-__all__ = ["FdSpec", "finite_difference", "reference_gradient"]
+__all__ = ["finite_difference", "reference_gradient"]
 
 _TO_DOUBLE = {
     np.dtype(np.float32): np.dtype(np.float64),
@@ -25,17 +23,6 @@ _TO_DOUBLE = {
     np.dtype(np.complex64): np.dtype(np.complex128),
     np.dtype(np.complex128): np.dtype(np.complex128),
 }
-
-
-@dataclass(frozen=True)
-class FdSpec:
-    """Central-difference step; h = 1e-6 is the double-precision default."""
-
-    h: float = 1e-6
-
-    def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("h must be positive")
 
 
 def reference_gradient(tape: Tape, bindings: dict, loss: int) -> tuple[GradientSet, bool]:
@@ -57,15 +44,17 @@ def reference_gradient(tape: Tape, bindings: dict, loss: int) -> tuple[GradientS
     return grads, grads.all_finite()
 
 
-def finite_difference(loss_fn, at, spec: FdSpec = FdSpec()) -> np.ndarray:
+def finite_difference(loss_fn, at, *, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function at a matrix/vector.
 
-    For complex input both the real and imaginary parts of every entry are
-    perturbed; the assembled gradient satisfies dL ~= Re tr(grad^H dA).
-    Non-finite loss values at perturbed points raise, naming the entry.
+    The step h must be positive; 1e-6 suits double precision. For complex
+    input both the real and imaginary parts of every entry are perturbed;
+    the assembled gradient satisfies dL ~= Re tr(grad^H dA). Non-finite loss
+    values at perturbed points raise, naming the entry.
     """
+    if not h > 0:
+        raise ValueError("h must be positive")
     at = np.asarray(at)
-    h = spec.h
     grad = np.zeros(at.shape, dtype=at.dtype)
     is_complex = np.issubdtype(at.dtype, np.complexfloating)
     it = np.nditer(at, flags=["multi_index"])

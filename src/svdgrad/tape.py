@@ -38,7 +38,7 @@ class Node:
     op: str
     parents: tuple[int, ...]
     name: str | None = None
-    extra: dict | None = None
+    spec: ThresholdSpec | None = None  # an svt node's fixed rule
 
 
 @dataclass
@@ -65,7 +65,7 @@ class Tape:
 
     # -- construction -----------------------------------------------------
 
-    def _append(self, op, parents=(), name=None, extra=None) -> int:
+    def _append(self, op, parents=(), name=None, spec=None) -> int:
         for p in parents:
             if not 0 <= p < len(self.nodes):
                 raise ValueError(f"parent id {p} out of range for op {op!r}")
@@ -74,7 +74,7 @@ class Tape:
             if name in self.names:
                 raise ValueError(f"duplicate node name {name!r}")
             self.names[name] = idx
-        self.nodes.append(Node(idx=idx, op=op, parents=tuple(parents), name=name, extra=extra))
+        self.nodes.append(Node(idx=idx, op=op, parents=tuple(parents), name=name, spec=spec))
         return idx
 
     def input(self, name: str) -> int:
@@ -103,10 +103,6 @@ class Tape:
     def hadamard(self, a: int, b: int) -> int:
         return self._append("hadamard", (a, b))
 
-    def mask_project(self, a: int, mask: np.ndarray) -> int:
-        mask = np.asarray(mask, dtype=bool)
-        return self._append("mask_project", (a,), extra={"mask": mask})
-
     def svt(self, a: int, spec: ThresholdSpec | None = None, tau_param: int | None = None) -> int:
         """Singular value thresholding node; tau either fixed or a parameter."""
         if (spec is None) == (tau_param is None):
@@ -115,7 +111,7 @@ class Tape:
             if self.nodes[tau_param].op != "parameter_scalar":
                 raise ValueError("tau_param must be a parameter_scalar node")
             return self._append("svt", (a, tau_param))
-        return self._append("svt", (a,), extra={"spec": spec})
+        return self._append("svt", (a,), spec=spec)
 
     def l1_loss(self, a: int) -> int:
         return self._append("l1_loss", (a,))
@@ -199,15 +195,8 @@ def _scale_by_param_vjp(g, args, *_):
     return c * g, float(np.real(np.vdot(args[0], g)))
 
 
-def _mask_project_forward(args, node, _):
-    mask = node.extra["mask"]
-    if mask.shape != args[0].shape:
-        raise ValueError(f"mask shape {mask.shape} vs value {args[0].shape}")
-    return args[0] * mask.astype(args[0].dtype)
-
-
 def _svt_forward(args, node, saved):
-    spec = node.extra["spec"] if node.extra else ThresholdSpec.soft(args[1])
+    spec = node.spec or ThresholdSpec.soft(args[1])
     B, factors, s_hat = _svt(args[0], spec)
     saved[node.idx] = SvtCache(args[0], factors, s_hat, spec)
     return B
@@ -262,10 +251,6 @@ _OPS = {
     "hadamard": (
         lambda args, *_: args[0] * args[1],
         lambda g, args, *_: (g * args[1].conj(), g * args[0].conj()),
-    ),
-    "mask_project": (
-        _mask_project_forward,
-        lambda g, args, node, *_: (g * node.extra["mask"].astype(g.dtype),),
     ),
     "svt": (_svt_forward, _svt_vjp),
     "l1_loss": (lambda args, *_: float(np.abs(args[0]).sum()), _l1_loss_vjp),

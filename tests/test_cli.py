@@ -15,10 +15,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import svdgrad
-from svdgrad import Tape
+from svdgrad import Tape, cli, train_unrolled
 from svdgrad.cli import main
 
 
@@ -271,6 +272,20 @@ def test_train_parameter_overflow_halts(tmp_path, capsys):
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines[-1]["step"] == 1
     assert lines[-1]["halted"] is True
+
+
+def test_train_val_set_overflow_halts_at_step_0(tmp_path, capsys, monkeypatch):
+    # the command line has no held-out option: a held-out sample beyond
+    # single precision reaches the trainer through a wrapped train_unrolled
+    Y = np.full((6, 6), 1e39)
+    val_set = [(Y, np.ones((6, 6), dtype=bool), Y)]
+    monkeypatch.setattr(cli, "train_unrolled", lambda config: train_unrolled(config, val_set=val_set))
+    path = tmp_path / "log.jsonl"
+    rc = main(["train", "--steps", "2", "--size", "6x6", "--n-unroll", "2", "--output", str(path)])
+    assert rc == 0
+    assert capsys.readouterr().err == "training halted: non-finite solver value after step 0\n"
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    assert [line["step"] for line in lines[1:]] == [0]
 
 
 @pytest.mark.parametrize("algorithm,lr", [("admm", "100"), ("pgd", "100"), ("pgd", "50")])

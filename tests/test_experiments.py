@@ -13,6 +13,7 @@ from svdgrad import (
     Tape,
     ThresholdSpec,
     UnrolledConfig,
+    experiments,
     generate_scenario,
     make_completion_dataset,
     reference_gradient,
@@ -117,6 +118,19 @@ def test_run_efficacy_reproducible():
     r1 = run_efficacy(4, ["tf", "inv"], **kw)
     r2 = run_efficacy(4, ["tf", "inv"], **kw)
     assert r1.to_json_dict() == r2.to_json_dict()
+
+
+def test_run_efficacy_builds_one_tape_per_cell(monkeypatch):
+    # a cell's trials differ only in the bound A and tau, so they share a tape
+    built = []
+
+    def counting(workflow):
+        built.append(workflow)
+        return _workflow_tape(workflow)
+
+    monkeypatch.setattr(experiments, "_workflow_tape", counting)
+    run_efficacy(3, ["tf", "inv"], seeds=(1, 2))
+    assert built == [1, 2, 3, 1, 2, 3]
 
 
 def test_report_cell_lookup():
@@ -280,6 +294,37 @@ def test_pgd_objective_monotone():
     assert np.all(diffs <= 1e-10), objs
 
 
+@pytest.mark.parametrize("algorithm", ["admm", "pgd"])
+def test_mask_binding_checked_and_cast(algorithm):
+    # a mask must match Y's shape exactly: a broadcastable (1, n) mask would
+    # pass through the elementwise product unnoticed
+    rng = np.random.default_rng(64)
+    Y = rng.standard_normal((6, 6))
+    cfg = UnrolledConfig(size=(6, 6), n_unroll=2, algorithm=algorithm, precision="double")
+    for shape in ((6, 5), (1, 6)):
+        with pytest.raises(ValueError, match="mask"):
+            unrolled_forward(Y, np.ones(shape, dtype=bool), cfg)
+    # an int 0/1 mask is read as booleans, so its complement is 1 - mask
+    mask = rng.random((6, 6)) < 0.5
+    X_bool = unrolled_forward(Y, mask, cfg)
+    assert unrolled_forward(Y, mask.astype(int), cfg).tobytes() == X_bool.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["admm", "pgd"])
+def test_train_builds_one_solver_tape(monkeypatch, algorithm):
+    # every step and every held-out forward binds its own data to one tape
+    built = []
+    for name in ("build_admm_tape", "build_pgd_tape"):
+        def counting(n_unroll, name=name, original=getattr(experiments, name)):
+            built.append(name)
+            return original(n_unroll)
+
+        monkeypatch.setattr(experiments, name, counting)
+    cfg = UnrolledConfig(size=(6, 6), n_unroll=2, steps=5, inject_rate=0.5, algorithm=algorithm)
+    train_unrolled(cfg)
+    assert built == [f"build_{algorithm}_tape"]
+
+
 def test_make_completion_dataset():
     cfg = UnrolledConfig(size=(12, 9), rank=3, sampling_ratio=0.4)
     data = make_completion_dataset(cfg, 4, tag=1)
@@ -315,11 +360,13 @@ def test_bindings_and_theta_grads_match_hand_written(algorithm):
     cfg = UnrolledConfig(n_unroll=3, algorithm=algorithm)
     rng = np.random.default_rng(8)
     Y = rng.standard_normal((4, 4))
-    tape, _ = _solver_tape(cfg, np.ones((4, 4), dtype=bool))
+    tape, _ = _solver_tape(cfg)
     for _ in range(20):
         positive = {name: math.exp(rng.uniform(-30, 30)) for name in _theta_names(cfg)}
-        bound = _solver_bindings(cfg, positive, Y)
+        bound = _solver_bindings(cfg, positive, Y, np.ones((4, 4), dtype=bool))
         assert bound.pop("Y") is Y
+        assert np.array_equal(bound.pop("mask"), np.ones_like(Y))
+        assert np.array_equal(bound.pop("unobserved"), np.zeros_like(Y))
         if algorithm == "admm":
             assert np.array_equal(bound.pop("L0"), np.zeros_like(Y))
         assert bound == bind_tape_params(cfg, positive)
@@ -337,13 +384,13 @@ def test_theta_grads_match_finite_differences(algorithm):
     # 10% of tau away from tau, far beyond what the FD step moves it
     cfg = UnrolledConfig(size=(8, 7), n_unroll=3, algorithm=algorithm, precision="double", seed=2)
     ((Y, mask, X_true),) = make_completion_dataset(cfg, 1, tag=1)
-    tape, out = _solver_tape(cfg, mask)
+    tape, out = _solver_tape(cfg)
     loss = tape.mse_loss(out, tape.input("target"))
     rng = np.random.default_rng(2)
     theta = {name: float(rng.uniform(-0.5, 0.5)) for name in _theta_names(cfg)}
 
     def run(th):
-        bindings = _solver_bindings(cfg, {name: math.exp(v) for name, v in th.items()}, Y)
+        bindings = _solver_bindings(cfg, {name: math.exp(v) for name, v in th.items()}, Y, mask)
         bindings["target"] = X_true
         return bindings, tape.forward(bindings)
 
@@ -363,13 +410,12 @@ def test_theta_grads_match_finite_differences(algorithm):
 def test_stacked_validation_matches_per_sample(algorithm, precision):
     cfg = UnrolledConfig(size=(9, 11), n_unroll=3, algorithm=algorithm, precision=precision, seed=5)
     val_set = make_completion_dataset(cfg, 5, tag=2)
-    dt = np.float32 if precision == "single" else np.float64
-    solver = _solver_tape(cfg, np.stack([mask for _, mask, _ in val_set]))
-    Y = np.stack([Y for Y, _, _ in val_set]).astype(dt)
+    solver = _solver_tape(cfg)
+    val = tuple(np.stack(column) for column in zip(*val_set))
     rng = np.random.default_rng(6)
     for _ in range(3):
         positive = {name: float(rng.uniform(0.2, 2.0)) for name in _theta_names(cfg)}
-        assert _val_mse(cfg, solver, Y, val_set, positive) == val_mse_per_sample(cfg, val_set, positive)
+        assert _val_mse(cfg, solver, val, positive) == val_mse_per_sample(cfg, val_set, positive)
 
 
 def test_train_zero_learning_rate():
@@ -425,6 +471,20 @@ def test_train_overflowing_sample_halts():
     assert [line["step"] for line in log.lines] == [0, 1]
     assert log.lines[-1]["diagnostic"] == "non-finite solver value"
     assert log.lines[-1]["train_loss"] is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_overflowing_val_set_halts_at_step_0():
+    # a held-out sample beyond single precision meets inf in the step-0
+    # score, before any update; that halts like every later solver forward
+    cfg = UnrolledConfig(size=(6, 6), n_unroll=2, steps=2)
+    Y = np.full((6, 6), 1e39)
+    params, log = train_unrolled(cfg, val_set=[(Y, np.ones((6, 6), dtype=bool), Y)])
+    assert log.halted
+    assert [line["step"] for line in log.lines] == [0]
+    assert log.lines[-1]["diagnostic"] == "non-finite solver value"
+    assert log.lines[-1]["loss"] is None
+    assert all(v == 1.0 for v in params.values())
 
 
 def test_train_inv_mode_stays_finite_under_injection():

@@ -69,11 +69,12 @@ def test_backward_matches_fd_without_svd():
     b = t.input("B")
     p = t.parameter_scalar("p")
     z = t.input("Z")
+    m = t.input("M")
     x = t.sub(t.matmul(a, b), t.hadamard(a, a))
     x = t.add(x, t.conj_transpose(a))
-    x = t.mask_project(t.scale_by_param(x, p), mask)
+    x = t.hadamard(t.scale_by_param(x, p), m)
     loss = t.mse_loss(x, z)
-    binds = {"A": A0, "B": B0, "p": 0.7, "Z": np.zeros((4, 4))}
+    binds = {"A": A0, "B": B0, "p": 0.7, "Z": np.zeros((4, 4)), "M": mask.astype(A0.dtype)}
     values = t.forward(binds)
     g = t.backward(values, loss, GradMode.inv())
     fd_a = _fd(lambda X: t.forward({**binds, "A": X})[loss], A0, h=1e-7)
