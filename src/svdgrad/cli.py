@@ -201,8 +201,8 @@ def _gradcheck_case(op: str, rng: np.random.Generator, cfg: RunConfig, complex_:
     else:  # pragma: no cover
         raise ValueError(op)
 
-    def loss_fn(x):
-        return tape.forward({"A": x, **extra})[loss]
+    def loss_fn(stack):
+        return tape.forward({"A": stack, **extra})[loss]
 
     fd = finite_difference(loss_fn, A)
     values = tape.forward({"A": A, **extra})
@@ -215,8 +215,9 @@ def _gradcheck_case(op: str, rng: np.random.Generator, cfg: RunConfig, complex_:
     if op == "chain":
         c = np.array([extra["c"]], dtype=np.float64)
 
-        def loss_c(cv):
-            return tape.forward({"A": A, **extra, "c": float(cv[0])})[loss]
+        def loss_c(cs):
+            # c binds a scalar parameter, so its perturbed values run one by one
+            return [tape.forward({"A": A, **extra, "c": float(cv[0])})[loss] for cv in cs]
 
         fd_c = finite_difference(loss_c, c)
         g_c = grads_inv.by_name("c")

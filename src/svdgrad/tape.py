@@ -14,9 +14,10 @@ sum_singular_values node took in the forward travels beside the values (in
 `values.saved`) for the backward to reuse, never recomputed.
 
 The forward also runs on stacks: inputs bound to (..., m, n) arrays flow
-through every op matrix by matrix, and a loss sums or averages over the whole
-stack. The backward is for 2-D forwards; through an svt or sum_singular_values
-node it raises ValueError on a stacked one.
+through every op matrix by matrix, and a loss gives one value per matrix,
+shaped (...,), each bit-identical to that matrix's own forward. A 2-D forward's
+loss is a float, and the backward starts only from a float loss, so it refuses
+a stacked forward.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class Tape:
         return self._append("mse_loss", (a, b))
 
     def sum_singular_values(self, a: int) -> int:
-        """Nuclear norm of a matrix node (summed over a stack)."""
+        """Nuclear norm of a matrix node (one per matrix of a stack)."""
         return self._append("sum_singular_values", (a,))
 
     # -- evaluation -------------------------------------------------------
@@ -207,6 +208,11 @@ def _svt_vjp(g, args, node, cache, mode):
     return (Abar, taubar)[: len(node.parents)]
 
 
+def _per_matrix(loss):
+    """A loss reduced over each matrix: a float for a 2-D forward, else (...,)."""
+    return float(loss) if loss.ndim == 0 else loss
+
+
 def _l1_loss_vjp(g, args, *_):
     x = args[0]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -215,10 +221,10 @@ def _l1_loss_vjp(g, args, *_):
 
 
 def _mse_loss_forward(args, *_):
-    if args[0].shape != args[1].shape:
-        raise ValueError(f"mse_loss shape mismatch {args[0].shape} vs {args[1].shape}")
-    d = args[0] - args[1]
-    return float(np.mean(np.abs(d) ** 2))
+    a, b = args
+    if a.shape != b.shape and not (min(a.ndim, b.ndim) == 2 and a.shape[-2:] == b.shape[-2:]):
+        raise ValueError(f"mse_loss shape mismatch {a.shape} vs {b.shape}")
+    return _per_matrix(np.mean(np.abs(a - b) ** 2, axis=(-2, -1)))
 
 
 def _mse_loss_vjp(g, args, *_):
@@ -229,7 +235,7 @@ def _mse_loss_vjp(g, args, *_):
 
 def _sum_singular_values_forward(args, node, saved):
     factors = saved[node.idx] = _svd(args[0])
-    return float(factors.s.sum())
+    return _per_matrix(factors.s.sum(axis=-1))
 
 
 def _sum_singular_values_vjp(g, args, node, factors, mode):
@@ -253,7 +259,7 @@ _OPS = {
         lambda g, args, *_: (g * args[1].conj(), g * args[0].conj()),
     ),
     "svt": (_svt_forward, _svt_vjp),
-    "l1_loss": (lambda args, *_: float(np.abs(args[0]).sum()), _l1_loss_vjp),
+    "l1_loss": (lambda args, *_: _per_matrix(np.abs(args[0]).sum(axis=(-2, -1))), _l1_loss_vjp),
     "mse_loss": (_mse_loss_forward, _mse_loss_vjp),
     "sum_singular_values": (_sum_singular_values_forward, _sum_singular_values_vjp),
 }

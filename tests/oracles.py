@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: the SVD is
 a hand-rolled one-sided Jacobi (no LAPACK), and the nuclear-norm prox shrinks
 the Jacobi spectrum directly. The per-item loops at the end are the plain
-forms that vectorized library code must reproduce bit for bit. The last
+forms that vectorized library code must reproduce bit for bit, among them
+the finite-difference loop that perturbs one entry per loss call. The last
 routine assembles the reconstruct-through-SVD gradient by hand from the
 public `svd` and `svd_vjp`; the tape's svt with hard_tail(0) must match it bit
 for bit. The unrolled solvers' reparameterisation is also written out by hand,
@@ -101,6 +102,29 @@ def gauge_fixed_svd_loop(A):
             V[:, j] = V[:, j] * phase
             U[nz[0], j] = abs(lead)
     return U, s, V
+
+
+def finite_difference_loop(loss, at, h=1e-6):
+    """Central differences one entry at a time, `loss` taking one matrix:
+    at[ix] +- d*h for d in 1 (and 1j for complex input), in C order."""
+    is_complex = np.iscomplexobj(at)
+    grad = np.zeros_like(at)
+    it = np.nditer(at, flags=["multi_index"])
+    while not it.finished:
+        ix = it.multi_index
+        parts = []
+        for d in [1.0, 1.0j] if is_complex else [1.0]:
+            plus = at.copy()
+            plus[ix] += d * h
+            minus = at.copy()
+            minus[ix] -= d * h
+            fp, fm = loss(plus), loss(minus)
+            if not (np.isfinite(fp) and np.isfinite(fm)):
+                raise FloatingPointError(f"non-finite loss when perturbing entry {ix}")
+            parts.append((fp - fm) / (2 * h))
+        grad[ix] = parts[0] + 1.0j * parts[1] if is_complex else parts[0]
+        it.iternext()
+    return grad
 
 
 def val_mse_per_sample(config, val_set, positive):

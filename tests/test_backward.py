@@ -14,7 +14,7 @@ from svdgrad import (
 from svdgrad.backward import EQUAL_NONZERO, EQUAL_ZERO, UNEQUAL
 from svdgrad.svt import ThresholdSpec, svt
 
-from oracles import jacobi_svd
+from oracles import finite_difference_loop, jacobi_svd
 
 ALL_MODES = [GradMode.exact(), GradMode.tf(), GradMode.clip(), GradMode.taylor(), GradMode.inv()]
 SAFE_MODES = ALL_MODES[1:]
@@ -253,23 +253,6 @@ def test_vjp_linear_loss_recovers_cotangent():
             )
 
 
-def _fd(loss, A, h=1e-6):
-    g = np.zeros_like(A)
-    it = np.nditer(A, flags=["multi_index"])
-    while not it.finished:
-        ix = it.multi_index
-        parts = []
-        for d in [1.0] if not np.iscomplexobj(A) else [1.0, 1.0j]:
-            plus = A.copy()
-            plus[ix] += d * h
-            minus = A.copy()
-            minus[ix] -= d * h
-            parts.append((loss(plus) - loss(minus)) / (2 * h))
-        g[ix] = parts[0] if not np.iscomplexobj(A) else parts[0] + 1j * parts[1]
-        it.iternext()
-    return g
-
-
 def test_vjp_fd_frobenius_squared():
     rng = np.random.default_rng(15)
     for dtype in [np.float64, np.complex128]:
@@ -278,7 +261,7 @@ def test_vjp_fd_frobenius_squared():
         # d ||A||_F^2 = d sum s_i^2 -> sbar = 2s, and the gradient is 2A
         Abar = svd_vjp(A, f, None, 2 * f.s, None, GradMode.inv())
         assert np.linalg.norm(Abar - 2 * A) <= 1e-10 * np.linalg.norm(A)
-        fd = _fd(lambda X: float(np.sum(np.linalg.svd(X, compute_uv=False) ** 2)), A)
+        fd = finite_difference_loop(lambda X: float(np.sum(np.linalg.svd(X, compute_uv=False) ** 2)), A)
         assert np.linalg.norm(Abar - fd) <= 1e-5 * np.linalg.norm(fd)
 
 
@@ -309,7 +292,7 @@ def test_vjp_fd_svt_l1():
         Ubar = (Bbar @ f.V) * s_hat_d[None, :]
         Vbar = (Bbar.conj().T @ f.U) * s_hat_d[None, :]
         sbar = np.real(np.einsum("ij,ij->j", f.U.conj(), Bbar @ f.V)) * (f.s > 0.5)
-        fd = _fd(loss, A)
+        fd = finite_difference_loop(loss, A)
         for mode in [GradMode.exact(), GradMode.inv()]:
             Abar = svd_vjp(A, f, Ubar, sbar, Vbar, mode)
             rel = np.linalg.norm(Abar - fd) / np.linalg.norm(fd)
@@ -329,7 +312,7 @@ def test_vjp_fd_u_only_loss_real():
         return float(np.sum(W * lib_svd(X).U))
 
     f = svd(A)
-    fd = _fd(loss, A)
+    fd = finite_difference_loop(loss, A)
     Abar = svd_vjp(A, f, W, None, None, GradMode.inv())
     assert np.linalg.norm(Abar - fd) <= 1e-5 * np.linalg.norm(fd)
 
@@ -387,7 +370,7 @@ def test_vjp_gauge_term_complex_reconstruction():
     Ubar = (C @ f.V) * s_hat_d[None, :]
     Vbar = (C.conj().T @ f.U) * s_hat_d[None, :]
     sbar = np.real(np.einsum("ij,ij->j", f.U.conj(), C @ f.V)) * (f.s > tau)
-    fd = _fd(loss, A)
+    fd = finite_difference_loop(loss, A)
     Abar = svd_vjp(A, f, Ubar, sbar, Vbar, GradMode.inv())
     assert np.linalg.norm(Abar - fd) <= 1e-5 * np.linalg.norm(fd)
 

@@ -57,6 +57,22 @@ def test_gradcheck_backward_calls(monkeypatch, capsys):
     assert len(calls) == 8
 
 
+def test_gradcheck_forward_calls(monkeypatch, capsys):
+    # two per check (all finite-difference copies in one stack, then the
+    # point itself); the chain group's parameter c adds its two perturbed values
+    calls = []
+    forward = Tape.forward
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "forward", counting)
+    assert main(["gradcheck", "--checks", "1", "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 10
+
+
 def test_gradcheck_impossible_tolerance_exits_one(capsys):
     # 1e-18 is below central-difference truncation error, so every op
     # must be reported as a violation

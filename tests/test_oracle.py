@@ -5,19 +5,41 @@ import pytest
 
 from svdgrad import GradMode, Tape, ThresholdSpec, finite_difference, reference_gradient
 
+from oracles import finite_difference_loop
 from test_backward import _random
+
+def _gradcheck_group_tapes(n_rows, n_cols, dtype, tau):
+    """The four gradcheck op groups as (tape, loss, bindings besides A)."""
+    tapes = []
+    t = Tape()
+    tapes.append((t, t.sum_singular_values(t.input("A")), {}))
+    t = Tape()
+    loss = t.mse_loss(t.svt(t.input("A"), ThresholdSpec.soft(tau)), t.input("Z"))
+    tapes.append((t, loss, {"Z": np.zeros((n_rows, n_cols), dtype)}))
+    for spec in (ThresholdSpec.soft(tau), ThresholdSpec.hard_tail(2)):
+        t = Tape()
+        tapes.append((t, t.l1_loss(t.svt(t.input("A"), spec)), {}))
+    if n_rows == n_cols:
+        t = Tape()
+        a = t.input("A")
+        s2 = t.sub(t.add(t.matmul(a, t.conj_transpose(a)), t.hadamard(a, a)), a)
+        scaled = t.scale_by_param(t.hadamard(s2, t.input("M")), t.parameter_scalar("c"))
+        mask = (np.arange(n_rows * n_cols).reshape(n_rows, n_cols) % 3 != 0).astype(dtype)
+        tapes.append((t, t.mse_loss(scaled, t.input("Z")),
+                      {"Z": np.zeros((n_rows, n_cols), dtype), "M": mask, "c": 0.7}))
+    return tapes
 
 
 def test_fd_frobenius_squared():
     rng = np.random.default_rng(50)
     A = _random(rng, (4, 5))
-    g = finite_difference(lambda X: float(np.sum(np.abs(X) ** 2)), A)
+    g = finite_difference(lambda X: np.sum(np.abs(X) ** 2, axis=(-2, -1)), A)
     assert np.linalg.norm(g - 2 * A) <= 1e-8 * np.linalg.norm(A)
 
 
 def test_fd_sum_singular_values_diagonal():
     A = np.diag([3.0, 2.0, 1.0])
-    g = finite_difference(lambda X: float(np.linalg.svd(X, compute_uv=False).sum()), A)
+    g = finite_difference(lambda X: np.linalg.svd(X, compute_uv=False).sum(-1), A)
     assert np.linalg.norm(g - np.eye(3)) <= 1e-8
 
 
@@ -26,7 +48,7 @@ def test_fd_complex_assembles_wirtinger_pair():
     A = _random(rng, (3, 4), np.complex128)
     C = _random(rng, (3, 4), np.complex128)
     # L = Re tr(C^H A) has gradient exactly C under the Re-trace convention
-    g = finite_difference(lambda X: float(np.real(np.vdot(C, X))), A)
+    g = finite_difference(lambda X: np.real(np.sum(C.conj() * X, axis=(-2, -1))), A)
     assert np.linalg.norm(g - C) <= 1e-8 * np.linalg.norm(C)
 
 
@@ -38,7 +60,7 @@ def test_fd_error_scales_quadratically():
     A = (q1 * s_target[None, :]) @ q2.T
 
     def loss(X):
-        return float(np.sum(np.linalg.svd(X, compute_uv=False) ** 3))
+        return np.sum(np.linalg.svd(X, compute_uv=False) ** 3, axis=-1)
 
     f = np.linalg.svd(A)
     exact = (f[0] * (3 * f[1] ** 2)[None, :]) @ f[2]
@@ -49,9 +71,7 @@ def test_fd_error_scales_quadratically():
 
 def test_fd_nonfinite_loss_reported_per_entry():
     def loss(X):
-        if X[1, 0] > 0.5:
-            return float("nan")
-        return float(X.sum())
+        return np.where(X[:, 1, 0] > 0.5, np.nan, X.sum(axis=(-2, -1)))
 
     A = np.zeros((2, 2))
     A[1, 0] = 0.5 - 1e-7  # the +h perturbation crosses the failure line
@@ -62,7 +82,45 @@ def test_fd_nonfinite_loss_reported_per_entry():
 
 def test_fd_spec_validation():
     with pytest.raises(ValueError):
-        finite_difference(lambda X: float(X.sum()), np.zeros((2, 2)), h=0.0)
+        finite_difference(lambda X: X.sum(axis=(-2, -1)), np.zeros((2, 2)), h=0.0)
+
+
+def test_fd_rejects_one_loss_for_the_whole_stack():
+    # a loss written for one matrix at a time sums the whole stack of 8
+    with pytest.raises(ValueError, match="8 losses"):
+        finite_difference(lambda X: float(X.sum()), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+def test_stacked_fd_matches_loop(dtype):
+    # one stacked loss call must give the per-entry loop's gradient bit for
+    # bit: the copies are perturbed alike and every per-matrix reduction sums
+    # in the order a lone matrix does, past NumPy's 128-entry pairwise block too
+    rng = np.random.default_rng(56)
+
+    def cubes(X):  # one loss per copy, each reduced over all of its entries
+        return np.sum(np.abs(X) ** 3, axis=tuple(range(1, X.ndim)))
+
+    def nuclear(X):
+        return np.linalg.svd(X, compute_uv=False).sum(-1)
+
+    lone = {cubes: lambda X: float(np.sum(np.abs(X) ** 3)),
+            nuclear: lambda X: float(np.linalg.svd(X, compute_uv=False).sum())}
+    cases = [(cubes, (4, 4)), (cubes, (3, 5)), (cubes, (12, 15)), (cubes, (7,)),
+             (nuclear, (4, 4)), (nuclear, (6, 4)), (nuclear, (12, 15))]
+    for loss, shape in cases:
+        A = _random(rng, shape, dtype)
+        stacked = finite_difference(loss, A)
+        looped = finite_difference_loop(lone[loss], A)
+        assert stacked.dtype == looped.dtype == A.dtype
+        assert stacked.tobytes() == looped.tobytes(), (loss.__name__, shape)
+    for shape in ((5, 5), (6, 4)):
+        A = _random(rng, shape, dtype)
+        tau = float(np.median(np.linalg.svd(A, compute_uv=False)))
+        for t, loss, extra in _gradcheck_group_tapes(*shape, dtype, tau):
+            stacked = finite_difference(lambda X: t.forward({**extra, "A": X})[loss], A)
+            looped = finite_difference_loop(lambda X: t.forward({**extra, "A": X})[loss], A)
+            assert stacked.tobytes() == looped.tobytes(), (t.nodes[loss].op, shape)
 
 
 def test_reference_gradient_diagonal_nuclear():

@@ -8,9 +8,9 @@ import pytest
 from svdgrad import GradMode, ThresholdSpec, kept_mask, svt_vjp
 from svdgrad.svt import SvtCache, svt
 
-from oracles import nuclear_prox
+from oracles import finite_difference_loop, nuclear_prox
 
-from test_backward import _fd, _random
+from test_backward import _random
 
 
 def test_svt_submodule_not_shadowed():
@@ -131,7 +131,7 @@ def test_vjp_fd_soft_sum_and_tau():
     cache = SvtCache(A, factors, s_hat, spec)
     Bbar = np.ones_like(A)
     Abar, taubar = svt_vjp(Bbar, cache, GradMode.inv())
-    fd = _fd(loss, A)
+    fd = finite_difference_loop(loss, A)
     assert np.linalg.norm(Abar - fd) <= 1e-6 * max(np.linalg.norm(fd), 1.0)
 
     h = 1e-6
@@ -160,7 +160,7 @@ def test_vjp_fd_hard_tail_l1():
             Bbar = np.where(B == 0, 0, B / np.abs(B)).astype(dtype)
         Abar, taubar = svt_vjp(Bbar, cache, GradMode.inv())
         assert taubar == 0.0
-        fd = _fd(loss, A)
+        fd = finite_difference_loop(loss, A)
         assert np.linalg.norm(Abar - fd) <= 1e-5 * np.linalg.norm(fd), dtype
 
 

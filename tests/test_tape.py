@@ -1,12 +1,14 @@
 """Reverse-mode tape: forward semantics, VJP rules, graph invariants."""
 
+import re
+
 import numpy as np
 import pytest
 
 from svdgrad import GradMode, Tape, ThresholdSpec
 
-from oracles import soft_threshold_loss_straightline
-from test_backward import _fd, _random
+from oracles import finite_difference_loop, soft_threshold_loss_straightline
+from test_backward import _random
 
 
 def test_l1_forward():
@@ -77,9 +79,9 @@ def test_backward_matches_fd_without_svd():
     binds = {"A": A0, "B": B0, "p": 0.7, "Z": np.zeros((4, 4)), "M": mask.astype(A0.dtype)}
     values = t.forward(binds)
     g = t.backward(values, loss, GradMode.inv())
-    fd_a = _fd(lambda X: t.forward({**binds, "A": X})[loss], A0, h=1e-7)
+    fd_a = finite_difference_loop(lambda X: t.forward({**binds, "A": X})[loss], A0, h=1e-7)
     assert np.linalg.norm(g.by_name("A") - fd_a) <= 1e-7 * np.linalg.norm(fd_a)
-    fd_b = _fd(lambda X: t.forward({**binds, "B": X})[loss], B0, h=1e-7)
+    fd_b = finite_difference_loop(lambda X: t.forward({**binds, "B": X})[loss], B0, h=1e-7)
     assert np.linalg.norm(g.by_name("B") - fd_b) <= 1e-7 * np.linalg.norm(fd_b)
     h = 1e-7
     fd_p = (t.forward({**binds, "p": 0.7 + h})[loss] - t.forward({**binds, "p": 0.7 - h})[loss]) / (2 * h)
@@ -98,7 +100,7 @@ def test_backward_matches_fd_soft_svt_mse():
     binds = {"A": A0, "Z": np.zeros((5, 5))}
     values = t.forward(binds)
     g = t.backward(values, loss, GradMode.inv())
-    fd = _fd(lambda X: t.forward({**binds, "A": X})[loss], A0)
+    fd = finite_difference_loop(lambda X: t.forward({**binds, "A": X})[loss], A0)
     assert np.linalg.norm(g.by_name("A") - fd) <= 1e-5 * np.linalg.norm(fd)
 
 
@@ -117,7 +119,7 @@ def test_backward_matches_fd_svt_tau_param():
     h = 1e-6
     fd_tau = (t.forward({**binds, "tau": tau0 + h})[loss] - t.forward({**binds, "tau": tau0 - h})[loss]) / (2 * h)
     assert g.by_name("tau") == pytest.approx(fd_tau, rel=1e-5)
-    fd_a = _fd(lambda X: t.forward({**binds, "A": X})[loss], A0)
+    fd_a = finite_difference_loop(lambda X: t.forward({**binds, "A": X})[loss], A0)
     assert np.linalg.norm(g.by_name("A") - fd_a) <= 1e-5 * np.linalg.norm(fd_a)
 
 
@@ -210,9 +212,25 @@ def test_stacked_forward_runs_and_backward_refuses():
         values = run(np.stack(mats))
         per_matrix = [run(A)[b] for A in mats]
         assert values[b].tobytes() == np.stack(per_matrix).tobytes()
-        assert values[loss] == pytest.approx(sum(run(A)[loss] for A in mats), rel=1e-14)
+        assert values[loss].tobytes() == np.array([run(A)[loss] for A in mats]).tobytes()
         with pytest.raises(ValueError):
             t.backward(values, loss, GradMode.inv())
+
+
+def test_mse_loss_broadcasts_a_matrix_against_a_stack():
+    rng = np.random.default_rng(20)
+    stack = _random(rng, (3, 4, 5))
+    target = _random(rng, (4, 5))
+    t = Tape()
+    loss = t.mse_loss(t.input("X"), t.input("Z"))
+    per_matrix = [t.forward({"X": X, "Z": target})[loss] for X in stack]
+    for binds in ({"X": stack, "Z": target}, {"X": target, "Z": stack}):
+        values = t.forward(binds)
+        assert values[loss].shape == (3,)
+        assert values[loss].tobytes() == np.array(per_matrix).tobytes()
+    for bad in (np.zeros((5, 4)), np.zeros((2, 4, 5)), np.zeros((3, 4, 4))):
+        with pytest.raises(ValueError, match=re.escape(f"{stack.shape} vs {bad.shape}")):
+            t.forward({"X": stack, "Z": bad})
 
 
 def test_construction_errors():
@@ -243,5 +261,5 @@ def test_multiple_consumers_of_one_svd():
     binds = {"A": A0, "Z": 0.5 * A0}
     values = t.forward(binds)
     g = t.backward(values, loss, GradMode.inv())
-    fd = _fd(lambda X: t.forward({**binds, "A": X})[loss], A0)
+    fd = finite_difference_loop(lambda X: t.forward({**binds, "A": X})[loss], A0)
     assert np.linalg.norm(g.by_name("A") - fd) <= 1e-5 * np.linalg.norm(fd)
