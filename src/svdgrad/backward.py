@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ensure_matrix, real_dtype_of
+from .linalg import _ct, ensure_matrix, real_dtype_of
 
 __all__ = [
     "EQUAL_NONZERO",
@@ -190,7 +190,10 @@ def _clamp_nonfinite(x: np.ndarray, clamp: float) -> np.ndarray:
 
 
 def build_aux(s, mode: GradMode, dtype=None) -> AuxMatrices:
-    """Construct F, FS, T, s_pinv for one backward mode.
+    """Construct F, FS, T, s_pinv of one spectrum for one backward mode.
+
+    s is one spectrum, never a stack: `svd_vjp` calls this once per matrix
+    of a stack.
 
     Arithmetic runs in `dtype` (default: the dtype of `s`), so a float32
     benchmark faithfully reproduces float32 gap rounding. F and FS are formed
@@ -277,6 +280,29 @@ def _taylor_relative(s: np.ndarray, scale, K: int) -> np.ndarray:
     return np.where(hi > lo, series / (h * h), 0) * sgn
 
 
+def _diag(v: np.ndarray) -> np.ndarray:
+    """Matrices with v (..., k) on the diagonal and exact zeros elsewhere."""
+    k = v.shape[-1]
+    out = np.zeros((*v.shape, k), dtype=v.dtype)
+    out[..., np.arange(k), np.arange(k)] = v
+    return out
+
+
+def _stacked_aux(s: np.ndarray, mode: GradMode, rdt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """FS, T and s_pinv of every spectrum of the (..., k) stack s, from one
+    build_aux call per spectrum; one spectrum's arrays are used as built,
+    which spares a lone matrix's backward the copies."""
+    if s.ndim == 1:
+        aux = build_aux(s, mode, dtype=rdt)
+        return aux.FS, aux.T, aux.s_pinv
+    k = s.shape[-1]
+    auxes = [build_aux(si, mode, dtype=rdt) for si in s.reshape(-1, k)]
+    FS = np.stack([a.FS for a in auxes]).reshape(*s.shape, k)
+    T = np.stack([a.T for a in auxes]).reshape(*s.shape, k)
+    s_pinv = np.stack([a.s_pinv for a in auxes]).reshape(s.shape)
+    return FS, T, s_pinv
+
+
 def svd_vjp(A, factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
     """Pull factor cotangents (Ubar, sbar, Vbar) back to the input matrix.
 
@@ -296,40 +322,51 @@ def svd_vjp(A, factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
     reads the factors only through a reconstruction). Mode `exact` may return
     non-finite entries (propagated, never masked); every other mode returns
     finite output for finite input.
+
+    A may be a (..., m, n) stack with factors and cotangents carrying the
+    same leading axes; each matrix's gradient is bit-identical to its own
+    2-D call. `build_aux` runs once per spectrum of the stack.
     """
-    A = ensure_matrix(A, "A")
-    m, n = A.shape
+    A = ensure_matrix(A, "A", stack=True)
+    *stack, m, n = A.shape
     U, s, V = factors.U, factors.s, factors.V
-    k = s.shape[0]
+    k = s.shape[-1]
     rdt = real_dtype_of(A.dtype)
 
-    Ubar = ensure_matrix(Ubar, "Ubar") if Ubar is not None else np.zeros((m, k), dtype=A.dtype)
-    Vbar = ensure_matrix(Vbar, "Vbar") if Vbar is not None else np.zeros((n, k), dtype=A.dtype)
-    sbar = np.zeros(k, dtype=rdt) if sbar is None else np.asarray(sbar)
-    if Ubar.shape != (m, k) or Vbar.shape != (n, k) or sbar.shape != (k,):
+    if Ubar is None:
+        Ubar = np.zeros((*stack, m, k), dtype=A.dtype)
+    if Vbar is None:
+        Vbar = np.zeros((*stack, n, k), dtype=A.dtype)
+    Ubar = ensure_matrix(Ubar, "Ubar", stack=True)
+    Vbar = ensure_matrix(Vbar, "Vbar", stack=True)
+    sbar = np.zeros((*stack, k), dtype=rdt) if sbar is None else np.asarray(sbar)
+    if (Ubar.shape, sbar.shape, Vbar.shape) != ((*stack, m, k), (*stack, k), (*stack, n, k)):
         raise ValueError(
             f"cotangent shapes {Ubar.shape}/{sbar.shape}/{Vbar.shape} do not "
-            f"conform to factors of a {m}x{n} matrix"
+            f"conform to factors of a {A.shape} input"
         )
 
-    aux = build_aux(s, mode, dtype=rdt)
-    FS = aux.FS.astype(A.dtype, copy=False)
-    T = aux.T.astype(A.dtype, copy=False)
-    s_pinv = aux.s_pinv.astype(A.dtype, copy=False)
+    FS, T, s_pinv_r = _stacked_aux(s, mode, rdt)
+    FS = FS.astype(A.dtype, copy=False)
+    T = T.astype(A.dtype, copy=False)
+    s_pinv = s_pinv_r.astype(A.dtype, copy=False)[..., None, :]
 
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        P = U.conj().T @ Ubar                     # U^H Ubar
-        Q = V.conj().T @ Vbar                     # V^H Vbar
-        br_u = P - P.conj().T
-        br_v = Q - Q.conj().T
+        P = _ct(U) @ Ubar                         # U^H Ubar
+        Q = _ct(V) @ Vbar                         # V^H Vbar
+        br_u = P - _ct(P)
+        br_v = Q - _ct(Q)
         core = FS * br_u                          # (F o br_u) S
         core = core + T * P
-        core = core + np.diag(np.real(sbar).astype(rdt, copy=False)).astype(A.dtype)
-        core = core - FS.T * br_v                 # S (F o br_v)
+        core = core + _diag(np.real(sbar).astype(rdt, copy=False)).astype(A.dtype)
+        core = core - FS.swapaxes(-1, -2) * br_v  # S (F o br_v)
         if np.iscomplexobj(A):
-            gauge = 0.5 * (np.imag(np.diag(P)) - np.imag(np.diag(Q)))
-            core = core + 1j * np.diag(gauge * aux.s_pinv).astype(A.dtype)
-        Abar = U @ core @ V.conj().T
-        Abar = Abar + ((Ubar - U @ P) * s_pinv[None, :]) @ V.conj().T
-        Abar = Abar + (U * s_pinv[None, :]) @ (Vbar - V @ Q).conj().T
+            diag_p = np.diagonal(P, axis1=-2, axis2=-1)
+            diag_q = np.diagonal(Q, axis1=-2, axis2=-1)
+            gauge = 0.5 * (np.imag(diag_p) - np.imag(diag_q))
+            core = core + 1j * _diag(gauge * s_pinv_r).astype(A.dtype)
+        Vh = _ct(V)
+        Abar = U @ core @ Vh
+        Abar = Abar + ((Ubar - U @ P) * s_pinv) @ Vh
+        Abar = Abar + (U * s_pinv) @ _ct(Vbar - V @ Q)
     return Abar

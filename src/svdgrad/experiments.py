@@ -7,7 +7,8 @@ duplicate singular-value pair (relative gap 1e-15) at scales 1e-10 (case 1)
 and 1e-18 (case 2). Workflows: 1 reconstruct + L1, 2 hard-threshold the two
 trailing values + L1, 3 soft-threshold chosen so the two trailing values
 vanish + L1. All modes share one cached forward per trial; only backward
-differs.
+differs. Each cell runs as one stack: one float32 forward and one backward
+per mode serve all of its trials.
 
 The completion demos unroll ADMM / proximal gradient descent over the tape
 with per-iteration learnable positive scalars and train them with Adam.
@@ -80,26 +81,45 @@ class Scenario:
             raise ValueError("size must allow at least 3 singular values")
 
 
-def _haar(n: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
+def _haar(G: np.ndarray) -> np.ndarray:
+    """Haar orthogonal factors from a (..., n, n) stack of Gaussian draws."""
+    q, r = np.linalg.qr(G)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _scenario_parts(spec: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Double-precision matrix and its designed spectrum (generated order)."""
-    rng = _rng(spec.seed)
-    m, n = spec.size
+def _scenario_parts(specs) -> tuple[np.ndarray, np.ndarray]:
+    """Double-precision matrix and its designed spectrum (generated order)
+    of one Scenario, or of a sequence of N scenarios sharing one size and
+    basis stacked as (N, m, n) and (N, k).
+
+    Each scenario draws from its own Philox stream, in the order one
+    scenario alone would; the Haar QRs and the products run as stacks, each
+    matrix bit-identical to generating it alone.
+    """
+    one = isinstance(specs, Scenario)
+    if one:
+        specs = [specs]
+    size, basis = specs[0].size, specs[0].basis
+    if any((spec.size, spec.basis) != (size, basis) for spec in specs):
+        raise ValueError("stacked scenarios must share one size and basis")
+    m, n = size
     k = min(m, n)
-    scale = _CASE_SCALES[spec.case]
-    sigma0 = abs(rng.standard_normal()) * scale
-    sigma1 = sigma0 + sigma0 * 1e-15
-    rest = np.abs(rng.standard_normal(k - 2)) * scale
-    s = np.concatenate([[sigma0, sigma1], rest])
-    A = np.zeros((m, n), dtype=np.float64)
-    A[:k, :k] = np.diag(s)
-    if spec.basis == "rotated":
-        A = _haar(m, rng) @ A @ _haar(n, rng).T
-    return A, s
+    s = np.empty((len(specs), k))
+    draws = []
+    for i, spec in enumerate(specs):
+        rng = _rng(spec.seed)
+        scale = _CASE_SCALES[spec.case]
+        sigma0 = abs(rng.standard_normal()) * scale
+        s[i, :2] = sigma0, sigma0 + sigma0 * 1e-15
+        s[i, 2:] = np.abs(rng.standard_normal(k - 2)) * scale
+        if basis == "rotated":
+            draws.append((rng.standard_normal((m, m)), rng.standard_normal((n, n))))
+    A = np.zeros((len(specs), m, n), dtype=np.float64)
+    A[:, np.arange(k), np.arange(k)] = s
+    if basis == "rotated":
+        left, right = (np.stack(side) for side in zip(*draws))
+        A = _haar(left) @ A @ _haar(right).swapaxes(-1, -2)
+    return (A[0], s[0]) if one else (A, s)
 
 
 def generate_scenario(spec: Scenario) -> np.ndarray:
@@ -122,10 +142,11 @@ def _workflow_tape(workflow: int) -> tuple[Tape, int]:
     return t, t.l1_loss(b)
 
 
-def _workflow_tau(s: np.ndarray) -> float:
-    """Soft threshold that zeroes exactly the two smallest singular values."""
-    sd = np.sort(s)[::-1]
-    return float((sd[-2] + sd[-3]) / 2)
+def _workflow_tau(s: np.ndarray) -> np.ndarray:
+    """Soft threshold that zeroes exactly the two smallest singular values,
+    one per spectrum of the (..., k) stack s."""
+    sd = np.sort(s, axis=-1)
+    return (sd[..., 1] + sd[..., 2]) / 2
 
 
 @dataclass
@@ -190,20 +211,31 @@ def _normalize_modes(modes) -> list[GradMode]:
     return out
 
 
-def _efficacy_trial(solver, master: int, case: int, workflow: int, trial: int, size, basis: str, modes):
-    """One paired trial on the cell's (workflow tape, loss node): (per-mode
-    (sumsq, meansq) errors, attempts used)."""
+def _efficacy_cell(solver, case: int, workflow: int, keys, size, basis: str, modes):
+    """All paired trials of one (case, workflow) cell as one stack, on the
+    cell's (workflow tape, loss node).
+
+    keys lists each trial's (master seed, trial index). Returns the squared
+    gradient errors, shaped (mode, trial), and the attempts each trial used.
+    A trial whose reference is invalid is regenerated with an incremented
+    sub-seed; each round generates, cut-tests and references only the trials
+    still invalid, each as one stack.
+    """
     tape, loss = solver
-    attempt = 0
-    while True:
-        spec = Scenario(
-            case=case,
-            seed=(master, case, workflow, trial, attempt),
-            size=size,
-            basis=basis,
-        )
-        A64, svals = _scenario_parts(spec)
-        valid = True
+    m, n = size
+    A64 = np.empty((len(keys), m, n))
+    svals = np.empty((len(keys), min(m, n)))
+    Aref = np.empty_like(A64)
+    attempts = np.zeros(len(keys), dtype=int)
+    pending = np.arange(len(keys))
+    while pending.size:
+        specs = [
+            Scenario(case=case, seed=(keys[i][0], case, workflow, keys[i][1], int(attempts[i])),
+                     size=size, basis=basis)
+            for i in pending
+        ]
+        A, s = _scenario_parts(specs)
+        valid = np.ones(len(pending), dtype=bool)
         if workflow == 2:
             # hard_tail(2) cuts the spectrum between the third- and
             # second-smallest values. When that boundary splits a pair the
@@ -213,30 +245,33 @@ def _efficacy_trial(solver, master: int, case: int, workflow: int, trial: int, s
             # every bounded safeguard stays O(1), and the trial only measures
             # that common unrepresentable spike. Such a reference is invalid
             # for scoring and the trial is regenerated like a non-finite one.
-            sd = np.linalg.svd(A64, compute_uv=False)
-            a2, b2 = sd[-3] ** 2, sd[-2] ** 2
+            # The spectrum comes from its own LAPACK call without vectors: it
+            # may differ in the last bit from the reference forward's.
+            sd = np.linalg.svd(A, compute_uv=False)
+            a2, b2 = sd[:, -3] ** 2, sd[:, -2] ** 2
             valid = a2 - b2 >= np.finfo(np.float32).eps * a2
-        if valid:
+        if valid.any():
             # only the workflow-3 tape has a `tau` node; the others ignore it
-            bindings = {"A": A64, "tau": _workflow_tau(svals)}
+            bindings = {"A": A[valid], "tau": _workflow_tau(s[valid])}
             ref, ok = reference_gradient(tape, bindings, loss)
-            if ok:
-                break
-        attempt += 1
-        if attempt > 200:
+            done = pending[valid][ok]
+            A64[done], svals[done] = A[valid][ok], s[valid][ok]
+            Aref[done] = ref.by_name("A")[ok]
+            valid[valid] = ok
+        pending = pending[~valid]
+        attempts[pending] += 1
+        if pending.size and attempts[pending[0]] > 200:
+            master, trial = keys[pending[0]]
             raise RuntimeError(
-                f"reference stayed invalid after {attempt} regenerations "
+                f"reference stayed invalid after {attempts[pending[0]]} regenerations "
                 f"(case {case}, workflow {workflow}, trial {trial})"
             )
-    Aref = ref.by_name("A")
-    values32 = tape.forward({**bindings, "A": A64.astype(np.float32)})
-    per_mode = []
-    for mode in modes:
-        g = tape.backward(values32, loss, mode)
-        diff = g.by_name("A").astype(np.float64) - Aref
-        sumsq = float(np.sum(diff * diff))
-        per_mode.append((sumsq, sumsq / diff.size))
-    return per_mode, attempt
+    values32 = tape.forward({"A": A64.astype(np.float32), "tau": _workflow_tau(svals)})
+    sumsq = np.empty((len(modes), len(keys)))
+    for j, mode in enumerate(modes):
+        diff = tape.backward(values32, loss, mode).by_name("A").astype(np.float64) - Aref
+        sumsq[j] = np.sum(diff * diff, axis=(-2, -1))
+    return sumsq, attempts
 
 
 def run_efficacy(
@@ -254,7 +289,11 @@ def run_efficacy(
     double-precision gradient as reference (regenerating with an incremented
     sub-seed when the reference itself is non-finite), runs the forward once
     in single precision, and accumulates each mode's squared gradient error.
-    Reports are bit-reproducible for a fixed configuration.
+    Each (case, workflow) cell runs its len(seeds) * n_trials trials as one
+    stack: one Tape.backward per mode, plus one per regeneration round of the
+    reference. The per-trial errors are added in (seed, trial) order, so the
+    report is bit-identical to scoring the trials one at a time, and
+    bit-reproducible for a fixed configuration.
     """
     modes = _normalize_modes(modes)
     if n_trials < 1:
@@ -267,22 +306,19 @@ def run_efficacy(
             raise ValueError(f"{label} must not be empty")
     if min(seeds) < 0:
         raise ValueError("seeds must be >= 0")
+    keys = [(master, trial) for master in seeds for trial in range(n_trials)]
     cells: list[CellStats] = []
     for case in cases:
         for workflow in workflows:
             solver = _workflow_tape(workflow)
+            sumsq, attempts = _efficacy_cell(solver, case, workflow, keys, size, basis, modes)
             sums = [0.0] * len(modes)
             means = [0.0] * len(modes)
-            invalid = 0
-            for master in seeds:
-                for trial in range(n_trials):
-                    per_mode, attempts = _efficacy_trial(
-                        solver, master, case, workflow, trial, size, basis, modes
-                    )
-                    invalid += attempts
-                    for i, (sumsq, meansq) in enumerate(per_mode):
-                        sums[i] += sumsq
-                        means[i] += meansq
+            for i in range(len(modes)):
+                for trial_sumsq in sumsq[i].tolist():
+                    sums[i] += trial_sumsq
+                    means[i] += trial_sumsq / (size[0] * size[1])
+            invalid = int(attempts.sum())
             for i, mode in enumerate(modes):
                 t, clamp = mode.stability.resolve(np.float32)
                 cells.append(

@@ -59,6 +59,12 @@ def conj_transpose(A) -> np.ndarray:
     return A.conj().T.copy()
 
 
+def _ct(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack (a view
+    for real input)."""
+    return x.conj().swapaxes(-1, -2)
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """Economy SVD triple A = U diag(s) V^H.
@@ -80,7 +86,7 @@ class SvdFactors:
     def reconstruct(self, s_override: np.ndarray | None = None) -> np.ndarray:
         """U diag(s) V^H, optionally with a replacement singular-value vector."""
         s = self.s if s_override is None else np.asarray(s_override)
-        return (self.U * s[..., None, :].astype(self.U.dtype)) @ self.V.conj().swapaxes(-1, -2)
+        return (self.U * s[..., None, :].astype(self.U.dtype)) @ _ct(self.V)
 
 
 def svd(A) -> SvdFactors:
@@ -97,7 +103,7 @@ def svd(A) -> SvdFactors:
     if not np.isfinite(A).all():
         raise NonFiniteError("A contains non-finite entries")
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    U, V = _fix_gauge(U, Vh.conj().swapaxes(-1, -2))
+    U, V = _fix_gauge(U, _ct(Vh))
     return SvdFactors(U=U, s=s.astype(real_dtype_of(A.dtype), copy=False), V=V)
 
 

@@ -26,12 +26,17 @@ _TO_DOUBLE = {
 }
 
 
-def reference_gradient(tape: Tape, bindings: dict, loss: int) -> tuple[GradientSet, bool]:
+def reference_gradient(tape: Tape, bindings: dict, loss: int) -> tuple[GradientSet, bool | np.ndarray]:
     """Forward+backward in float64 with the exact mode.
 
     Returns (gradients, ok). ok is False when any cotangent is non-finite,
     which marks the trial invalid for benchmark purposes; the gradients are
     returned as computed either way, never silently substituted.
+
+    Bound to stacks, the tape gives every matrix its own gradient, and ok is
+    a bool array shaped like the stack: matrix i is ok when every cotangent
+    of its own is finite, together with every cotangent the stack shares (a
+    float parameter's, or a 2-D input's bound once for all matrices).
     """
     promoted = {}
     for name, val in bindings.items():
@@ -42,7 +47,13 @@ def reference_gradient(tape: Tape, bindings: dict, loss: int) -> tuple[GradientS
             promoted[name] = arr.astype(_TO_DOUBLE[arr.dtype], copy=False)
     values = tape.forward(promoted)
     grads = tape.backward(values, loss, GradMode.exact())
-    return grads, grads.all_finite()
+    stack = np.shape(values[loss])
+    ok = np.ones(stack, dtype=bool)
+    for idx, g in grads.cotangents.items():
+        finite = np.isfinite(np.asarray(g))
+        own = finite.ndim == len(stack) + (0 if tape.is_scalar(idx) else 2)
+        ok &= finite.reshape(*stack, -1).all(axis=-1) if own else finite.all()
+    return grads, bool(ok) if ok.ndim == 0 else ok
 
 
 def finite_difference(loss_fn, at, *, h: float = 1e-6) -> np.ndarray:
@@ -66,8 +77,11 @@ def finite_difference(loss_fn, at, *, h: float = 1e-6) -> np.ndarray:
     stack[...] = flat
     diag = np.arange(at.size)
     for i, d in enumerate(deltas):
-        stack[i, 0, diag, diag] = flat + d * h
-        stack[i, 1, diag, diag] = flat - d * h
+        # the step as a scalar of at's dtype, so each perturbed entry rounds
+        # once, in that dtype, under NumPy 1.x promotion as under 2.x
+        step = at.dtype.type(d * h)
+        stack[i, 0, diag, diag] = flat + step
+        stack[i, 1, diag, diag] = flat - step
     n = 2 * len(deltas) * at.size
     f = np.asarray(loss_fn(stack.reshape(n, *at.shape)), dtype=np.float64)
     if f.shape != (n,):

@@ -7,17 +7,21 @@ per `backward` call, so one cached forward can be differentiated under
 several modes — the paired design the gradient benchmarks rely on.
 
 Complex convention throughout: dL = Re tr(cot^H dX) for a real scalar loss.
-Parameters are real scalars only.
+A parameter is a real scalar, or one real value per matrix of a stack.
 
 Every node's value is an array or a real scalar; the SVD an svt or
 sum_singular_values node took in the forward travels beside the values (in
 `values.saved`) for the backward to reuse, never recomputed.
 
-The forward also runs on stacks: inputs bound to (..., m, n) arrays flow
-through every op matrix by matrix, and a loss gives one value per matrix,
-shaped (...,), each bit-identical to that matrix's own forward. A 2-D forward's
-loss is a float, and the backward starts only from a float loss, so it refuses
-a stacked forward.
+Forward and backward also run on stacks: inputs bound to (..., m, n) arrays
+flow through every op matrix by matrix, and a loss gives one value per
+matrix, shaped (...,), each bit-identical to that matrix's own forward. A 2-D
+forward's loss is a float. The backward of a stacked loss seeds it with ones,
+so it differentiates the sum of the per-matrix losses: every per-matrix
+cotangent is that matrix's own gradient, bit for bit. A cotangent is summed
+down to its parent's shape: a parameter bound to a float, or an input bound
+to one 2-D matrix shared by the stack, gets the sum over the stack, while a
+parameter bound to an array shaped like the stack gets one value per matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backward import GradMode, svd_vjp
-from .linalg import ensure_matrix, real_dtype_of, svd as _svd
+from .linalg import _ct, ensure_matrix, real_dtype_of, svd as _svd
 from .svt import SvtCache, ThresholdSpec, svt as _svt, svt_vjp
 
 __all__ = ["GradientSet", "Node", "Tape"]
@@ -124,6 +128,14 @@ class Tape:
         """Nuclear norm of a matrix node (one per matrix of a stack)."""
         return self._append("sum_singular_values", (a,))
 
+    def is_scalar(self, idx: int) -> bool:
+        """Whether node idx gives one real value per matrix (a float for a
+        2-D forward): a parameter, a loss, or a sum or difference of those."""
+        node = self.nodes[idx]
+        if node.op in ("add", "sub"):
+            return all(self.is_scalar(p) for p in node.parents)
+        return node.op in _SCALAR_OPS
+
     # -- evaluation -------------------------------------------------------
 
     def forward(self, bindings: dict[str, object]) -> _Values:
@@ -140,10 +152,14 @@ class Tape:
         return values
 
     def backward(self, values: _Values, loss: int, mode: GradMode) -> GradientSet:
-        """Reverse accumulation from `loss` (a real scalar node) down to leaves."""
-        if not isinstance(values[loss], float):
+        """Reverse accumulation from `loss` (a real scalar node) down to leaves.
+
+        A stacked loss is seeded with ones, and each cotangent is summed down
+        to its parent's shape (see the module docstring)."""
+        if not self.is_scalar(loss):
             raise ValueError("loss node must evaluate to a real scalar")
-        cot: dict[int, object] = {loss: 1.0}
+        stacked = np.ndim(values[loss]) > 0
+        cot: dict[int, object] = {loss: np.ones(np.shape(values[loss])) if stacked else 1.0}
         nonfinite: list[int] = []
         for node in reversed(self.nodes):
             g = cot.get(node.idx)
@@ -157,6 +173,8 @@ class Tape:
             parent_cots = _OPS[node.op][1](g, args, node, values.saved.get(node.idx), mode)
             for p, gp in zip(node.parents, parent_cots):
                 if gp is not None:
+                    if stacked:
+                        gp = _sum_to(gp, values[p])
                     cot[p] = gp if p not in cot else cot[p] + gp
         return GradientSet(cotangents=cot, names=dict(self.names), nonfinite_nodes=nonfinite)
 
@@ -178,22 +196,50 @@ class _Values(list):
 # cotangent per parent, None for no contribution.
 
 
+_SCALAR_OPS = ("parameter_scalar", "l1_loss", "mse_loss", "sum_singular_values")
+
+
 def _all_finite(g) -> bool:
     return bool(np.isfinite(np.asarray(g)).all())
 
 
-def _ct(x: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return x.conj().swapaxes(-1, -2)
+def _sum_to(g, like):
+    """g summed over the axes it broadcast along against `like`, a parent's
+    value: the leading stack axes `like` lacks, and its axes of length 1. A
+    float parent gets a float."""
+    shape = np.shape(like)
+    if np.shape(g) == shape:
+        return g
+    lead = np.ndim(g) - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
+    g = np.sum(g, axis=axes).reshape(shape)
+    return float(g) if isinstance(like, float) else g
+
+
+def _real_scalar(x):
+    """A real value per matrix as a float (one matrix) or a float64 array;
+    also a parameter's value from its binding."""
+    if isinstance(x, np.ndarray) and x.ndim:
+        return x.astype(np.float64, copy=False)
+    return float(x)
+
+
+def _per_matrix_factor(c, x: np.ndarray) -> np.ndarray:
+    """A scalar or one value per matrix, in x's real dtype, shaped to
+    broadcast against the (..., m, n) matrices."""
+    return np.asarray(c, dtype=real_dtype_of(x.dtype))[..., None, None]
 
 
 def _scale_by_param_forward(args, *_):
-    return np.asarray(args[1], dtype=real_dtype_of(args[0].dtype)) * args[0]
+    return _per_matrix_factor(args[1], args[0]) * args[0]
 
 
 def _scale_by_param_vjp(g, args, *_):
-    c = np.asarray(args[1], dtype=real_dtype_of(args[0].dtype))
-    return c * g, float(np.real(np.vdot(args[0], g)))
+    x = args[0]
+    # per matrix, Re <x, g> as a 1 x mn by mn x 1 product, which rounds as
+    # np.vdot does on one matrix
+    dot = x.reshape(x.shape[:-2] + (1, -1)).conj() @ g.reshape(g.shape[:-2] + (-1, 1))
+    return _per_matrix_factor(args[1], x) * g, _real_scalar(dot.real[..., 0, 0])
 
 
 def _svt_forward(args, node, saved):
@@ -217,7 +263,7 @@ def _l1_loss_vjp(g, args, *_):
     x = args[0]
     with np.errstate(invalid="ignore", divide="ignore"):
         sgn = np.where(x == 0, np.asarray(0, dtype=x.dtype), x / np.abs(x))
-    return (np.asarray(g, dtype=real_dtype_of(x.dtype)) * sgn,)
+    return (_per_matrix_factor(g, x) * sgn,)
 
 
 def _mse_loss_forward(args, *_):
@@ -229,7 +275,7 @@ def _mse_loss_forward(args, *_):
 
 def _mse_loss_vjp(g, args, *_):
     d = args[0] - args[1]
-    scale = np.asarray(2.0 * g / d.size, dtype=real_dtype_of(d.dtype))
+    scale = _per_matrix_factor(2.0 * g / (d.shape[-2] * d.shape[-1]), d)
     return scale * d, -scale * d
 
 
@@ -240,12 +286,13 @@ def _sum_singular_values_forward(args, node, saved):
 
 def _sum_singular_values_vjp(g, args, node, factors, mode):
     s = factors.s
-    return (svd_vjp(args[0], factors, None, np.full(s.shape, g, dtype=s.dtype), None, mode),)
+    sbar = np.broadcast_to(np.asarray(g, dtype=s.dtype)[..., None], s.shape)
+    return (svd_vjp(args[0], factors, None, sbar, None, mode),)
 
 
 _OPS = {
     "input": (lambda args, node, _: ensure_matrix(args[0], node.name, stack=True), None),
-    "parameter_scalar": (lambda args, *_: float(args[0]), None),
+    "parameter_scalar": (lambda args, *_: _real_scalar(args[0]), None),
     "matmul": (
         lambda args, *_: args[0] @ args[1],
         lambda g, args, *_: (g @ _ct(args[1]), _ct(args[0]) @ g),

@@ -14,8 +14,17 @@ Slow is fine; these run on small matrices only.
 
 import numpy as np
 
-from svdgrad import svd, svd_vjp, unrolled_forward
-from svdgrad.experiments import _dtype_of
+from svdgrad import reference_gradient, svd, svd_vjp, unrolled_forward
+from svdgrad.experiments import (
+    _CASE_SCALES,
+    CellStats,
+    EfficacyReport,
+    Scenario,
+    _dtype_of,
+    _normalize_modes,
+    _rng,
+    _workflow_tape,
+)
 
 
 def jacobi_svd(A, tol=1e-14, max_sweeps=60):
@@ -114,10 +123,11 @@ def finite_difference_loop(loss, at, h=1e-6):
         ix = it.multi_index
         parts = []
         for d in [1.0, 1.0j] if is_complex else [1.0]:
+            step = at.dtype.type(d * h)
             plus = at.copy()
-            plus[ix] += d * h
+            plus[ix] += step
             minus = at.copy()
-            minus[ix] -= d * h
+            minus[ix] -= step
             fp, fm = loss(plus), loss(minus)
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise FloatingPointError(f"non-finite loss when perturbing entry {ix}")
@@ -180,3 +190,92 @@ def theta_grads(config, bound, tape_grads):
         else:
             g[f"rho_{i}"] = dtau * tau + tape_grads.get(f"rho_{i}", 0.0) * bound[f"rho_{i}"]
     return g
+
+
+def scenario_parts_per_trial(spec):
+    """One scenario's double-precision matrix and designed spectrum, drawn
+    and rotated as a lone 2-D matrix (the batched generator's reference)."""
+    rng = _rng(spec.seed)
+    m, n = spec.size
+    k = min(m, n)
+    scale = _CASE_SCALES[spec.case]
+    sigma0 = abs(rng.standard_normal()) * scale
+    sigma1 = sigma0 + sigma0 * 1e-15
+    rest = np.abs(rng.standard_normal(k - 2)) * scale
+    s = np.concatenate([[sigma0, sigma1], rest])
+    A = np.zeros((m, n), dtype=np.float64)
+    A[:k, :k] = np.diag(s)
+    if spec.basis == "rotated":
+        haar = []
+        for size in (m, n):
+            q, r = np.linalg.qr(rng.standard_normal((size, size)))
+            haar.append(q * np.sign(np.diag(r)))
+        A = haar[0] @ A @ haar[1].T
+    return A, s
+
+
+def _efficacy_trial(solver, master, case, workflow, trial, size, basis, modes):
+    """One paired trial scored alone: (per-mode (sumsq, meansq), attempts)."""
+    tape, loss = solver
+    attempt = 0
+    while True:
+        spec = Scenario(case=case, seed=(master, case, workflow, trial, attempt), size=size, basis=basis)
+        A64, svals = scenario_parts_per_trial(spec)
+        valid = True
+        if workflow == 2:
+            sd = np.linalg.svd(A64, compute_uv=False)
+            a2, b2 = sd[-3] ** 2, sd[-2] ** 2
+            valid = a2 - b2 >= np.finfo(np.float32).eps * a2
+        if valid:
+            sd = np.sort(svals)[::-1]
+            bindings = {"A": A64, "tau": float((sd[-2] + sd[-3]) / 2)}
+            ref, ok = reference_gradient(tape, bindings, loss)
+            if ok:
+                break
+        attempt += 1
+        if attempt > 200:
+            raise RuntimeError("reference stayed invalid")
+    Aref = ref.by_name("A")
+    values32 = tape.forward({**bindings, "A": A64.astype(np.float32)})
+    per_mode = []
+    for mode in modes:
+        diff = tape.backward(values32, loss, mode).by_name("A").astype(np.float64) - Aref
+        sumsq = float(np.sum(diff * diff))
+        per_mode.append((sumsq, sumsq / diff.size))
+    return per_mode, attempt
+
+
+def efficacy_report_per_trial(n_trials, modes, cases=(1, 2), workflows=(1, 2, 3), seeds=(3407,),
+                              size=(10, 10), basis="rotated"):
+    """The efficacy report with every trial generated, referenced and scored
+    on its own, one 2-D forward and backward at a time."""
+    modes = _normalize_modes(modes)
+    cells = []
+    for case in cases:
+        for workflow in workflows:
+            solver = _workflow_tape(workflow)
+            sums = [0.0] * len(modes)
+            means = [0.0] * len(modes)
+            invalid = 0
+            for master in seeds:
+                for trial in range(n_trials):
+                    per_mode, attempts = _efficacy_trial(
+                        solver, master, case, workflow, trial, size, basis, modes
+                    )
+                    invalid += attempts
+                    for i, (sumsq, meansq) in enumerate(per_mode):
+                        sums[i] += sumsq
+                        means[i] += meansq
+            for i, mode in enumerate(modes):
+                t, clamp = mode.stability.resolve(np.float32)
+                cells.append(CellStats(
+                    case=case, workflow=workflow, mode=mode.variant, trials=n_trials * len(seeds),
+                    mse_sum=sums[i], mse_mean=means[i], invalid_trials=invalid,
+                    seed_list=tuple(seeds), t=t, clamp=clamp, taylor_k=mode.taylor_k,
+                ))
+    config = {
+        "n_trials": n_trials, "modes": [m.variant for m in modes], "cases": list(cases),
+        "workflows": list(workflows), "seeds": list(seeds), "size": list(size), "basis": basis,
+        "precision": "single", "reference": "double/exact",
+    }
+    return EfficacyReport(cells=cells, config=config)

@@ -383,10 +383,52 @@ def test_vjp_shape_validation():
         svd_vjp(A, f, np.zeros((4, 4)), None, None, GradMode.inv())
     with pytest.raises(ValueError):
         svd_vjp(A, f, None, np.zeros(4), None, GradMode.inv())
-    # the backward is 2-D only: a stacked forward is refused, not summed
-    stack = np.stack([A, A])
+    # a stack gives each matrix its own gradient, never their sum
+    stack = np.stack([A, 2 * A])
+    sbar = rng.standard_normal((2, 3))
+    g = svd_vjp(stack, svd(stack), None, sbar, None, GradMode.inv())
+    assert g.shape == stack.shape
+    for i in range(2):
+        own = svd_vjp(stack[i], svd(stack[i]), None, sbar[i], None, GradMode.inv())
+        assert g[i].tobytes() == own.tobytes()
+    # cotangents must carry the stack's leading axes
     with pytest.raises(ValueError):
-        svd_vjp(stack, svd(stack), None, np.zeros((2, 3)), None, GradMode.inv())
+        svd_vjp(stack, svd(stack), None, sbar[0], None, GradMode.inv())
+
+
+def _stack_with_tie_and_zero(rng, shape, dtype):
+    """Three random matrices, one with an exactly tied leading pair (diagonal,
+    so LAPACK returns the tie exactly) and one all zero."""
+    m, n = shape
+    tie = np.zeros(shape)
+    tie[np.arange(min(shape)), np.arange(min(shape))] = np.linspace(2.0, 0.5, min(shape))
+    tie[1, 1] = tie[0, 0]
+    mats = [_random(rng, shape, dtype) for _ in range(3)] + [tie.astype(dtype), np.zeros(shape, dtype)]
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+@pytest.mark.parametrize("shape", [(5, 5), (6, 4), (4, 6)])
+def test_stacked_svd_vjp_matches_per_matrix(dtype, shape):
+    # every mode, on a stack holding a tie and an all-zero matrix: each
+    # matrix's gradient is bit-identical to its own 2-D call
+    rng = np.random.default_rng(60)
+    A = _stack_with_tie_and_zero(rng, shape, dtype)
+    k = min(shape)
+    Ubar = _random(rng, (len(A), shape[0], k), dtype)
+    Vbar = _random(rng, (len(A), shape[1], k), dtype)
+    sbar = rng.standard_normal((len(A), k)).astype(np.real(np.zeros(1, dtype)).dtype)
+    f = svd(A)
+    for mode in ALL_MODES:
+        with np.errstate(all="ignore"):
+            g = svd_vjp(A, f, Ubar, sbar, Vbar, mode)
+            for i in range(len(A)):
+                own = svd_vjp(A[i], svd(A[i]), Ubar[i], sbar[i], Vbar[i], mode)
+                assert g[i].tobytes() == own.tobytes(), (mode.variant, i)
+        assert g.dtype == A.dtype
+    # cotangents left out are zeros, as for one matrix
+    g = svd_vjp(A, f, None, sbar, None, GradMode.inv())
+    assert g[0].tobytes() == svd_vjp(A[0], svd(A[0]), None, sbar[0], None, GradMode.inv()).tobytes()
 
 
 def test_vjp_matches_jacobi_factors():

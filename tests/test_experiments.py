@@ -32,7 +32,14 @@ from svdgrad.experiments import (
 )
 from svdgrad.svt import SvtCache
 
-from oracles import bind_tape_params, reconstruct_l1_gradient, theta_grads, val_mse_per_sample
+from oracles import (
+    bind_tape_params,
+    efficacy_report_per_trial,
+    reconstruct_l1_gradient,
+    scenario_parts_per_trial,
+    theta_grads,
+    val_mse_per_sample,
+)
 
 
 def test_scenario_validation():
@@ -131,6 +138,67 @@ def test_run_efficacy_builds_one_tape_per_cell(monkeypatch):
     monkeypatch.setattr(experiments, "_workflow_tape", counting)
     run_efficacy(3, ["tf", "inv"], seeds=(1, 2))
     assert built == [1, 2, 3, 1, 2, 3]
+
+
+_MODES = ("tf", "clip", "taylor", "inv")
+_EFFICACY_CONFIGS = [
+    dict(n_trials=10, seeds=(1, 2)),
+    dict(n_trials=4, seeds=(5, 11), cases=(2,), size=(8, 12), basis="identity"),
+    dict(n_trials=3, seeds=(3,), workflows=(2, 3), size=(7, 5)),
+]
+
+
+@pytest.mark.parametrize("config", _EFFICACY_CONFIGS)
+def test_batched_efficacy_matches_per_trial_loop(config):
+    # each cell runs as one stack, yet the report is byte-identical to
+    # generating, referencing and scoring every trial on its own
+    batched = run_efficacy(modes=_MODES, **config).to_csv_text()
+    assert batched == efficacy_report_per_trial(modes=_MODES, **config).to_csv_text()
+
+
+def test_batched_efficacy_regenerates_like_the_loop():
+    # the first config regenerates trials, so its match above covers the
+    # regeneration rounds and their sub-seeds
+    report = run_efficacy(modes=_MODES, **_EFFICACY_CONFIGS[0])
+    assert sum(c.invalid_trials for c in report.cells) > 0
+
+
+def test_batched_scenarios_match_one_at_a_time():
+    for basis, size in (("rotated", (10, 10)), ("rotated", (6, 4)), ("identity", (5, 7))):
+        specs = [Scenario(case=case, seed=(seed, 9), size=size, basis=basis)
+                 for case in (1, 2) for seed in range(3)]
+        A, s = experiments._scenario_parts(specs)
+        assert A.shape == (6, *size) and s.shape == (6, min(size))
+        for i, spec in enumerate(specs):
+            A_i, s_i = scenario_parts_per_trial(spec)
+            assert A[i].tobytes() == A_i.tobytes() and s[i].tobytes() == s_i.tobytes()
+        A_0, s_0 = experiments._scenario_parts(specs[0])
+        assert A_0.tobytes() == A[0].tobytes() and s_0.tobytes() == s[0].tobytes()
+    with pytest.raises(ValueError):
+        experiments._scenario_parts([Scenario(size=(4, 4)), Scenario(size=(5, 5))])
+
+
+def test_run_efficacy_one_backward_per_cell_mode_and_reference_round(monkeypatch):
+    backward, references = [], []
+    original_backward, original_reference = Tape.backward, experiments.reference_gradient
+
+    def counting_backward(self, *args):
+        backward.append(args[-1])
+        return original_backward(self, *args)
+
+    def counting_reference(*args):
+        references.append(args[1]["A"].shape[0])
+        return original_reference(*args)
+
+    monkeypatch.setattr(Tape, "backward", counting_backward)
+    monkeypatch.setattr(experiments, "reference_gradient", counting_reference)
+    report = run_efficacy(modes=_MODES, **_EFFICACY_CONFIGS[0])
+    invalid = sum(c.invalid_trials for c in report.cells) // len(_MODES)
+    # every cell references its 20 trials, plus each regenerated one that
+    # passes the workflow-2 cut test, in rounds of stacks
+    assert 6 * 20 < sum(references) <= 6 * 20 + invalid
+    assert len(references) < sum(references)
+    assert len(backward) == 6 * len(_MODES) + len(references)
 
 
 def test_report_cell_lookup():

@@ -154,6 +154,30 @@ def test_reference_gradient_flags_exact_duplicates():
     assert not g.all_finite()
 
 
+def test_reference_gradient_flags_each_matrix_of_a_stack():
+    # one ok per matrix: only the exactly tied matrix is flagged, and the
+    # others keep their own finite gradients, bit for bit
+    rng = np.random.default_rng(57)
+    A = np.stack([_random(rng, (3, 3)), np.diag([2.0, 2.0, 1.0]), _random(rng, (3, 3))])
+    t = Tape()
+    loss = t.l1_loss(t.svt(t.input("A"), tau_param=t.parameter_scalar("tau")))
+    tau = np.array([0.1, 0.5, 0.2])
+    A32 = A.astype(np.float32)
+    g, ok = reference_gradient(t, {"A": A32, "tau": tau}, loss)
+    assert ok.tolist() == [True, False, True]
+    for i in (0, 2):
+        g_i, ok_i = reference_gradient(t, {"A": A32[i], "tau": tau[i]}, loss)
+        assert ok_i is True
+        assert g.by_name("A")[i].tobytes() == g_i.by_name("A").tobytes()
+    # a cotangent the stack shares, here a 2-D input's, flags every matrix
+    t = Tape()
+    b = t.matmul(t.input("A"), t.input("W"))
+    loss = t.l1_loss(t.svt(b, tau_param=t.parameter_scalar("tau")))
+    g, ok = reference_gradient(t, {"A": A, "W": np.eye(3), "tau": 0.1}, loss)
+    assert not np.isfinite(g.by_name("W")).all()
+    assert ok.tolist() == [False, False, False]
+
+
 def test_reference_survives_near_duplicate_gap():
     # the f64 pipeline keeps a relative gap of 1e-15 representable, so the
     # reference stays finite where a single-precision forward would tie

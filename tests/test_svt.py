@@ -207,3 +207,42 @@ def test_part2_part4_brackets_vanish():
         # columns belonging to dropped singular values are identically zero
         assert np.array_equal(P[:, dropped], np.zeros((8, int(dropped.sum()))))
         assert np.array_equal(Q[:, dropped], np.zeros((8, int(dropped.sum()))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+@pytest.mark.parametrize("shape", [(6, 6), (7, 5)])
+def test_stacked_svt_vjp_matches_per_matrix(dtype, shape):
+    # soft with one tau per matrix (one below every value, one above every
+    # value) and hard_tail: each matrix's Abar and taubar are bit-identical
+    # to its own 2-D call
+    rng = np.random.default_rng(61)
+    A = np.stack([_random(rng, shape, dtype) for _ in range(4)])
+    s = np.linalg.svd(A, compute_uv=False)
+    taus = np.array([np.median(s[0]), 0.0, s[2, 0] * 2, s[3, 3]])
+    Bbar = _random(rng, A.shape, dtype)
+    for spec, own_spec in ((ThresholdSpec.soft(taus), ThresholdSpec.soft),
+                           (ThresholdSpec.hard_tail(2), lambda _: ThresholdSpec.hard_tail(2))):
+        B, factors, s_hat = svt(A, spec)
+        assert kept_mask(factors.s, spec).shape == factors.s.shape
+        cache = SvtCache(A, factors, s_hat, spec)
+        for mode in [GradMode("tf"), GradMode("inv")]:
+            Abar, taubar = svt_vjp(Bbar, cache, mode)
+            assert taubar.shape == (4,) and taubar.dtype == np.float64
+            for i in range(4):
+                one = own_spec(taus[i])
+                B_i, f_i, s_hat_i = svt(A[i], one)
+                assert B[i].tobytes() == B_i.tobytes()
+                assert np.array_equal(kept_mask(factors.s, spec)[i], kept_mask(f_i.s, one))
+                Abar_i, taubar_i = svt_vjp(Bbar[i], SvtCache(A[i], f_i, s_hat_i, one), mode)
+                assert Abar[i].tobytes() == Abar_i.tobytes(), (spec.kind, mode.variant, i)
+                assert isinstance(taubar_i, float)
+                assert np.float64(taubar[i]).tobytes() == np.float64(taubar_i).tobytes()
+
+
+def test_soft_spec_takes_one_tau_per_matrix():
+    spec = ThresholdSpec.soft([0.5, 1.0])
+    assert spec.tau.dtype == np.float64 and spec.tau.shape == (2,)
+    with pytest.raises(ValueError):
+        ThresholdSpec.soft([0.5, -1.0])
+    with pytest.raises(ValueError):
+        ThresholdSpec.soft([0.5, np.inf])

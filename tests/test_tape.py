@@ -190,7 +190,7 @@ def test_forward_errors():
         t.forward({"A": np.zeros((2, 2)), "B": np.zeros((3, 3))})
 
 
-def test_stacked_forward_runs_and_backward_refuses():
+def test_stacked_forward_and_backward_match_per_matrix():
     rng = np.random.default_rng(19)
     mats = [_random(rng, (4, 3)) for _ in range(3)]
     for through in ("svt", "svt_tau_param", "hard_tail", "sum_singular_values"):
@@ -213,8 +213,89 @@ def test_stacked_forward_runs_and_backward_refuses():
         per_matrix = [run(A)[b] for A in mats]
         assert values[b].tobytes() == np.stack(per_matrix).tobytes()
         assert values[loss].tobytes() == np.array([run(A)[loss] for A in mats]).tobytes()
-        with pytest.raises(ValueError):
-            t.backward(values, loss, GradMode.inv())
+        # the stacked loss is seeded with ones: each matrix gets its own gradient
+        g = t.backward(values, loss, GradMode.inv()).by_name("A")
+        own = [t.backward(run(A), loss, GradMode.inv()).by_name("A") for A in mats]
+        assert g.tobytes() == np.stack(own).tobytes(), through
+
+
+def _every_op_tape():
+    """A loss through every op of the tape: W and Z bind one 2-D matrix for
+    the whole stack (a matmul operand and the mse_loss target), c and tau
+    are parameters."""
+    t = Tape()
+    x, w, m, z = (t.input(name) for name in ("X", "W", "M", "Z"))
+    c, tau = t.parameter_scalar("c"), t.parameter_scalar("tau")
+    b = t.add(t.matmul(x, w), t.conj_transpose(x))
+    d = t.scale_by_param(t.sub(b, t.hadamard(x, m)), c)
+    e = t.svt(d, tau_param=tau)
+    f = t.svt(e, ThresholdSpec.hard_tail(1))
+    loss = t.add(t.add(t.l1_loss(f), t.mse_loss(e, z)), t.sum_singular_values(d))
+    return t, loss
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+def test_stacked_backward_through_every_op(dtype):
+    from svdgrad.tape import _OPS
+
+    rng = np.random.default_rng(62)
+    t, loss = _every_op_tape()
+    assert {node.op for node in t.nodes} == set(_OPS)
+    N = 4
+    X = _random(rng, (N, 4, 4), dtype)
+    shared = {"W": _random(rng, (4, 4), dtype), "M": _random(rng, (4, 4), dtype),
+              "Z": _random(rng, (4, 4), dtype)}
+    c = rng.uniform(0.5, 2.0, N)
+    tau = rng.uniform(0.05, 0.2, N)
+    for mode in (GradMode.inv(), GradMode.taylor()):
+        g = t.backward(t.forward({**shared, "X": X, "c": c, "tau": tau}), loss, mode)
+        own = [t.backward(t.forward({**shared, "X": X[i], "c": c[i], "tau": tau[i]}), loss, mode)
+               for i in range(N)]
+        for node in t.nodes:
+            stacked = g.cotangents.get(node.idx)
+            if node.name in shared:
+                assert stacked.shape == (4, 4)
+                continue
+            # every per-matrix cotangent, intermediate ones included, matches
+            # the lone matrix's bit for bit; parameters bound per matrix too
+            stacked = np.asarray(stacked)
+            for i in range(N):
+                lone = np.asarray(own[i].cotangents.get(node.idx), dtype=stacked.dtype)
+                assert stacked[i].tobytes() == lone.tobytes(), (node.op, i)
+        assert g.by_name("c").shape == g.by_name("tau").shape == (N,)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_shared_cotangents_are_the_sum_over_the_stack(dtype):
+    # a parameter bound to a float, and a 2-D input bound once for the whole
+    # stack, get the sum of the per-matrix cotangents
+    rng = np.random.default_rng(63)
+    t, loss = _every_op_tape()
+    N = 5
+    X = _random(rng, (N, 4, 4), dtype)
+    shared = {"W": _random(rng, (4, 4), dtype), "M": _random(rng, (4, 4), dtype),
+              "Z": _random(rng, (4, 4), dtype), "c": 1.3, "tau": 0.1}
+    g = t.backward(t.forward({**shared, "X": X}), loss, GradMode.inv())
+    own = [t.backward(t.forward({**shared, "X": X[i]}), loss, GradMode.inv()) for i in range(N)]
+    for name in ("c", "tau"):
+        assert isinstance(g.by_name(name), float)
+        total = sum(o.by_name(name) for o in own)
+        assert abs(g.by_name(name) - total) <= 1e-12 * abs(total), name
+    for name in ("W", "M", "Z"):
+        total = sum(o.by_name(name) for o in own)
+        assert np.linalg.norm(g.by_name(name) - total) <= 1e-12 * np.linalg.norm(total), name
+    # an input bound to a stack of one broadcasts like a 2-D one
+    g1 = t.backward(t.forward({**shared, "W": shared["W"][None], "X": X}), loss, GradMode.inv())
+    assert g1.by_name("W").shape == (1, 4, 4)
+    assert np.array_equal(g1.by_name("W")[0], g.by_name("W"))
+
+
+def test_stacked_backward_needs_a_scalar_loss():
+    t = Tape()
+    a = t.input("A")
+    values = t.forward({"A": np.ones((3, 2, 2))})
+    with pytest.raises(ValueError):
+        t.backward(values, a, GradMode.inv())
 
 
 def test_mse_loss_broadcasts_a_matrix_against_a_stack():
