@@ -6,10 +6,12 @@ cotangents (Ubar, sbar, Vbar) of the factors and two auxiliary k×k matrices:
   F_ij = 1/(sigma_j^2 - sigma_i^2)   on well-separated pairs,
   T_ij = pseudoinverse correction    on pairs classified as equal.
 
-The backward itself reads F only through the products F_ij * sigma_j and
-sigma_i * F_ij, which are formed directly from the relative F
-(sigma_max^2 * F): F alone overflows float32 on spectra near 1e-18 while the
-products stay of order 1/sigma.
+The backward reads F only through the products FS_ij = F_ij * sigma_j and
+sigma_i * F_ij = -FS_ji, so `build_aux` forms FS directly from the relative F
+(sigma_max^2 * F) and never F itself: F alone overflows float32 on spectra
+near 1e-18 while the products stay of order 1/sigma. `build_aux` returns
+exactly what `svd_vjp` reads: FS, T and the pseudoinverse 1/sigma (0 at a
+zero sigma).
 
 Five modes differ only in how they regularize F (and whether T is used):
 
@@ -29,6 +31,7 @@ a spectrum near 1e-18 equal in single precision.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,44 +124,72 @@ class GradMode:
 
 @dataclass(frozen=True)
 class AuxMatrices:
-    """F, FS, T (real k×k) and the singular-value pseudoinverse vector.
+    """FS, T (real k×k) and the singular-value pseudoinverse vector.
 
     FS_ij = F_ij * sigma_j; since F is antisymmetric, sigma_i * F_ij = -FS_ji.
+    F itself is never formed (see the module docstring).
     """
 
-    F: np.ndarray
     FS: np.ndarray
     T: np.ndarray
     s_pinv: np.ndarray
+
+
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def _validate_s(s) -> np.ndarray:
     s = np.asarray(s)
     if s.ndim != 1:
         raise ValueError(f"singular values must be a vector, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise ValueError("singular values contain non-finite entries")
-    if (s < 0).any():
+    ok = np.isfinite(s)
+    ok &= s >= 0
+    if np.count_nonzero(ok) != s.size:
+        if not np.isfinite(s).all():
+            raise ValueError("singular values contain non-finite entries")
         raise ValueError("singular values must be nonnegative")
     return s
 
 
-def _relative_gaps(s: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.floating]:
-    """Relative squared gaps, the equal-pair mask and the scale sigma_max.
+def _working_dtype(s: np.ndarray, dtype=None) -> np.dtype:
+    """The real dtype a spectrum's arithmetic runs in.
+
+    An explicit `dtype` must be float32 or float64. Otherwise a float32 or
+    float64 spectrum keeps its own dtype and any other real one (integers,
+    float16) runs in float64; a complex spectrum is refused.
+    """
+    if dtype is not None:
+        rdt = np.dtype(dtype)
+        if rdt not in _FLOATS:
+            raise TypeError(f"dtype must be a real float type, got {rdt}")
+        return rdt
+    if np.iscomplexobj(s):
+        raise TypeError(f"singular values must be real, got {s.dtype}")
+    return s.dtype if s.dtype in _FLOATS else np.dtype(np.float64)
+
+
+def _spread(s: np.ndarray) -> tuple[np.floating, np.ndarray]:
+    """The scale sigma_max (1 for an all-zero spectrum) and the k×k
+    differences diff[i, j] = sigma_j - sigma_i."""
+    scale = s.max(initial=0)
+    if scale == 0:
+        scale = s.dtype.type(1)
+    return scale, s[None, :] - s[:, None]
+
+
+def _relative_gaps(s: np.ndarray, scale, diff: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Relative squared gaps and the equal-pair mask.
 
     gap[i, j] = (sigma_j^2 - sigma_i^2) / sigma_max^2, formed as
     ((sigma_j - sigma_i) / sigma_max) * ((sigma_j + sigma_i) / sigma_max) so
     that it is exactly antisymmetric and a pair one ulp apart keeps a nonzero
     gap at any scale (scaling s first would round such a pair into a tie).
-    A pair is equal when |gap| < 1/t. An all-zero spectrum uses scale 1.
+    A pair is equal when |gap| < 1/t.
     """
-    scale = s.max(initial=0)
-    if scale == 0:
-        scale = s.dtype.type(1)
-    gap = ((s[None, :] - s[:, None]) / scale) * ((s[None, :] + s[:, None]) / scale)
+    gap = (diff / scale) * ((s[None, :] + s[:, None]) / scale)
     # comparison in float64 so that 1/t cannot underflow in a float32 run
-    equal = np.abs(gap).astype(np.float64) < 1.0 / float(t)
-    return gap, equal, scale
+    equal = np.abs(gap).astype(np.float64, copy=False) < 1.0 / float(t)
+    return gap, equal
 
 
 def classify_pairs(s, t: float) -> np.ndarray:
@@ -167,13 +198,13 @@ def classify_pairs(s, t: float) -> np.ndarray:
     A pair is equal when |sigma_j^2 - sigma_i^2| < sigma_max^2 / t
     (strictly), so the labels do not depend on the scale of the spectrum; an
     equal pair is EQUAL_ZERO only when both values are exactly zero. Diagonal
-    entries are labelled like any other equal pair.
+    entries are labelled like any other equal pair. The spectrum runs in the
+    dtype `build_aux` would use for it without an explicit `dtype`.
     """
     s = _validate_s(s)
-    rdt = s.dtype if s.dtype in (np.dtype(np.float32), np.dtype(np.float64)) else np.dtype(np.float64)
-    s = s.astype(rdt, copy=False)
+    s = s.astype(_working_dtype(s), copy=False)
     with np.errstate(under="ignore"):
-        _, equal, _ = _relative_gaps(s, t)
+        _, equal = _relative_gaps(s, *_spread(s), t)
     both_zero = (s[:, None] == 0) & (s[None, :] == 0)
     labels = np.full(equal.shape, UNEQUAL, dtype=np.int8)
     labels[equal] = EQUAL_NONZERO
@@ -189,95 +220,129 @@ def _clamp_nonfinite(x: np.ndarray, clamp: float) -> np.ndarray:
     return np.where(finite, x, np.copysign(clamp, x))
 
 
+@functools.lru_cache(maxsize=64)
+def _limits(stability: StabilityParams, rdt: np.dtype) -> tuple[float, float]:
+    """The threshold t and the clamp, capped at the largest value of rdt."""
+    t, clamp = stability.resolve(rdt)
+    return t, min(clamp, float(np.finfo(rdt).max))
+
+
+def _form_fs(F_rel: np.ndarray, s_rel: np.ndarray, scale, clip_fs, equal) -> np.ndarray:
+    """FS_ij = F_rel_ij * (sigma_j / sigma_max) / sigma_max, with clip's
+    values put in on the equal pairs."""
+    FS = F_rel * s_rel
+    FS /= scale
+    if clip_fs is not None:
+        np.copyto(FS, clip_fs, where=equal)
+    return FS
+
+
 def build_aux(s, mode: GradMode, dtype=None) -> AuxMatrices:
-    """Construct F, FS, T, s_pinv of one spectrum for one backward mode.
+    """Construct FS, T and s_pinv of one spectrum for one backward mode.
 
     s is one spectrum, never a stack: `svd_vjp` calls this once per matrix
     of a stack.
 
-    Arithmetic runs in `dtype` (default: the dtype of `s`), so a float32
-    benchmark faithfully reproduces float32 gap rounding. F and FS are formed
-    from the relative F (sigma_max^2 times F) with exact antisymmetry in every
-    mode. FS = F_ij * sigma_j never passes through F alone, which overflows
-    float32 on spectra near 1e-18; in the safeguarded modes any entry of F or
-    FS that still overflows is clamped.
+    Arithmetic runs in `dtype`; without it, a float32 or float64 spectrum
+    keeps its dtype and any other real one runs in float64 (the rule
+    `classify_pairs` uses). So a float32 benchmark faithfully reproduces
+    float32 gap rounding. FS = F_ij * sigma_j is formed from the relative F
+    (sigma_max^2 times F) with exact antisymmetry in every mode and never
+    passes through F alone, which overflows float32 on spectra near 1e-18.
+    In the safeguarded modes any entry of FS, T or s_pinv that overflows is
+    clamped; an overflowing relative F is clamped before FS is formed from
+    it, so that it cannot meet a zero sigma as inf * 0.
+
+    Every intermediate is k×k or smaller: the degree-K Taylor series is
+    summed in place, and the pair masks of exact zeros are formed only when
+    a value is zero.
     """
     s = _validate_s(s)
-    rdt = np.dtype(dtype) if dtype is not None else s.dtype
-    if rdt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise TypeError(f"dtype must be a real float type, got {rdt}")
+    rdt = _working_dtype(s, dtype)
     s = s.astype(rdt, copy=False)
     k = s.shape[0]
-    t, clamp = mode.stability.resolve(rdt)
-    clamp = min(clamp, float(np.finfo(rdt).max))
-    safe = mode.variant != "exact"
+    t, clamp = _limits(mode.stability, rdt)
+    variant = mode.variant
+    safe = variant != "exact"
     one = rdt.type(1)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        gap, equal, scale = _relative_gaps(s, t)
-        zero = s == 0
-        if mode.variant == "taylor":
-            F_rel = _taylor_relative(s, scale, mode.taylor_k)
+        scale, diff = _spread(s)
+        # the exact zeros, None when no value is zero
+        zero = s == 0 if np.count_nonzero(s) < k else None
+        equal = None
+        if variant == "taylor":
+            F_rel = _taylor_relative(s, scale, diff, mode.taylor_k)
         else:
-            F_rel = one / gap
+            F_rel, equal = _relative_gaps(s, scale, diff, t)
+            np.divide(one, F_rel, out=F_rel)
             if safe:
                 # tf, clip and inv divide only on unequal pairs
                 F_rel[equal] = 0
             else:
                 # a pair of exact zeros takes the definition's zero branch;
                 # every other degenerate pair divides unprotected
-                F_rel[zero[:, None] & zero[None, :]] = 0
+                if zero is not None:
+                    F_rel[zero[:, None] & zero[None, :]] = 0
                 np.fill_diagonal(F_rel, 0)
-        if safe:
+
+        s_rel = s / scale
+        # clip_value is a value of F itself, zero at an exact tie
+        clip_fs = np.sign(diff) * rdt.type(mode.clip_value) * s if variant == "clip" else None
+        FS = _form_fs(F_rel, s_rel, scale, clip_fs, equal)
+        if safe and np.count_nonzero(np.isfinite(FS)) < FS.size:
             # F_rel overflows where 1/gap exceeds the range (t above it, or
-            # the series' 1/(sigma_hi/sigma_max)^2); clamped before FS could
-            # form inf * 0 against a zero sigma
-            F_rel = _clamp_nonfinite(F_rel, clamp)
-        F = F_rel / scale / scale
-        FS = F_rel * (s / scale)[None, :] / scale
-        if mode.variant == "clip":
-            # clip_value is a value of F itself, zero at an exact tie
-            Fc = np.sign(s[None, :] - s[:, None]) * rdt.type(mode.clip_value)
-            F = np.where(equal, Fc, F)
-            FS = np.where(equal, Fc * s[None, :], FS)
-        if safe:
-            F = _clamp_nonfinite(F, clamp)
+            # the series' 1/(sigma_hi/sigma_max)^2), and every such entry
+            # leaves inf, or NaN against a zero sigma, in FS. Then F_rel is
+            # clamped before FS is formed again, and FS is clamped.
+            FS = _form_fs(_clamp_nonfinite(F_rel, clamp), s_rel, scale, clip_fs, equal)
             FS = _clamp_nonfinite(FS, clamp)
 
-        T = np.zeros((k, k), dtype=rdt)
-        if mode.variant == "inv":
-            fill = equal & ~(zero[:, None] & zero[None, :])
-            np.fill_diagonal(fill, False)
-            if fill.any():
-                T = np.where(fill, np.minimum(one / s, clamp)[None, :], T)
-
-        s_pinv = np.where(zero, 0, one / s)
+        recip = one / s
         if safe:
-            s_pinv = np.minimum(s_pinv, clamp)
+            np.minimum(recip, clamp, out=recip)
+        T = np.zeros((k, k), dtype=rdt)
+        # only a classified-equal pair off the diagonal fills T
+        if variant == "inv" and np.count_nonzero(equal) > np.count_nonzero(equal.diagonal()):
+            # each such pair, unless both values are zero
+            fill = equal if zero is None else equal & ~(zero[:, None] & zero[None, :])
+            np.fill_diagonal(fill, False)
+            np.copyto(T, recip, where=fill)
+        s_pinv = recip
+        if zero is not None:
+            s_pinv[zero] = 0
 
-    return AuxMatrices(F=F, FS=FS, T=T, s_pinv=s_pinv)
+    return AuxMatrices(FS=FS, T=T, s_pinv=s_pinv)
 
 
-def _taylor_relative(s: np.ndarray, scale, K: int) -> np.ndarray:
+def _taylor_relative(s: np.ndarray, scale, diff: np.ndarray, K: int) -> np.ndarray:
     """Truncated-series approximation of the relative F (sigma_max^2 * F).
 
     For sigma_hi > sigma_lo the exact 1/(sigma_lo^2 - sigma_hi^2) equals
     -(1/sigma_hi^2) * sum_{p>=0} (sigma_lo/sigma_hi)^(2p); the degree-K
     truncation of that series is used, with value 0 when the pair is exactly
     equal (or both zero). The series ignores the equal-pair classification.
+    The sum runs in place in the order 1 + r + r^2 + ... + r^K, each power
+    the previous one times r.
     """
     hi = np.maximum(s[:, None], s[None, :])
-    lo = np.minimum(s[:, None], s[None, :])
-    ratio = np.square(lo / hi)
-    series = np.zeros_like(ratio)
-    term = np.ones_like(ratio)
-    for _ in range(K + 1):
+    ratio = np.minimum(s[:, None], s[None, :])
+    ratio /= hi
+    np.square(ratio, out=ratio)
+    series = ratio + 1
+    term = ratio.copy()
+    for _ in range(K - 1):
+        term *= ratio
         series += term
-        term = term * ratio
-    h = hi / scale
+    # divided by h^2, h = sigma_hi / sigma_max
+    hi /= scale
+    hi *= hi
+    series /= hi
+    # a pair of equal values (two zeros included) takes the value 0; the
     # exact F has sign(sigma_j^2 - sigma_i^2)
-    sgn = np.sign(s[None, :] - s[:, None])
-    return np.where(hi > lo, series / (h * h), 0) * sgn
+    series[diff == 0] = 0
+    series *= np.sign(diff)
+    return series
 
 
 def _diag(v: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "NonFiniteError",
     "SvdFactors",
-    "conj_transpose",
     "ensure_matrix",
     "real_dtype_of",
     "svd",
@@ -52,11 +51,6 @@ def ensure_matrix(A, name: str = "matrix", stack: bool = False) -> np.ndarray:
     if A.dtype not in _REAL_OF:
         raise TypeError(f"{name} has unsupported dtype {A.dtype}")
     return A
-
-
-def conj_transpose(A) -> np.ndarray:
-    A = ensure_matrix(A, "A")
-    return A.conj().T.copy()
 
 
 def _ct(x: np.ndarray) -> np.ndarray:

@@ -9,6 +9,8 @@ routine assembles the reconstruct-through-SVD gradient by hand from the
 public `svd` and `svd_vjp`; the tape's svt with hard_tail(0) must match it bit
 for bit. The unrolled solvers' reparameterisation is also written out by hand,
 per algorithm, for the table-driven bindings and chain rule to match exactly.
+`build_aux_reference` keeps the auxiliary-matrix construction as it stood
+before `build_aux` was rewritten for speed; the rewrite must match its bytes.
 Slow is fine; these run on small matrices only.
 """
 
@@ -25,6 +27,85 @@ from svdgrad.experiments import (
     _rng,
     _workflow_tape,
 )
+
+
+def conj_transpose(A):
+    """A^H of one matrix, as a fresh array."""
+    return np.asarray(A).conj().T.copy()
+
+
+def build_aux_reference(s, mode, dtype=None):
+    """(FS, T, s_pinv) of one float spectrum, formed step by step as
+    `build_aux` did before its rewrite (less the F it no longer returns)."""
+    s = np.asarray(s)
+    if s.ndim != 1:
+        raise ValueError(f"singular values must be a vector, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError("singular values contain non-finite entries")
+    if (s < 0).any():
+        raise ValueError("singular values must be nonnegative")
+    rdt = np.dtype(dtype) if dtype is not None else s.dtype
+    if rdt not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise TypeError(f"dtype must be a real float type, got {rdt}")
+    s = s.astype(rdt, copy=False)
+    k = s.shape[0]
+    t, clamp = mode.stability.resolve(rdt)
+    clamp = min(clamp, float(np.finfo(rdt).max))
+    safe = mode.variant != "exact"
+    one = rdt.type(1)
+
+    def clamp_nonfinite(x):
+        finite = np.isfinite(x)
+        if finite.all():
+            return x
+        return np.where(finite, x, np.copysign(clamp, x))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        scale = s.max(initial=0)
+        if scale == 0:
+            scale = s.dtype.type(1)
+        gap = ((s[None, :] - s[:, None]) / scale) * ((s[None, :] + s[:, None]) / scale)
+        equal = np.abs(gap).astype(np.float64) < 1.0 / float(t)
+        zero = s == 0
+        if mode.variant == "taylor":
+            hi = np.maximum(s[:, None], s[None, :])
+            lo = np.minimum(s[:, None], s[None, :])
+            ratio = np.square(lo / hi)
+            series = np.zeros_like(ratio)
+            term = np.ones_like(ratio)
+            for _ in range(mode.taylor_k + 1):
+                series += term
+                term = term * ratio
+            h = hi / scale
+            sgn = np.sign(s[None, :] - s[:, None])
+            F_rel = np.where(hi > lo, series / (h * h), 0) * sgn
+        else:
+            F_rel = one / gap
+            if safe:
+                F_rel[equal] = 0
+            else:
+                F_rel[zero[:, None] & zero[None, :]] = 0
+                np.fill_diagonal(F_rel, 0)
+        if safe:
+            F_rel = clamp_nonfinite(F_rel)
+        FS = F_rel * (s / scale)[None, :] / scale
+        if mode.variant == "clip":
+            Fc = np.sign(s[None, :] - s[:, None]) * rdt.type(mode.clip_value)
+            FS = np.where(equal, Fc * s[None, :], FS)
+        if safe:
+            FS = clamp_nonfinite(FS)
+
+        T = np.zeros((k, k), dtype=rdt)
+        if mode.variant == "inv":
+            fill = equal & ~(zero[:, None] & zero[None, :])
+            np.fill_diagonal(fill, False)
+            if fill.any():
+                T = np.where(fill, np.minimum(one / s, clamp)[None, :], T)
+
+        s_pinv = np.where(zero, 0, one / s)
+        if safe:
+            s_pinv = np.minimum(s_pinv, clamp)
+    return FS, T, s_pinv
 
 
 def jacobi_svd(A, tol=1e-14, max_sweeps=60):

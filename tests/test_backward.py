@@ -14,7 +14,7 @@ from svdgrad import (
 from svdgrad.backward import EQUAL_NONZERO, EQUAL_ZERO, UNEQUAL
 from svdgrad.svt import ThresholdSpec, svt
 
-from oracles import finite_difference_loop, jacobi_svd
+from oracles import build_aux_reference, finite_difference_loop, jacobi_svd
 
 ALL_MODES = [GradMode.exact(), GradMode.tf(), GradMode.clip(), GradMode.taylor(), GradMode.inv()]
 SAFE_MODES = ALL_MODES[1:]
@@ -66,37 +66,40 @@ def test_classify_rejects_bad_spectra():
 
 def test_aux_inv_separated():
     aux = build_aux(np.array([3.0, 1.0]), GradMode.inv())
-    assert np.array_equal(aux.F, np.array([[0.0, -0.125], [0.125, 0.0]]))
+    # FS_ij = F_ij * sigma_j with F = [[0, -1/8], [1/8, 0]]
+    assert np.array_equal(aux.FS, np.array([[0.0, -0.125], [0.375, 0.0]]))
     assert np.array_equal(aux.T, np.zeros((2, 2)))
     assert aux.s_pinv == pytest.approx([1 / 3, 1.0], rel=1e-15)
 
 
 def test_aux_inv_equal_pair():
     aux = build_aux(np.array([2.0, 2.0]), GradMode.inv())
-    assert np.array_equal(aux.F, np.zeros((2, 2)))
+    assert np.array_equal(aux.FS, np.zeros((2, 2)))
     assert np.array_equal(aux.T, np.array([[0.0, 0.5], [0.5, 0.0]]))
 
 
 def test_aux_zero_spectrum():
     for mode in ALL_MODES:
         aux = build_aux(np.array([0.0, 0.0]), mode)
-        assert np.array_equal(aux.F, np.zeros((2, 2)))
+        assert np.array_equal(aux.FS, np.zeros((2, 2)))
         assert np.array_equal(aux.T, np.zeros((2, 2)))
         assert np.array_equal(aux.s_pinv, np.zeros(2))
 
 
 def test_aux_taylor_truncation():
+    # FS_ij = F_ij * sigma_j, sigma = (3, 1)
     aux = build_aux(np.array([3.0, 1.0]), GradMode.taylor(k=2))
-    assert aux.F[1, 0] == pytest.approx(91 / 729, rel=1e-14)
-    assert aux.F[0, 1] == -aux.F[1, 0]
-    # higher degree converges toward the exact value 1/8
+    assert aux.FS[1, 0] == pytest.approx(3 * 91 / 729, rel=1e-14)
+    # sigma_i F_ij = -FS_ji
+    assert aux.FS[0, 1] * 3.0 == -aux.FS[1, 0]
+    # higher degree converges toward the exact value F_10 = 1/8
     aux9 = build_aux(np.array([3.0, 1.0]), GradMode.taylor(k=40))
-    assert aux9.F[1, 0] == pytest.approx(0.125, rel=1e-14)
+    assert aux9.FS[1, 0] == pytest.approx(3 * 0.125, rel=1e-14)
 
 
 def test_aux_taylor_equal_pair_is_zero():
     aux = build_aux(np.array([2.0, 2.0]), GradMode.taylor())
-    assert np.array_equal(aux.F, np.zeros((2, 2)))
+    assert np.array_equal(aux.FS, np.zeros((2, 2)))
     assert np.array_equal(aux.T, np.zeros((2, 2)))
 
 
@@ -105,28 +108,29 @@ def test_aux_modes_on_forced_equal_pair():
     s = np.array([3.0, 2.9999])
     stab = StabilityParams(t=100.0)
     tf = build_aux(s, GradMode.tf(stability=stab))
-    assert np.array_equal(tf.F, np.zeros((2, 2)))
+    assert np.array_equal(tf.FS, np.zeros((2, 2)))
     assert np.array_equal(tf.T, np.zeros((2, 2)))
     clip = build_aux(s, GradMode.clip(clip_value=1e6, stability=stab))
-    assert clip.F[0, 1] == -1e6  # sign(sigma_j - sigma_i) with sigma_j < sigma_i
-    assert clip.F[1, 0] == 1e6
+    # F = sign(sigma_j - sigma_i) * 1e6, sigma_j < sigma_i for (0, 1); FS = F * sigma_j
+    assert clip.FS[0, 1] == -1e6 * 2.9999
+    assert clip.FS[1, 0] == 1e6 * 3.0
     inv = build_aux(s, GradMode.inv(stability=stab))
-    assert np.array_equal(inv.F, np.zeros((2, 2)))
+    assert np.array_equal(inv.FS, np.zeros((2, 2)))
     # T fills with the column reciprocal
     assert inv.T[0, 1] == pytest.approx(1 / 2.9999, rel=1e-15)
     assert inv.T[1, 0] == pytest.approx(1 / 3.0, rel=1e-15)
     exact = build_aux(s, GradMode.exact(stability=stab))
-    assert exact.F[0, 1] == pytest.approx(1 / (2.9999**2 - 9.0), rel=1e-12)
+    assert exact.FS[0, 1] == pytest.approx(2.9999 / (2.9999**2 - 9.0), rel=1e-12)
 
 
 def test_aux_clip_zero_at_exact_tie():
     aux = build_aux(np.array([2.0, 2.0]), GradMode.clip())
-    assert np.array_equal(aux.F, np.zeros((2, 2)))
+    assert np.array_equal(aux.FS, np.zeros((2, 2)))
 
 
 def test_aux_exact_mode_may_overflow():
     aux = build_aux(np.array([2.0, 2.0]), GradMode.exact())
-    assert not np.isfinite(aux.F[0, 1])
+    assert not np.isfinite(aux.FS[0, 1])
 
 
 def test_aux_antisymmetry_all_modes():
@@ -139,10 +143,13 @@ def test_aux_antisymmetry_all_modes():
             s[-2:] = 0.0
         for mode in ALL_MODES:
             aux = build_aux(s.copy(), mode)
-            if mode.variant == "exact" and not np.isfinite(aux.F).all():
+            if mode.variant == "exact" and not np.isfinite(aux.FS).all():
                 continue
-            assert np.array_equal(aux.F, -aux.F.T), mode.variant
-            assert np.array_equal(np.diag(aux.F), np.zeros(6))
+            # sigma_i FS_ij = sigma_i sigma_j F_ij is antisymmetric with F, up
+            # to the roundings of forming FS and of the product
+            P = aux.FS * s[:, None]
+            np.testing.assert_allclose(P, -P.T, rtol=4 * np.finfo(float).eps, atol=0, err_msg=mode.variant)
+            assert np.array_equal(np.diag(aux.FS), np.zeros(6))
 
 
 def test_aux_finite_under_fuzz():
@@ -157,18 +164,17 @@ def test_aux_finite_under_fuzz():
             s[k // 2 :] = 0.0
         for mode in SAFE_MODES:
             aux = build_aux(s.copy(), mode)
-            assert np.isfinite(aux.F).all(), (mode.variant, s)
+            assert np.isfinite(aux.FS).all(), (mode.variant, s)
             assert np.isfinite(aux.T).all(), (mode.variant, s)
             assert np.isfinite(aux.s_pinv).all(), (mode.variant, s)
 
 
 def test_aux_finite_with_threshold_beyond_range():
     # t above float32 max lets 1/gap overflow on an unequal pair; the clamp
-    # must keep F and FS finite and FS exact against the zero value
+    # must keep FS finite and exact against the zero value
     s = np.array([1.0, 1e-21, 0.0], dtype=np.float32)
     for mode in SAFE_MODES:
         aux = build_aux(s, GradMode(mode.variant, stability=StabilityParams(t=1e45)))
-        assert np.isfinite(aux.F).all(), mode.variant
         assert np.isfinite(aux.FS).all(), mode.variant
         assert aux.FS[1, 2] == 0, mode.variant
 
@@ -185,8 +191,8 @@ def test_aux_float32_defaults():
     # and compensated through T without leaving float32
     s = np.array([1.0, 1e-16 * (1 + 1e-3), 1e-16], dtype=np.float32)
     aux = build_aux(s, GradMode.inv(), dtype=np.float32)
-    assert aux.F.dtype == np.float32
-    assert aux.F[1, 2] == 0 and aux.F[2, 1] == 0
+    assert aux.FS.dtype == np.float32
+    assert aux.FS[1, 2] == 0 and aux.FS[2, 1] == 0
     assert aux.T[1, 2] > 0
     # the same pair on its own is well separated: classification is
     # invariant to the scale of the spectrum
@@ -202,6 +208,80 @@ def test_aux_rejects_bad_input():
         build_aux(np.array([[1.0, 2.0]]), GradMode.inv())
     with pytest.raises(TypeError):
         build_aux(np.array([1.0]), GradMode.inv(), dtype=np.complex128)
+
+
+def test_aux_dtype_rule_shared_with_classify_pairs():
+    # without a dtype, a spectrum that is not float32 or float64 runs in
+    # float64 in both functions
+    for s in (np.array([3, 1]), np.array([3.0, 3.0, 0.0], dtype=np.float16)):
+        s64 = s.astype(np.float64)
+        assert np.array_equal(classify_pairs(s, 1e300), classify_pairs(s64, 1e300))
+        for mode in ALL_MODES:
+            aux, ref = build_aux(s, mode), build_aux(s64, mode)
+            for got, want in zip((aux.FS, aux.T, aux.s_pinv), (ref.FS, ref.T, ref.s_pinv)):
+                assert got.dtype == np.float64
+                assert got.tobytes() == want.tobytes(), mode.variant
+    complex_s = np.array([3.0, 1.0], dtype=np.complex128)
+    with pytest.raises(TypeError):
+        build_aux(complex_s, GradMode.inv())
+    with pytest.raises(TypeError):
+        classify_pairs(complex_s, 1e300)
+    with pytest.raises(TypeError):
+        build_aux(np.array([3, 1]), GradMode.inv(), dtype=np.int64)
+
+
+def _oracle_spectra(rng):
+    """Random spectra, exact ties, 1-ulp splits, zero tails, all-zero
+    spectra and a zero beside values 1e-10 to 1e-30 of the largest, at
+    scales 1e-45 to 1e5, unsorted now and then."""
+    kinds = ("random", "tie", "ulp", "zero_tail", "all_zero", "tiny_and_zero")
+    for trial in range(60):
+        k = int(rng.integers(1, 9))
+        s = np.abs(rng.standard_normal(k)) * 10.0 ** rng.uniform(-45, 5)
+        kind = kinds[trial % len(kinds)]
+        if kind == "tie" and k > 1:
+            s[rng.integers(1, k)] = s[0]
+        elif kind == "ulp" and k > 1:
+            s[rng.integers(1, k)] = np.nextafter(s[0], np.inf)
+        elif kind == "zero_tail":
+            s[k // 2 :] = 0.0
+        elif kind == "all_zero":
+            s[:] = 0.0
+        elif kind == "tiny_and_zero" and k > 1:
+            # the relative F of a tiny pair overflows in float32 (t = 1e45,
+            # taylor), so its clamp must come before FS meets the zero
+            s[1:] *= 10.0 ** -rng.uniform(10, 30)
+            s[-1] = 0.0
+        yield s if trial % 7 == 0 else np.sort(s)[::-1]
+
+
+def test_aux_bytes_match_reference():
+    # build_aux forms FS, T and s_pinv in fewer passes than the reference;
+    # every byte must agree
+    stabilities = [
+        StabilityParams(),
+        StabilityParams(t=100.0),
+        StabilityParams(t=1e45),  # beyond float32 range: 1/gap overflows
+        StabilityParams(t=1e8, clamp=1e10),
+        StabilityParams(clamp=3.0),
+    ]
+    modes = [GradMode.clip(clip_value=1e30)]
+    for stab in stabilities:
+        modes += [GradMode.exact(stab), GradMode.tf(stab), GradMode.clip(stability=stab), GradMode.inv(stab)]
+        modes += [GradMode.taylor(k, stab) for k in (1, 3, 9, 40)]
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for s in _oracle_spectra(rng):
+        for s_dtype, dtype in ((np.float32, None), (np.float64, None), (np.float64, np.float32)):
+            spectrum = s.astype(s_dtype)
+            for mode in modes:
+                aux = build_aux(spectrum, mode, dtype=dtype)
+                ref = build_aux_reference(spectrum, mode, dtype=dtype)
+                for name, got, want in zip(("FS", "T", "s_pinv"), (aux.FS, aux.T, aux.s_pinv), ref):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, mode, spectrum)
+                    assert got.tobytes() == want.tobytes(), (name, mode, dtype, spectrum)
+                checked += 1
+    assert checked == 60 * 3 * len(modes)
 
 
 def test_mode_constructor_validation():
