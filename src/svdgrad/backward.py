@@ -246,7 +246,8 @@ def build_aux(s, mode: GradMode, dtype=None) -> AuxMatrices:
     Arithmetic runs in `dtype`; without it, a float32 or float64 spectrum
     keeps its dtype and any other real one runs in float64 (the rule
     `classify_pairs` uses). So a float32 benchmark faithfully reproduces
-    float32 gap rounding. FS = F_ij * sigma_j is formed from the relative F
+    float32 gap rounding. A value beyond the range of that dtype raises
+    ValueError. FS = F_ij * sigma_j is formed from the relative F
     (sigma_max^2 times F) with exact antisymmetry in every mode and never
     passes through F alone, which overflows float32 on spectra near 1e-18.
     In the safeguarded modes any entry of FS, T or s_pinv that overflows is
@@ -259,7 +260,11 @@ def build_aux(s, mode: GradMode, dtype=None) -> AuxMatrices:
     """
     s = _validate_s(s)
     rdt = _working_dtype(s, dtype)
-    s = s.astype(rdt, copy=False)
+    if s.dtype != rdt:
+        with np.errstate(over="ignore"):
+            s = s.astype(rdt)
+        if not np.isfinite(s).all():
+            raise ValueError(f"singular values overflow {rdt}")
     k = s.shape[0]
     t, clamp = _limits(mode.stability, rdt)
     variant = mode.variant

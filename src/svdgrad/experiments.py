@@ -580,17 +580,24 @@ def _run_bindings(config: UnrolledConfig, positive: dict[str, float], sample) ->
     return bindings
 
 
-def _val_mse(config: UnrolledConfig, solver: tuple[Tape, int], val, positive: dict[str, float]) -> float:
+def _val_mse(config: UnrolledConfig, solver: tuple[Tape, int], val, positive: dict[str, float],
+             reuse=None) -> tuple[float, list]:
     """Held-out completion MSE from one forward of the run's (tape, output
     node) over `val`, the held-out (Y, mask, X_true) stacked; the per-sample
-    MSEs are summed in stack order."""
+    MSEs are summed in stack order. Returns the MSE and the forward's values.
+
+    `reuse`, the values of an earlier held-out forward, goes to
+    `Tape.forward`: an SVD input that repeats from it is not decomposed
+    again. Both solvers' first SVT acts on P_Omega(Y) alone, so it repeats
+    at every step."""
     tape, out = solver
     total = 0.0
     with np.errstate(**_QUIET):
-        X = tape.forward(_run_bindings(config, positive, val))[out]
+        values = tape.forward(_run_bindings(config, positive, val), reuse)
+        X = values[out]
         for X_i, X_true in zip(X, val[2]):
             total += float(np.mean((X_i.astype(np.float64) - X_true) ** 2))
-    return total / len(X)
+    return total / len(X), values
 
 
 def _halt(log: TrainingLog, line: dict, diagnostic: str) -> None:
@@ -634,7 +641,9 @@ def train_unrolled(
     that drives an iterate to inf), the held-out score before the first step
     included. One tape serves every forward of the run; each sample's mask
     is bound data. The held-out set is scored as one stack, so its samples
-    must share one shape.
+    must share one shape. Each held-out forward reuses the SVDs of the one
+    before it where their inputs repeat byte for byte (see `_val_mse`); only
+    that one previous forward is kept.
     """
     if not dataset:
         dataset = make_completion_dataset(config, 32, tag=1)
@@ -655,7 +664,7 @@ def train_unrolled(
     positive = positive_of(theta)
     line = {"step": 0, "loss": None, "train_loss": None, "grad_finite": True, "params": positive}
     try:
-        line["loss"] = _val_mse(config, solver, val, positive)
+        line["loss"], val_values = _val_mse(config, solver, val, positive)
     except NonFiniteError:
         _halt(log, line, _SOLVER_HALT)
         return positive, log
@@ -701,7 +710,7 @@ def train_unrolled(
             _halt(log, line, "non-finite parameter after update")
             break
         try:
-            line["loss"] = _val_mse(config, solver, val, params_now)
+            line["loss"], val_values = _val_mse(config, solver, val, params_now, val_values)
         except NonFiniteError:
             _halt(log, line, _SOLVER_HALT)
             break

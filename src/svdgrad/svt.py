@@ -21,7 +21,7 @@ import numpy as np
 from .backward import GradMode, svd_vjp
 from .linalg import NonFiniteError, SvdFactors, _ct, ensure_matrix, real_dtype_of, svd
 
-__all__ = ["SvtCache", "ThresholdSpec", "svt", "svt_vjp"]
+__all__ = ["SvtCache", "ThresholdSpec", "svt", "svt_vjp", "threshold"]
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,16 @@ def svt(A, spec: ThresholdSpec) -> tuple[np.ndarray, SvdFactors, np.ndarray]:
     A may be one matrix or a (..., m, n) stack, thresholded matrix by matrix.
     """
     factors = svd(A)
+    B, s_hat = threshold(factors, spec)
+    return B, factors, s_hat
+
+
+def threshold(factors: SvdFactors, spec: ThresholdSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold an SVD's spectrum; returns (B, s_hat), B = U diag(s_hat) V^H.
+
+    The step of `svt` after the decomposition, so factors taken once can be
+    thresholded again under another spec.
+    """
     s = factors.s
     k = factors.k
     if spec.kind == "soft":
@@ -85,8 +95,7 @@ def svt(A, spec: ThresholdSpec) -> tuple[np.ndarray, SvdFactors, np.ndarray]:
         s_hat = s.copy()
         if spec.d > 0:
             s_hat[..., k - spec.d :] = 0
-    B = factors.reconstruct(s_hat)
-    return B, factors, s_hat
+    return factors.reconstruct(s_hat), s_hat
 
 
 def _tau_of(spec: ThresholdSpec, s: np.ndarray) -> np.ndarray:

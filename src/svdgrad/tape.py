@@ -11,7 +11,9 @@ A parameter is a real scalar, or one real value per matrix of a stack.
 
 Every node's value is an array or a real scalar; the SVD an svt or
 sum_singular_values node took in the forward travels beside the values (in
-`values.saved`) for the backward to reuse, never recomputed.
+`values.saved`) for the backward to reuse, never recomputed. A later forward
+may reuse it too: given an earlier forward's values, a node whose matrix
+input repeats byte for byte takes that SVD instead of decomposing again.
 
 Forward and backward also run on stacks: inputs bound to (..., m, n) arrays
 flow through every op matrix by matrix, and a loss gives one value per
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backward import GradMode, svd_vjp
-from .linalg import _ct, ensure_matrix, real_dtype_of, svd as _svd
-from .svt import SvtCache, ThresholdSpec, svt as _svt, svt_vjp
+from .linalg import SvdFactors, _ct, ensure_matrix, real_dtype_of, svd as _svd
+from .svt import SvtCache, ThresholdSpec, svt as _svt, svt_vjp, threshold as _threshold
 
 __all__ = ["GradientSet", "Node", "Tape"]
 
@@ -138,8 +140,21 @@ class Tape:
 
     # -- evaluation -------------------------------------------------------
 
-    def forward(self, bindings: dict[str, object]) -> _Values:
-        """Evaluate every node; returns the value list, indexed by node id."""
+    def forward(self, bindings: dict[str, object], reuse: _Values | None = None) -> _Values:
+        """Evaluate every node; returns the value list, indexed by node id.
+
+        `reuse` may hold the values of an earlier forward of this tape. An
+        svt or sum_singular_values node whose matrix input has the shape,
+        dtype and raw bytes of its input there takes the SVD it took then
+        instead of decomposing again; an svt node thresholds it with its
+        current spec or tau. Every value and saved state is then what a fresh
+        forward gives, bit for bit. Raw bytes tell -0.0 from 0.0, which need
+        not decompose to the same bits. The rule is the one `backward`
+        relies on: no array bound to the earlier forward has been modified
+        since it ran.
+        """
+        if reuse is not None and len(reuse) != len(self.nodes):
+            raise ValueError(f"reuse holds {len(reuse)} values for a tape of {len(self.nodes)} nodes")
         values = _Values([None] * len(self.nodes))
         for node in self.nodes:
             if node.parents:
@@ -148,7 +163,7 @@ class Tape:
                 args = [bindings[node.name]]
             else:
                 raise ValueError(f"unbound {node.op} node {node.name!r}")
-            values[node.idx] = _OPS[node.op][0](args, node, values.saved)
+            values[node.idx] = _OPS[node.op][0](args, node, values.saved, reuse)
         return values
 
     def backward(self, values: _Values, loss: int, mode: GradMode) -> GradientSet:
@@ -189,9 +204,10 @@ class _Values(list):
 
 # -- op table ---------------------------------------------------------------
 #
-# op -> (forward, vjp). forward(args, node, saved) computes a node's value, an
-# array or a float, from its parents' values (a leaf's one argument is its
-# binding); an SVD-backed op also stores its SVD state in saved[node.idx].
+# op -> (forward, vjp). forward(args, node, saved, reuse) computes a node's
+# value, an array or a float, from its parents' values (a leaf's one argument
+# is its binding); an SVD-backed op also stores its SVD state in
+# saved[node.idx], and may take it from `reuse`, an earlier forward's values.
 # vjp(g, args, node, state, mode) gets that state back and returns one
 # cotangent per parent, None for no contribution.
 
@@ -242,9 +258,25 @@ def _scale_by_param_vjp(g, args, *_):
     return _per_matrix_factor(args[1], x) * g, _real_scalar(dot.real[..., 0, 0])
 
 
-def _svt_forward(args, node, saved):
+def _reused_svd(A, node, reuse) -> SvdFactors | None:
+    """The SVD an SVD-backed node took in the `reuse` forward, if its matrix
+    input there has A's shape, dtype and raw bytes; else None."""
+    if reuse is None:
+        return None
+    prior = reuse[node.parents[0]]
+    if prior.shape != A.shape or prior.dtype != A.dtype or prior.tobytes() != A.tobytes():
+        return None
+    state = reuse.saved[node.idx]
+    return state.factors if isinstance(state, SvtCache) else state
+
+
+def _svt_forward(args, node, saved, reuse):
     spec = node.spec or ThresholdSpec.soft(args[1])
-    B, factors, s_hat = _svt(args[0], spec)
+    factors = _reused_svd(args[0], node, reuse)
+    if factors is None:
+        B, factors, s_hat = _svt(args[0], spec)
+    else:
+        B, s_hat = _threshold(factors, spec)
     saved[node.idx] = SvtCache(args[0], factors, s_hat, spec)
     return B
 
@@ -279,8 +311,8 @@ def _mse_loss_vjp(g, args, *_):
     return scale * d, -scale * d
 
 
-def _sum_singular_values_forward(args, node, saved):
-    factors = saved[node.idx] = _svd(args[0])
+def _sum_singular_values_forward(args, node, saved, reuse):
+    factors = saved[node.idx] = _reused_svd(args[0], node, reuse) or _svd(args[0])
     return _per_matrix(factors.s.sum(axis=-1))
 
 
@@ -291,7 +323,7 @@ def _sum_singular_values_vjp(g, args, node, factors, mode):
 
 
 _OPS = {
-    "input": (lambda args, node, _: ensure_matrix(args[0], node.name, stack=True), None),
+    "input": (lambda args, node, *_: ensure_matrix(args[0], node.name, stack=True), None),
     "parameter_scalar": (lambda args, *_: _real_scalar(args[0]), None),
     "matmul": (
         lambda args, *_: args[0] @ args[1],

@@ -210,6 +210,22 @@ def test_aux_rejects_bad_input():
         build_aux(np.array([1.0]), GradMode.inv(), dtype=np.complex128)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_aux_refuses_a_spectrum_beyond_the_working_dtype():
+    # 1e39 is finite in float64 but beyond float32: the cast must not warn
+    # and yield inf, but refuse the spectrum
+    for mode in ALL_MODES:
+        with pytest.raises(ValueError, match="overflow float32"):
+            build_aux(np.array([1e39, 1.0]), mode, dtype=np.float32)
+    # a float64 spectrum within range runs as its float32 cast
+    s = np.array([3e38, 2.0, 1e-30])
+    for mode in ALL_MODES:
+        aux, ref = build_aux(s, mode, dtype=np.float32), build_aux(s.astype(np.float32), mode)
+        for got, want in zip((aux.FS, aux.T, aux.s_pinv), (ref.FS, ref.T, ref.s_pinv)):
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes(), mode.variant
+
+
 def test_aux_dtype_rule_shared_with_classify_pairs():
     # without a dtype, a spectrum that is not float32 or float64 runs in
     # float64 in both functions

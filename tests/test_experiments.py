@@ -481,9 +481,50 @@ def test_stacked_validation_matches_per_sample(algorithm, precision):
     solver = _solver_tape(cfg)
     val = tuple(np.stack(column) for column in zip(*val_set))
     rng = np.random.default_rng(6)
+    prior = None
     for _ in range(3):
         positive = {name: float(rng.uniform(0.2, 2.0)) for name in _theta_names(cfg)}
-        assert _val_mse(cfg, solver, val, positive) == val_mse_per_sample(cfg, val_set, positive)
+        # each forward after the first reuses the one before it, as in training
+        mse, prior = _val_mse(cfg, solver, val, positive, prior)
+        assert mse == val_mse_per_sample(cfg, val_set, positive)
+
+
+@pytest.mark.parametrize("algorithm", ["admm", "pgd"])
+@pytest.mark.parametrize("precision", ["single", "double"])
+def test_training_reuses_the_held_out_svd_byte_for_byte(algorithm, precision, monkeypatch):
+    # training as shipped against training with `reuse` dropped: the logs
+    # must agree byte for byte, and the first SVT of every held-out forward
+    # after step 0 must take the previous held-out forward's SVD
+    from svdgrad import tape as tape_module
+
+    cfg = UnrolledConfig(size=(8, 8), n_unroll=3, steps=12, algorithm=algorithm,
+                         precision=precision, inject_rate=0.1, seed=4)
+    forward, reused_svd = Tape.forward, tape_module._reused_svd
+    forwards = []  # per Tape.forward call: [held out, SVDs reused]
+
+    def counted_forward(self, bindings, reuse=None):
+        forwards.append([bindings["Y"].ndim == 3, 0])
+        return forward(self, bindings, reuse)
+
+    def counted_reuse(A, node, reuse):
+        factors = reused_svd(A, node, reuse)
+        forwards[-1][1] += factors is not None
+        return factors
+
+    monkeypatch.setattr(tape_module, "_reused_svd", counted_reuse)
+    monkeypatch.setattr(Tape, "forward", counted_forward)
+    _, log = train_unrolled(cfg)
+    shipped = forwards[:]
+    assert not log.halted and len(log.lines) == cfg.steps + 1
+    assert any(line.get("injected") for line in log.lines)
+    assert [hits for held_out, hits in shipped if held_out] == [0] + [1] * cfg.steps
+    assert not any(hits for held_out, hits in shipped if not held_out)
+
+    forwards.clear()
+    monkeypatch.setattr(Tape, "forward", lambda self, bindings, reuse=None: counted_forward(self, bindings))
+    _, fresh = train_unrolled(cfg)
+    assert len(forwards) == len(shipped) and not any(hits for _, hits in forwards)
+    assert log.to_jsonl() == fresh.to_jsonl()
 
 
 def test_train_zero_learning_rate():

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from svdgrad import GradMode, Tape, ThresholdSpec
+from svdgrad import GradMode, SvtCache, Tape, ThresholdSpec
+from svdgrad.linalg import NonFiniteError
 
 from oracles import finite_difference_loop, soft_threshold_loss_straightline
 from test_backward import _random
@@ -344,3 +345,117 @@ def test_multiple_consumers_of_one_svd():
     g = t.backward(values, loss, GradMode.inv())
     fd = finite_difference_loop(lambda X: t.forward({**binds, "A": X})[loss], A0)
     assert np.linalg.norm(g.by_name("A") - fd) <= 1e-5 * np.linalg.norm(fd)
+
+
+# -- reusing an earlier forward's SVD ------------------------------------------
+
+
+def _one_svd_tape(through):
+    """(tape, SVD-backed node, loss) with one svt or sum_singular_values node
+    on the input A; a parameter tau is bound as `tau`."""
+    t = Tape()
+    a = t.input("A")
+    if through == "sum_singular_values":
+        node = loss = t.sum_singular_values(a)
+        return t, node, loss
+    fixed = {"soft": ThresholdSpec.soft(0.3), "hard_tail": ThresholdSpec.hard_tail(1)}
+    if through in fixed:
+        node = t.svt(a, fixed[through])
+    else:
+        node = t.svt(a, tau_param=t.parameter_scalar("tau"))
+    return t, node, t.l1_loss(node)
+
+
+def _factors(values, node):
+    state = values.saved[node]
+    return getattr(state, "factors", state)
+
+
+def _assert_same_forward(got, want):
+    """Every value and every saved state, byte for byte."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    assert got.saved.keys() == want.saved.keys()
+    for idx, state in want.saved.items():
+        other = got.saved[idx]
+        if isinstance(state, SvtCache):
+            assert other.spec.kind == state.spec.kind and other.spec.d == state.spec.d
+            pairs = [(other.A, state.A), (other.s_hat, state.s_hat),
+                     (np.asarray(other.spec.tau), np.asarray(state.spec.tau))]
+            other, state = other.factors, state.factors
+        else:
+            pairs = []
+        pairs += [(other.U, state.U), (other.s, state.s), (other.V, state.V)]
+        for g, w in pairs:
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+@pytest.mark.parametrize("stack", [(), (3,)])
+@pytest.mark.parametrize("through", ["soft", "tau_float", "tau_per_matrix", "hard_tail",
+                                     "sum_singular_values"])
+def test_forward_reuses_the_svd_of_a_repeated_input(through, stack, dtype):
+    rng = np.random.default_rng(71)
+    t, node, loss = _one_svd_tape(through)
+    A = _random(rng, stack + (5, 4), dtype)
+    A[(0,) * A.ndim] = 0
+    if through == "tau_per_matrix":
+        taus = rng.uniform(0.1, 0.6, (2,) + stack)
+    else:
+        taus = rng.uniform(0.1, 0.6, 2).tolist()
+
+    def run(X, tau, reuse=None):
+        return t.forward({"A": X, "tau": tau}, reuse)
+
+    prior = run(A, taus[0])
+    # equal bytes in another array: the earlier factors, thresholded anew
+    again = run(A.copy(), taus[1], prior)
+    assert _factors(again, node) is _factors(prior, node)
+    _assert_same_forward(again, run(A.copy(), taus[1]))
+    for mode in (GradMode.inv(), GradMode.exact()):
+        g, want = (t.backward(v, loss, mode).by_name("A") for v in (again, run(A, taus[1])))
+        assert g.tobytes() == want.tobytes()
+
+    # each of these decomposes again, and matches its own fresh forward
+    flipped = A.copy()
+    flipped[(0,) * A.ndim] = -flipped[(0,) * A.ndim]  # -0.0: equal, not the same bytes
+    assert np.array_equal(flipped, A) and flipped.tobytes() != A.tobytes()
+    bumped = A.copy()
+    part = bumped.real
+    part[(-1,) * A.ndim] = np.nextafter(part[(-1,) * A.ndim], np.inf)
+    reshaped = A.reshape(stack + (4, 5))  # the same bytes in another shape
+    other_dtype = {np.float32: np.float64, np.float64: np.float32,
+                   np.complex64: np.complex128, np.complex128: np.complex64}[dtype]
+    for changed in (flipped, bumped, reshaped, A.astype(other_dtype)):
+        values = run(changed, taus[1], prior)
+        assert _factors(values, node) is not _factors(prior, node)
+        _assert_same_forward(values, run(changed, taus[1]))
+
+    bad = A.copy()
+    bad[(-1,) * A.ndim] = np.nan
+    with pytest.raises(NonFiniteError):
+        run(bad, taus[1], prior)
+
+
+def test_forward_reuse_needs_the_same_dtype_not_only_the_same_bytes():
+    # float64 and complex64 share an item size: the same bytes, shape and
+    # strides, but another matrix
+    rng = np.random.default_rng(72)
+    A = rng.standard_normal((4, 3)).astype(np.float32).astype(np.float64)
+    t, node, _ = _one_svd_tape("soft")
+    prior = t.forward({"A": A})
+    other = A.view(np.complex64)
+    assert other.shape == A.shape and other.tobytes() == A.tobytes()
+    values = t.forward({"A": other}, prior)
+    assert _factors(values, node) is not _factors(prior, node)
+    _assert_same_forward(values, t.forward({"A": other}))
+
+
+def test_forward_reuse_must_come_from_this_tape():
+    t, _, _ = _one_svd_tape("soft")
+    longer, _, _ = _one_svd_tape("tau_float")
+    prior = longer.forward({"A": np.eye(3), "tau": 0.1})
+    with pytest.raises(ValueError, match="reuse holds"):
+        t.forward({"A": np.eye(3)}, prior)
