@@ -9,6 +9,7 @@ Reports embed the resolved configuration so outputs are self-describing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -18,7 +19,7 @@ import numpy as np
 from .backward import _VARIANTS, GradMode, StabilityParams
 from .experiments import _SOLVERS, UnrolledConfig, run_efficacy, train_unrolled
 from .oracle import finite_difference
-from .svt import ThresholdSpec, svt
+from .svt import ThresholdSpec
 from .tape import Tape
 
 __all__ = ["RunConfig", "cmd_efficacy", "cmd_gradcheck", "cmd_train", "main"]
@@ -148,64 +149,83 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _separated_matrix(rng: np.random.Generator, n: int, complex_: bool):
-    """Random n x n double matrix whose singular values are >= 0.3 apart."""
+    """Random n x n double matrix whose singular values are >= 0.4 apart."""
     s = np.linspace(2.0, 2.0 + 0.5 * (n - 1), n) + rng.uniform(0, 0.1, n)
-    if complex_:
-        q1, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    else:
-        q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return (q1 * s[None, :]) @ q2.conj().T, s
+    gauss = [
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if complex_
+        else rng.standard_normal((n, n))
+        for _ in range(2)
+    ]
+    q, _ = np.linalg.qr(np.stack(gauss))
+    return (q[0] * s[None, :]) @ q[1].conj().T, s
+
+
+_SVT_DRAWS = 50
+
+
+def _svt_point(rng: np.random.Generator, n: int, complex_: bool, A, svals):
+    """The svt group's tape, loss node, point forward and matrix.
+
+    The L1 loss has kinks at zero entries, so A is redrawn until every entry
+    of the svt node's value in the point forward is more than 1e-4 from zero,
+    safely away from the kinks at the FD step size. Raises RuntimeError when
+    all of _SVT_DRAWS draws fail."""
+    use_soft = rng.random() < 0.5
+    for draw in range(_SVT_DRAWS):
+        if draw:
+            A, svals = _separated_matrix(rng, n, complex_)
+        sd = np.sort(svals)
+        spec = ThresholdSpec.soft(float((sd[1] + sd[2]) / 2)) if use_soft else ThresholdSpec.hard_tail(2)
+        tape = Tape()
+        b = tape.svt(tape.input("A"), spec)
+        loss = tape.l1_loss(b)
+        values = tape.forward({"A": A})
+        if float(np.abs(values[b]).min()) > 1e-4:
+            return tape, loss, values, A
+    raise RuntimeError(
+        f"gradcheck group 'svt': all {_SVT_DRAWS} draws put an output entry within 1e-4 of an L1 kink"
+    )
 
 
 def _gradcheck_case(op: str, rng: np.random.Generator, cfg: RunConfig, complex_: bool):
-    """One FD-vs-analytic check; returns (fd rel err, exact-vs-inv rel gap)."""
+    """One FD-vs-analytic check; returns (fd rel err, exact-vs-inv rel gap).
+
+    Each distinct forward runs once: the point forward, whose values both
+    backward passes reuse, one stacked forward for the FD of A, and in the
+    chain group one more for the FD of its parameter c."""
     n = int(rng.integers(4, 8))
     A, svals = _separated_matrix(rng, n, complex_)
-    tape = Tape()
-    a = tape.input("A")
     extra: dict[str, np.ndarray] = {}
-    if op == "sum_singular_values":
-        loss = tape.sum_singular_values(a)
-    elif op == "svt_mse":
-        z = tape.input("Z")
-        extra["Z"] = np.zeros_like(A)
-        loss = tape.mse_loss(tape.svt(a, ThresholdSpec.soft(float(np.sort(svals)[1] * 0.5))), z)
-    elif op == "svt":
-        # the L1 loss has kinks at zero entries; redraw until the output is
-        # safely away from them at the FD step size
-        use_soft = rng.random() < 0.5
-        for _ in range(50):
-            sd = np.sort(svals)
-            spec = (
-                ThresholdSpec.soft(float((sd[1] + sd[2]) / 2))
-                if use_soft
-                else ThresholdSpec.hard_tail(2)
-            )
-            B, _, _ = svt(A, spec)
-            if float(np.abs(B).min()) > 1e-4:
-                break
-            A, svals = _separated_matrix(rng, n, complex_)
-        loss = tape.l1_loss(tape.svt(a, spec))
-    elif op == "chain":
-        z = tape.input("Z")
-        extra["Z"] = np.zeros_like(A)
-        p = tape.parameter_scalar("c")
-        extra["c"] = 0.7
-        extra["M"] = (rng.random((n, n)) < 0.6).astype(A.dtype)
-        h = tape.hadamard(a, a)
-        m1 = tape.matmul(a, tape.conj_transpose(a))
-        s2 = tape.sub(tape.add(m1, h), a)
-        loss = tape.mse_loss(tape.scale_by_param(tape.hadamard(s2, tape.input("M")), p), z)
-    else:  # pragma: no cover
-        raise ValueError(op)
+    if op == "svt":
+        tape, loss, values, A = _svt_point(rng, n, complex_, A, svals)
+    else:
+        tape = Tape()
+        a = tape.input("A")
+        if op == "sum_singular_values":
+            loss = tape.sum_singular_values(a)
+        elif op == "svt_mse":
+            z = tape.input("Z")
+            extra["Z"] = np.zeros_like(A)
+            loss = tape.mse_loss(tape.svt(a, ThresholdSpec.soft(float(np.sort(svals)[1] * 0.5))), z)
+        elif op == "chain":
+            z = tape.input("Z")
+            extra["Z"] = np.zeros_like(A)
+            p = tape.parameter_scalar("c")
+            extra["c"] = 0.7
+            extra["M"] = (rng.random((n, n)) < 0.6).astype(A.dtype)
+            h = tape.hadamard(a, a)
+            m1 = tape.matmul(a, tape.conj_transpose(a))
+            s2 = tape.sub(tape.add(m1, h), a)
+            loss = tape.mse_loss(tape.scale_by_param(tape.hadamard(s2, tape.input("M")), p), z)
+        else:  # pragma: no cover
+            raise ValueError(op)
+        values = tape.forward({"A": A, **extra})
 
     def loss_fn(stack):
         return tape.forward({"A": stack, **extra})[loss]
 
     fd = finite_difference(loss_fn, A)
-    values = tape.forward({"A": A, **extra})
     g_exact = tape.backward(values, loss, cfg.grad_mode("exact")).by_name("A")
     grads_inv = tape.backward(values, loss, cfg.grad_mode("inv"))
     g_inv = grads_inv.by_name("A")
@@ -216,8 +236,8 @@ def _gradcheck_case(op: str, rng: np.random.Generator, cfg: RunConfig, complex_:
         c = np.array([extra["c"]], dtype=np.float64)
 
         def loss_c(cs):
-            # c binds a scalar parameter, so its perturbed values run one by one
-            return [tape.forward({"A": A, **extra, "c": float(cv[0])})[loss] for cv in cs]
+            # c binds one perturbed value per matrix of the output stack
+            return tape.forward({"A": A, **extra, "c": cs[:, 0]})[loss]
 
         fd_c = finite_difference(loss_c, c)
         g_c = grads_inv.by_name("c")
@@ -314,7 +334,10 @@ def _size(text: str) -> tuple[int, int]:
     return (int(parts[0]), int(parts[1]))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing keeps no
+    state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="svdgrad",
         description="SVD gradient benchmarks: gradcheck, duplicate-spectrum efficacy, unrolled training.",
@@ -360,8 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(argv: list[str] | None) -> RunConfig:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     provided = {k: v for k, v in vars(ns).items() if v is not None and k != "config"}
     merged: dict = {}
     if ns.command == "train":

@@ -352,12 +352,14 @@ def run_efficacy(
 
 # -- unrolled solvers -------------------------------------------------------
 
-# Adam decay rates and denominator guard, the default held-out set size, the
-# diagnostic of a halt on a solver forward that met a non-finite value, and the
-# NumPy warnings silenced on the way to it (the halt line reports the value)
+# Adam decay rates and denominator guard, the default training and held-out
+# set sizes, the diagnostic of a halt on a solver forward that met a
+# non-finite value, and the NumPy warnings silenced on the way to it (the
+# halt line reports the value)
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+_TRAIN_SIZE = 32
 _VAL_SIZE = 8
 _SOLVER_HALT = "non-finite solver value"
 _QUIET = {"over": "ignore", "invalid": "ignore"}
@@ -639,14 +641,18 @@ def train_unrolled(
     injected duplicate spectra. So does a solver forward that meets a
     non-finite value (a parameter too large for the tape's precision, or one
     that drives an iterate to inf), the held-out score before the first step
-    included. One tape serves every forward of the run; each sample's mask
-    is bound data. The held-out set is scored as one stack, so its samples
-    must share one shape. Each held-out forward reuses the SVDs of the one
-    before it where their inputs repeat byte for byte (see `_val_mse`); only
-    that one previous forward is kept.
+    included. Without a `dataset`, the steps cycle through 32 generated
+    samples, of which only the ones they visit are drawn. One tape serves
+    every forward of the run; each sample's mask is bound data. The held-out
+    set is scored as one stack, so its samples must share one shape. Each
+    held-out forward reuses the SVDs of the one before it where their inputs
+    repeat byte for byte (see `_val_mse`); only that one previous forward is
+    kept.
     """
     if not dataset:
-        dataset = make_completion_dataset(config, 32, tag=1)
+        # each sample has its own stream, so drawing only those the steps
+        # visit leaves every one of them as drawing all would
+        dataset = make_completion_dataset(config, min(_TRAIN_SIZE, config.steps), tag=1)
     if not val_set:
         val_set = make_completion_dataset(config, _VAL_SIZE, tag=2)
     tape, out = solver = _solver_tape(config)

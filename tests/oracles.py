@@ -11,12 +11,23 @@ for bit. The unrolled solvers' reparameterisation is also written out by hand,
 per algorithm, for the table-driven bindings and chain rule to match exactly.
 `build_aux_reference` keeps the auxiliary-matrix construction as it stood
 before `build_aux` was rewritten for speed; the rewrite must match its bytes.
+`gradcheck_case_reference` keeps one gradcheck check as it stood before each
+distinct forward ran only once: a standalone svt for the kink test, and the
+FD of the chain group's parameter one forward per perturbed value.
 Slow is fine; these run on small matrices only.
 """
 
 import numpy as np
 
-from svdgrad import reference_gradient, svd, svd_vjp, unrolled_forward
+from svdgrad import (
+    Tape,
+    ThresholdSpec,
+    finite_difference,
+    reference_gradient,
+    svd,
+    svd_vjp,
+    unrolled_forward,
+)
 from svdgrad.experiments import (
     _CASE_SCALES,
     CellStats,
@@ -27,6 +38,7 @@ from svdgrad.experiments import (
     _rng,
     _workflow_tape,
 )
+from svdgrad.svt import svt
 
 
 def conj_transpose(A):
@@ -360,3 +372,81 @@ def efficacy_report_per_trial(n_trials, modes, cases=(1, 2), workflows=(1, 2, 3)
         "precision": "single", "reference": "double/exact",
     }
     return EfficacyReport(cells=cells, config=config)
+
+
+def separated_matrix_reference(rng, n, complex_):
+    """Random n x n double matrix whose singular values are >= 0.3 apart."""
+    s = np.linspace(2.0, 2.0 + 0.5 * (n - 1), n) + rng.uniform(0, 0.1, n)
+    if complex_:
+        q1, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    else:
+        q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q1 * s[None, :]) @ q2.conj().T, s
+
+
+def gradcheck_case_reference(op, rng, cfg, complex_):
+    """One FD-vs-analytic check; returns (fd rel err, exact-vs-inv rel gap)."""
+    n = int(rng.integers(4, 8))
+    A, svals = separated_matrix_reference(rng, n, complex_)
+    tape = Tape()
+    a = tape.input("A")
+    extra: dict[str, np.ndarray] = {}
+    if op == "sum_singular_values":
+        loss = tape.sum_singular_values(a)
+    elif op == "svt_mse":
+        z = tape.input("Z")
+        extra["Z"] = np.zeros_like(A)
+        loss = tape.mse_loss(tape.svt(a, ThresholdSpec.soft(float(np.sort(svals)[1] * 0.5))), z)
+    elif op == "svt":
+        # the L1 loss has kinks at zero entries; redraw until the output is
+        # safely away from them at the FD step size
+        use_soft = rng.random() < 0.5
+        for _ in range(50):
+            sd = np.sort(svals)
+            spec = (
+                ThresholdSpec.soft(float((sd[1] + sd[2]) / 2))
+                if use_soft
+                else ThresholdSpec.hard_tail(2)
+            )
+            B, _, _ = svt(A, spec)
+            if float(np.abs(B).min()) > 1e-4:
+                break
+            A, svals = separated_matrix_reference(rng, n, complex_)
+        loss = tape.l1_loss(tape.svt(a, spec))
+    elif op == "chain":
+        z = tape.input("Z")
+        extra["Z"] = np.zeros_like(A)
+        p = tape.parameter_scalar("c")
+        extra["c"] = 0.7
+        extra["M"] = (rng.random((n, n)) < 0.6).astype(A.dtype)
+        h = tape.hadamard(a, a)
+        m1 = tape.matmul(a, tape.conj_transpose(a))
+        s2 = tape.sub(tape.add(m1, h), a)
+        loss = tape.mse_loss(tape.scale_by_param(tape.hadamard(s2, tape.input("M")), p), z)
+    else:  # pragma: no cover
+        raise ValueError(op)
+
+    def loss_fn(stack):
+        return tape.forward({"A": stack, **extra})[loss]
+
+    fd = finite_difference(loss_fn, A)
+    values = tape.forward({"A": A, **extra})
+    g_exact = tape.backward(values, loss, cfg.grad_mode("exact")).by_name("A")
+    grads_inv = tape.backward(values, loss, cfg.grad_mode("inv"))
+    g_inv = grads_inv.by_name("A")
+    ref = max(float(np.linalg.norm(fd)), 1e-30)
+    fd_err = float(np.linalg.norm(g_inv - fd)) / ref
+    mode_gap = float(np.linalg.norm(g_inv - g_exact)) / max(float(np.linalg.norm(g_exact)), 1e-30)
+    if op == "chain":
+        c = np.array([extra["c"]], dtype=np.float64)
+
+        def loss_c(cs):
+            # c binds a scalar parameter, so its perturbed values run one by one
+            return [tape.forward({"A": A, **extra, "c": float(cv[0])})[loss] for cv in cs]
+
+        fd_c = finite_difference(loss_c, c)
+        g_c = grads_inv.by_name("c")
+        fd_err = max(fd_err, abs(float(fd_c[0]) - g_c) / max(abs(float(fd_c[0])), 1e-30))
+    return fd_err, mode_gap

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import svdgrad
-from svdgrad import Tape, cli, train_unrolled
+from svdgrad import Tape, cli, finite_difference, train_unrolled
 from svdgrad.cli import main
 
 
@@ -58,8 +59,9 @@ def test_gradcheck_backward_calls(monkeypatch, capsys):
 
 
 def test_gradcheck_forward_calls(monkeypatch, capsys):
-    # two per check (all finite-difference copies in one stack, then the
-    # point itself); the chain group's parameter c adds its two perturbed values
+    # two per check (the point itself, whose values both backward passes
+    # reuse, and all finite-difference copies in one stack); the chain
+    # group's parameter c adds one forward of its two perturbed values
     calls = []
     forward = Tape.forward
 
@@ -70,7 +72,100 @@ def test_gradcheck_forward_calls(monkeypatch, capsys):
     monkeypatch.setattr(Tape, "forward", counting)
     assert main(["gradcheck", "--checks", "1", "--seed", "5"]) == 0
     capsys.readouterr()
-    assert len(calls) == 10
+    assert len(calls) == 9
+
+
+_GRADCHECK_OPS = ("sum_singular_values", "svt_mse", "svt", "chain")
+
+
+def _case_run(monkeypatch, module, case, op, seed, complex_):
+    """One gradcheck check: its result, the bytes of every finite-difference
+    gradient it took, and the generator's next raw output, which tells
+    whether it took as many draws."""
+    fds = []
+
+    def recording(loss_fn, at, **kwargs):
+        grad = finite_difference(loss_fn, at, **kwargs)
+        fds.append(grad.tobytes())
+        return grad
+
+    monkeypatch.setattr(module, "finite_difference", recording)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, _GRADCHECK_OPS.index(op)])))
+    result = case(op, rng, cli.RunConfig(command="gradcheck"), complex_)
+    return np.array(result).tobytes(), fds, int(rng.bit_generator.random_raw())
+
+
+@pytest.mark.parametrize("op", _GRADCHECK_OPS)
+def test_gradcheck_case_matches_reference(op, monkeypatch):
+    # each distinct forward once, the chain group's parameter FD as one
+    # stacked forward, both QRs of a draw as one stack: the (fd_err,
+    # mode_gap) pair, every FD gradient and the draws taken are those of the
+    # check as it was written before, bit for bit
+    for seed in (1, 2, 3, 3407, 41):
+        for complex_ in (False, True):
+            new = _case_run(monkeypatch, cli, cli._gradcheck_case, op, seed, complex_)
+            old = _case_run(monkeypatch, oracles, oracles.gradcheck_case_reference, op, seed, complex_)
+            assert new == old
+            assert len(new[1]) == (2 if op == "chain" else 1)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_gradcheck_svt_redraw_matches_reference(complex_, monkeypatch):
+    # the first draw is made diagonal, so the svt output has exact zeros
+    # off the diagonal, at the L1 kinks: both versions redraw once and agree
+    draws = []
+
+    def kinked_first(draw):
+        def wrapped(rng, n, complex_):
+            A, s = draw(rng, n, complex_)
+            draws.append(n)
+            return (np.diag(s).astype(A.dtype) if len(draws) == 1 else A), s
+        return wrapped
+
+    results = []
+    for module, draw, case in ((cli, "_separated_matrix", cli._gradcheck_case),
+                               (oracles, "separated_matrix_reference", oracles.gradcheck_case_reference)):
+        draws.clear()
+        monkeypatch.setattr(module, draw, kinked_first(getattr(module, draw)))
+        results.append(_case_run(monkeypatch, module, case, "svt", 3, complex_))
+        assert len(draws) == 2
+    assert results[0] == results[1]
+
+
+def test_gradcheck_svt_raises_when_every_draw_is_kinked(monkeypatch):
+    # a check never uses a matrix it did not test: when all 50 draws put an
+    # output entry on a kink there is no 51st draw, only an error
+    draws = []
+    draw = cli._separated_matrix
+
+    def kinked(rng, n, complex_):
+        A, s = draw(rng, n, complex_)
+        draws.append(n)
+        return np.diag(s).astype(A.dtype), s
+
+    monkeypatch.setattr(cli, "_separated_matrix", kinked)
+    rng = np.random.Generator(np.random.Philox(7))
+    with pytest.raises(RuntimeError, match="gradcheck group 'svt': all 50 draws"):
+        cli._gradcheck_case("svt", rng, cli.RunConfig(command="gradcheck"), False)
+    assert len(draws) == 50
+
+
+def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
+    # one process, the same argv twice around a usage error: the parser is
+    # built once and the two reports are byte-identical
+    cli._build_parser.cache_clear()
+    path = tmp_path / "report.json"
+    argv = ["gradcheck", "--checks", "2", "--seed", "11", "--output", str(path)]
+    assert main(argv) == 0
+    first = path.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--seed", "5", "--checks"])
+    assert exc.value.code == 2
+    assert main(["gradcheck", "--tolerance", "-1"]) == 2
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == first
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_gradcheck_impossible_tolerance_exits_one(capsys):

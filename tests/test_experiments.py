@@ -527,6 +527,27 @@ def test_training_reuses_the_held_out_svd_byte_for_byte(algorithm, precision, mo
     assert log.to_jsonl() == fresh.to_jsonl()
 
 
+@pytest.mark.parametrize("steps", [0, 15, 40])
+def test_training_draws_only_the_visited_samples(steps, monkeypatch):
+    # the default training set is drawn sample by sample, each from its own
+    # stream: drawing only the min(32, steps) the steps visit must give the
+    # log that the whole 32-sample set gives, byte for byte
+    cfg = UnrolledConfig(size=(8, 8), n_unroll=2, steps=steps, inject_rate=0.1, seed=6)
+    drawn = []
+    make = experiments.make_completion_dataset
+
+    def counted(config, n, tag):
+        drawn.append((n, tag))
+        return make(config, n, tag)
+
+    monkeypatch.setattr(experiments, "make_completion_dataset", counted)
+    _, lazy = train_unrolled(cfg)
+    assert drawn == [(min(32, steps), 1), (8, 2)]
+    _, full = train_unrolled(cfg, dataset=make(cfg, 32, tag=1))
+    assert len(lazy.lines) == steps + 1
+    assert lazy.to_jsonl() == full.to_jsonl()
+
+
 def test_train_zero_learning_rate():
     cfg = UnrolledConfig(size=(8, 8), n_unroll=2, steps=4, lr=0.0, seed=11)
     params, log = train_unrolled(cfg)
