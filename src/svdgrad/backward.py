@@ -76,11 +76,12 @@ class StabilityParams:
             raise ValueError("clamp must be positive")
 
     def resolve(self, real_dtype) -> tuple[float, float]:
+        """(t, clamp) in float32, or else in float64; the clamp is capped at
+        that dtype's largest value, which is what the backward clamps at."""
         single = np.dtype(real_dtype) == np.dtype(np.float32)
         t = self.t if self.t is not None else (1e30 if single else 1e300)
-        clamp = self.clamp
-        if clamp is None:
-            clamp = float(np.finfo(np.float32 if single else np.float64).max)
+        cap = float(np.finfo(np.float32 if single else np.float64).max)
+        clamp = cap if self.clamp is None else min(self.clamp, cap)
         return float(t), float(clamp)
 
 
@@ -151,18 +152,13 @@ def _validate_s(s) -> np.ndarray:
     return s
 
 
-def _working_dtype(s: np.ndarray, dtype=None) -> np.dtype:
+def _working_dtype(s: np.ndarray) -> np.dtype:
     """The real dtype a spectrum's arithmetic runs in.
 
-    An explicit `dtype` must be float32 or float64. Otherwise a float32 or
-    float64 spectrum keeps its own dtype and any other real one (integers,
-    float16) runs in float64; a complex spectrum is refused.
+    A float32 or float64 spectrum keeps its own dtype and any other real one
+    (integers, float16, longdouble) runs in float64; a complex spectrum is
+    refused.
     """
-    if dtype is not None:
-        rdt = np.dtype(dtype)
-        if rdt not in _FLOATS:
-            raise TypeError(f"dtype must be a real float type, got {rdt}")
-        return rdt
     if np.iscomplexobj(s):
         raise TypeError(f"singular values must be real, got {s.dtype}")
     return s.dtype if s.dtype in _FLOATS else np.dtype(np.float64)
@@ -199,8 +195,10 @@ def classify_pairs(s, t: float) -> np.ndarray:
     (strictly), so the labels do not depend on the scale of the spectrum; an
     equal pair is EQUAL_ZERO only when both values are exactly zero. Diagonal
     entries are labelled like any other equal pair. The spectrum runs in the
-    dtype `build_aux` would use for it without an explicit `dtype`.
+    dtype `build_aux` would use for it; t must be positive.
     """
+    if not t > 0:
+        raise ValueError("t must be positive")
     s = _validate_s(s)
     s = s.astype(_working_dtype(s), copy=False)
     with np.errstate(under="ignore"):
@@ -222,9 +220,8 @@ def _clamp_nonfinite(x: np.ndarray, clamp: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _limits(stability: StabilityParams, rdt: np.dtype) -> tuple[float, float]:
-    """The threshold t and the clamp, capped at the largest value of rdt."""
-    t, clamp = stability.resolve(rdt)
-    return t, min(clamp, float(np.finfo(rdt).max))
+    """`stability.resolve(rdt)`, cached."""
+    return stability.resolve(rdt)
 
 
 def _form_fs(F_rel: np.ndarray, s_rel: np.ndarray, scale, clip_fs, equal) -> np.ndarray:
@@ -237,18 +234,17 @@ def _form_fs(F_rel: np.ndarray, s_rel: np.ndarray, scale, clip_fs, equal) -> np.
     return FS
 
 
-def build_aux(s, mode: GradMode, dtype=None) -> AuxMatrices:
+def build_aux(s, mode: GradMode) -> AuxMatrices:
     """Construct FS, T and s_pinv of one spectrum for one backward mode.
 
     s is one spectrum, never a stack: `svd_vjp` calls this once per matrix
     of a stack.
 
-    Arithmetic runs in `dtype`; without it, a float32 or float64 spectrum
-    keeps its dtype and any other real one runs in float64 (the rule
-    `classify_pairs` uses). So a float32 benchmark faithfully reproduces
-    float32 gap rounding. A value beyond the range of that dtype raises
-    ValueError. FS = F_ij * sigma_j is formed from the relative F
-    (sigma_max^2 times F) with exact antisymmetry in every mode and never
+    A float32 or float64 spectrum keeps its dtype and any other real one
+    runs in float64 (the rule `classify_pairs` uses). So a float32 benchmark
+    faithfully reproduces float32 gap rounding. A value beyond float64's
+    range raises ValueError. FS = F_ij * sigma_j is formed from the relative
+    F (sigma_max^2 times F) with exact antisymmetry in every mode and never
     passes through F alone, which overflows float32 on spectra near 1e-18.
     In the safeguarded modes any entry of FS, T or s_pinv that overflows is
     clamped; an overflowing relative F is clamped before FS is formed from
@@ -259,7 +255,7 @@ def build_aux(s, mode: GradMode, dtype=None) -> AuxMatrices:
     a value is zero.
     """
     s = _validate_s(s)
-    rdt = _working_dtype(s, dtype)
+    rdt = _working_dtype(s)
     if s.dtype != rdt:
         with np.errstate(over="ignore"):
             s = s.astype(rdt)
@@ -358,22 +354,22 @@ def _diag(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stacked_aux(s: np.ndarray, mode: GradMode, rdt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stacked_aux(s: np.ndarray, mode: GradMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """FS, T and s_pinv of every spectrum of the (..., k) stack s, from one
     build_aux call per spectrum; one spectrum's arrays are used as built,
     which spares a lone matrix's backward the copies."""
     if s.ndim == 1:
-        aux = build_aux(s, mode, dtype=rdt)
+        aux = build_aux(s, mode)
         return aux.FS, aux.T, aux.s_pinv
     k = s.shape[-1]
-    auxes = [build_aux(si, mode, dtype=rdt) for si in s.reshape(-1, k)]
+    auxes = [build_aux(si, mode) for si in s.reshape(-1, k)]
     FS = np.stack([a.FS for a in auxes]).reshape(*s.shape, k)
     T = np.stack([a.T for a in auxes]).reshape(*s.shape, k)
     s_pinv = np.stack([a.s_pinv for a in auxes]).reshape(s.shape)
     return FS, T, s_pinv
 
 
-def svd_vjp(A, factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
+def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
     """Pull factor cotangents (Ubar, sbar, Vbar) back to the input matrix.
 
     Computed as
@@ -393,33 +389,38 @@ def svd_vjp(A, factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
     non-finite entries (propagated, never masked); every other mode returns
     finite output for finite input.
 
-    A may be a (..., m, n) stack with factors and cotangents carrying the
-    same leading axes; each matrix's gradient is bit-identical to its own
-    2-D call. `build_aux` runs once per spectrum of the stack.
+    The factors give the input's shape and dtype: U (..., m, k), s (..., k)
+    and V (..., n, k) share their leading axes (else ValueError); V is in
+    U's dtype and s in its real dtype (else TypeError). On a stack each
+    matrix's gradient is bit-identical to its own 2-D call; `build_aux` runs
+    once per spectrum.
     """
-    A = ensure_matrix(A, "A", stack=True)
-    *stack, m, n = A.shape
-    U, s, V = factors.U, factors.s, factors.V
-    k = s.shape[-1]
-    rdt = real_dtype_of(A.dtype)
+    U, s, V = ensure_matrix(factors.U, "U"), factors.s, ensure_matrix(factors.V, "V")
+    *stack, m, k = U.shape
+    n = V.shape[-2]
+    if s.shape != (*stack, k) or V.shape != (*stack, n, k):
+        raise ValueError(f"factor shapes U {U.shape}, s {s.shape}, V {V.shape} do not agree")
+    rdt = real_dtype_of(U.dtype)
+    if s.dtype != rdt or V.dtype != U.dtype:
+        raise TypeError(f"factor dtypes U {U.dtype}, s {s.dtype}, V {V.dtype} do not agree")
 
     if Ubar is None:
-        Ubar = np.zeros((*stack, m, k), dtype=A.dtype)
+        Ubar = np.zeros((*stack, m, k), dtype=U.dtype)
     if Vbar is None:
-        Vbar = np.zeros((*stack, n, k), dtype=A.dtype)
-    Ubar = ensure_matrix(Ubar, "Ubar", stack=True)
-    Vbar = ensure_matrix(Vbar, "Vbar", stack=True)
+        Vbar = np.zeros((*stack, n, k), dtype=U.dtype)
+    Ubar = ensure_matrix(Ubar, "Ubar")
+    Vbar = ensure_matrix(Vbar, "Vbar")
     sbar = np.zeros((*stack, k), dtype=rdt) if sbar is None else np.asarray(sbar)
     if (Ubar.shape, sbar.shape, Vbar.shape) != ((*stack, m, k), (*stack, k), (*stack, n, k)):
         raise ValueError(
             f"cotangent shapes {Ubar.shape}/{sbar.shape}/{Vbar.shape} do not "
-            f"conform to factors of a {A.shape} input"
+            f"conform to factors of a {(*stack, m, n)} input"
         )
 
-    FS, T, s_pinv_r = _stacked_aux(s, mode, rdt)
-    FS = FS.astype(A.dtype, copy=False)
-    T = T.astype(A.dtype, copy=False)
-    s_pinv = s_pinv_r.astype(A.dtype, copy=False)[..., None, :]
+    FS, T, s_pinv_r = _stacked_aux(s, mode)
+    FS = FS.astype(U.dtype, copy=False)
+    T = T.astype(U.dtype, copy=False)
+    s_pinv = s_pinv_r.astype(U.dtype, copy=False)[..., None, :]
 
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         P = _ct(U) @ Ubar                         # U^H Ubar
@@ -428,13 +429,13 @@ def svd_vjp(A, factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
         br_v = Q - _ct(Q)
         core = FS * br_u                          # (F o br_u) S
         core = core + T * P
-        core = core + _diag(np.real(sbar).astype(rdt, copy=False)).astype(A.dtype)
+        core = core + _diag(np.real(sbar).astype(rdt, copy=False)).astype(U.dtype)
         core = core - FS.swapaxes(-1, -2) * br_v  # S (F o br_v)
-        if np.iscomplexobj(A):
+        if np.iscomplexobj(U):
             diag_p = np.diagonal(P, axis1=-2, axis2=-1)
             diag_q = np.diagonal(Q, axis1=-2, axis2=-1)
             gauge = 0.5 * (np.imag(diag_p) - np.imag(diag_q))
-            core = core + 1j * _diag(gauge * s_pinv_r).astype(A.dtype)
+            core = core + 1j * _diag(gauge * s_pinv_r).astype(U.dtype)
         Vh = _ct(V)
         Abar = U @ core @ Vh
         Abar = Abar + ((Ubar - U @ P) * s_pinv) @ Vh

@@ -398,21 +398,17 @@ def _resolve(argv: list[str] | None) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        cfg = _resolve(argv)
-    except SystemExit as e:
-        if isinstance(e.code, str):
-            print(e.code, file=sys.stderr)
-            return 2
-        raise
+    """Run one command; returns its exit code, also for a usage error or
+    `--help` (where argparse would exit)."""
     handlers = {"gradcheck": cmd_gradcheck, "efficacy": cmd_efficacy, "train": cmd_train}
     try:
+        cfg = _resolve(argv)
         return handlers[cfg.command](cfg)
     except SystemExit as e:
         if isinstance(e.code, str):
             print(e.code, file=sys.stderr)
             return 2
-        raise
+        return e.code or 0
 
 
 if __name__ == "__main__":

@@ -37,15 +37,12 @@ def real_dtype_of(dtype) -> np.dtype:
     return _REAL_OF[np.dtype(dtype)]
 
 
-def ensure_matrix(A, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Validate a 2-D matrix operand and return it as an ndarray.
-
-    With stack=True a (..., m, n) stack of matrices is accepted as well.
-    """
+def ensure_matrix(A, name: str = "matrix") -> np.ndarray:
+    """Validate a 2-D matrix or a (..., m, n) stack of matrices and return
+    it as an ndarray."""
     A = np.asarray(A)
-    if A.ndim != 2 and not (stack and A.ndim > 2):
-        kind = "2-D or a stack of matrices" if stack else "2-D"
-        raise ValueError(f"{name} must be {kind}, got shape {A.shape}")
+    if A.ndim < 2:
+        raise ValueError(f"{name} must be 2-D or a stack of matrices, got shape {A.shape}")
     if A.size == 0:
         raise ValueError(f"{name} must have positive dimensions, got {A.shape}")
     if A.dtype not in _REAL_OF:
@@ -93,7 +90,7 @@ def svd(A) -> SvdFactors:
     decomposed matrix by matrix, with factors bit-identical to decomposing
     each matrix alone.
     """
-    A = ensure_matrix(A, "A", stack=True)
+    A = ensure_matrix(A, "A")
     if not np.isfinite(A).all():
         raise NonFiniteError("A contains non-finite entries")
     U, s, Vh = np.linalg.svd(A, full_matrices=False)

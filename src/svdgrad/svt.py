@@ -61,9 +61,9 @@ class ThresholdSpec:
 
 @dataclass(frozen=True)
 class SvtCache:
-    """Forward products needed by svt_vjp."""
+    """Forward products needed by svt_vjp; the factors carry the input's
+    shape and dtype."""
 
-    A: np.ndarray
     factors: SvdFactors
     s_hat: np.ndarray
     spec: ThresholdSpec
@@ -147,24 +147,24 @@ def svt_vjp(Bbar, cached: SvtCache, mode: GradMode) -> tuple[np.ndarray, float |
     cotangent Re diag(U^H Bbar V) masked to kept positions. taubar (soft only)
     is minus the sum of the pre-mask spectrum cotangents over kept positions.
 
-    On a (..., m, n) stack Abar is each matrix's own gradient, bit for bit,
-    and taubar is a float64 array with one value per matrix; for one matrix
-    taubar is a float.
+    Bbar is shaped like the input, (..., m, n) as the factors give it. On a
+    stack Abar is each matrix's own gradient, bit for bit, and taubar is a
+    float64 array with one value per matrix; for one matrix it is a float.
     """
-    Bbar = ensure_matrix(Bbar, "Bbar", stack=True)
-    A, factors, s_hat, spec = cached.A, cached.factors, cached.s_hat, cached.spec
-    if Bbar.shape != A.shape:
-        raise ValueError(f"Bbar shape {Bbar.shape} does not match A shape {A.shape}")
-    rdt = real_dtype_of(A.dtype)
+    Bbar = ensure_matrix(Bbar, "Bbar")
+    factors, s_hat, spec = cached.factors, cached.s_hat, cached.spec
+    U, s, V = factors.U, factors.s, factors.V
+    if Bbar.shape != (*U.shape[:-1], V.shape[-2]):
+        raise ValueError(f"Bbar shape {Bbar.shape} does not match the {U.shape} U and {V.shape} V")
 
     s_d = s_hat.astype(Bbar.dtype, copy=False)[..., None, :]
-    gV = Bbar @ factors.V
+    gV = Bbar @ V
     Ubar = gV * s_d
-    Vbar = (_ct(Bbar) @ factors.U) * s_d
-    sbar_pre = np.real(np.einsum("...ij,...ij->...j", factors.U.conj(), gV))
+    Vbar = (_ct(Bbar) @ U) * s_d
+    sbar_pre = np.real(np.einsum("...ij,...ij->...j", U.conj(), gV))
     sbar_pre = sbar_pre.astype(real_dtype_of(Bbar.dtype), copy=False)
-    kept = kept_mask(factors.s, spec)
-    sbar = np.where(kept, sbar_pre, np.asarray(0, dtype=rdt))
-    taubar = -_kept_sums(sbar_pre, kept) if spec.kind == "soft" else np.zeros(A.shape[:-2])
-    Abar = svd_vjp(A, factors, Ubar, sbar, Vbar, mode)
-    return Abar, float(taubar) if A.ndim == 2 else taubar
+    kept = kept_mask(s, spec)
+    sbar = np.where(kept, sbar_pre, np.asarray(0, dtype=s.dtype))
+    taubar = -_kept_sums(sbar_pre, kept) if spec.kind == "soft" else np.zeros(U.shape[:-2])
+    Abar = svd_vjp(factors, Ubar, sbar, Vbar, mode)
+    return Abar, float(taubar) if U.ndim == 2 else taubar

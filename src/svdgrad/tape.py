@@ -277,7 +277,7 @@ def _svt_forward(args, node, saved, reuse):
         B, factors, s_hat = _svt(args[0], spec)
     else:
         B, s_hat = _threshold(factors, spec)
-    saved[node.idx] = SvtCache(args[0], factors, s_hat, spec)
+    saved[node.idx] = SvtCache(factors, s_hat, spec)
     return B
 
 
@@ -319,11 +319,11 @@ def _sum_singular_values_forward(args, node, saved, reuse):
 def _sum_singular_values_vjp(g, args, node, factors, mode):
     s = factors.s
     sbar = np.broadcast_to(np.asarray(g, dtype=s.dtype)[..., None], s.shape)
-    return (svd_vjp(args[0], factors, None, sbar, None, mode),)
+    return (svd_vjp(factors, None, sbar, None, mode),)
 
 
 _OPS = {
-    "input": (lambda args, node, *_: ensure_matrix(args[0], node.name, stack=True), None),
+    "input": (lambda args, node, *_: ensure_matrix(args[0], node.name), None),
     "parameter_scalar": (lambda args, *_: _real_scalar(args[0]), None),
     "matmul": (
         lambda args, *_: args[0] @ args[1],

@@ -252,7 +252,7 @@ def reconstruct_l1_gradient(A, mode):
     Ubar = gV * s_d[None, :]
     Vbar = (g.conj().T @ factors.U) * s_d[None, :]
     sbar = np.real(np.einsum("ij,ij->j", factors.U.conj(), gV))
-    return svd_vjp(A, factors, Ubar, sbar, Vbar, mode)
+    return svd_vjp(factors, Ubar, sbar, Vbar, mode)
 
 
 def bind_tape_params(config, positive):

@@ -186,11 +186,15 @@ def test_aux_float32_defaults():
     t64, clamp64 = StabilityParams().resolve(np.float64)
     assert t64 == 1e300
     assert clamp64 == float(np.finfo(np.float64).max)
+    # a clamp beyond the precision's range resolves to its largest value,
+    # the clamp the backward applies
+    assert StabilityParams(clamp=1e300).resolve(np.float32)[1] == clamp
+    assert StabilityParams(clamp=1e300).resolve(np.float64)[1] == 1e300
     # a tiny pair that is equal relative to sigma_max = 1: its squared gap
     # (~2e-35) is far below what float32 F could invert, yet it is classified
     # and compensated through T without leaving float32
     s = np.array([1.0, 1e-16 * (1 + 1e-3), 1e-16], dtype=np.float32)
-    aux = build_aux(s, GradMode.inv(), dtype=np.float32)
+    aux = build_aux(s, GradMode.inv())
     assert aux.FS.dtype == np.float32
     assert aux.FS[1, 2] == 0 and aux.FS[2, 1] == 0
     assert aux.T[1, 2] > 0
@@ -206,29 +210,30 @@ def test_aux_rejects_bad_input():
         build_aux(np.array([1.0, np.inf]), GradMode.inv())
     with pytest.raises(ValueError):
         build_aux(np.array([[1.0, 2.0]]), GradMode.inv())
-    with pytest.raises(TypeError):
-        build_aux(np.array([1.0]), GradMode.inv(), dtype=np.complex128)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                    reason="longdouble has float64's range here")
 def test_aux_refuses_a_spectrum_beyond_the_working_dtype():
-    # 1e39 is finite in float64 but beyond float32: the cast must not warn
-    # and yield inf, but refuse the spectrum
+    # 1e400 is finite in longdouble but beyond float64, the dtype a
+    # longdouble spectrum runs in: the cast must not warn and yield inf, but
+    # refuse the spectrum
     for mode in ALL_MODES:
-        with pytest.raises(ValueError, match="overflow float32"):
-            build_aux(np.array([1e39, 1.0]), mode, dtype=np.float32)
-    # a float64 spectrum within range runs as its float32 cast
-    s = np.array([3e38, 2.0, 1e-30])
+        with pytest.raises(ValueError, match="overflow float64"):
+            build_aux(np.array([np.longdouble("1e400"), 1.0]), mode)
+    # a longdouble spectrum within range runs as its float64 cast
+    s = np.array([1e300, 2.0, 1e-300], dtype=np.longdouble)
     for mode in ALL_MODES:
-        aux, ref = build_aux(s, mode, dtype=np.float32), build_aux(s.astype(np.float32), mode)
+        aux, ref = build_aux(s, mode), build_aux(s.astype(np.float64), mode)
         for got, want in zip((aux.FS, aux.T, aux.s_pinv), (ref.FS, ref.T, ref.s_pinv)):
-            assert got.dtype == np.float32
+            assert got.dtype == np.float64
             assert got.tobytes() == want.tobytes(), mode.variant
 
 
 def test_aux_dtype_rule_shared_with_classify_pairs():
-    # without a dtype, a spectrum that is not float32 or float64 runs in
-    # float64 in both functions
+    # a spectrum that is not float32 or float64 runs in float64 in both
+    # functions
     for s in (np.array([3, 1]), np.array([3.0, 3.0, 0.0], dtype=np.float16)):
         s64 = s.astype(np.float64)
         assert np.array_equal(classify_pairs(s, 1e300), classify_pairs(s64, 1e300))
@@ -242,8 +247,14 @@ def test_aux_dtype_rule_shared_with_classify_pairs():
         build_aux(complex_s, GradMode.inv())
     with pytest.raises(TypeError):
         classify_pairs(complex_s, 1e300)
-    with pytest.raises(TypeError):
-        build_aux(np.array([3, 1]), GradMode.inv(), dtype=np.int64)
+
+
+def test_classify_pairs_refuses_a_threshold_that_is_not_positive():
+    # t = 0 used to divide by zero, and t = -1 or nan labelled even the
+    # diagonal UNEQUAL
+    for t in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="t must be positive"):
+            classify_pairs(np.array([2.0, 1.0]), t)
 
 
 def _oracle_spectra(rng):
@@ -288,16 +299,16 @@ def test_aux_bytes_match_reference():
     rng = np.random.default_rng(2024)
     checked = 0
     for s in _oracle_spectra(rng):
-        for s_dtype, dtype in ((np.float32, None), (np.float64, None), (np.float64, np.float32)):
+        for s_dtype in (np.float32, np.float64):
             spectrum = s.astype(s_dtype)
             for mode in modes:
-                aux = build_aux(spectrum, mode, dtype=dtype)
-                ref = build_aux_reference(spectrum, mode, dtype=dtype)
+                aux = build_aux(spectrum, mode)
+                ref = build_aux_reference(spectrum, mode)
                 for name, got, want in zip(("FS", "T", "s_pinv"), (aux.FS, aux.T, aux.s_pinv), ref):
                     assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, mode, spectrum)
-                    assert got.tobytes() == want.tobytes(), (name, mode, dtype, spectrum)
+                    assert got.tobytes() == want.tobytes(), (name, mode, s_dtype, spectrum)
                 checked += 1
-    assert checked == 60 * 3 * len(modes)
+    assert checked == 60 * 2 * len(modes)
 
 
 def test_mode_constructor_validation():
@@ -318,7 +329,7 @@ def test_vjp_sum_singular_values_diagonal():
     A = np.diag([3.0, 2.0, 1.0])
     f = svd(A)
     for mode in ALL_MODES:
-        Abar = svd_vjp(A, f, None, np.ones(3), None, mode)
+        Abar = svd_vjp(f, None, np.ones(3), None, mode)
         assert np.allclose(Abar, np.eye(3), atol=1e-14), mode.variant
 
 
@@ -326,7 +337,7 @@ def test_vjp_zero_cotangents():
     rng = np.random.default_rng(13)
     A = _random(rng, (5, 4))
     f = svd(A)
-    Abar = svd_vjp(A, f, None, None, None, GradMode.inv())
+    Abar = svd_vjp(f, None, None, None, GradMode.inv())
     assert np.array_equal(Abar, np.zeros((5, 4)))
 
 
@@ -342,7 +353,7 @@ def test_vjp_linear_loss_recovers_cotangent():
         Vbar = (C.conj().T @ f.U) * s_hat[None, :]
         sbar = np.real(np.einsum("ij,ij->j", f.U.conj(), C @ f.V))
         for mode in [GradMode.exact(), GradMode.inv()]:
-            Abar = svd_vjp(A, f, Ubar, sbar, Vbar, mode)
+            Abar = svd_vjp(f, Ubar, sbar, Vbar, mode)
             assert np.linalg.norm(Abar - C) <= 1e-12 * np.linalg.norm(C), (
                 mode.variant,
                 dtype,
@@ -355,7 +366,7 @@ def test_vjp_fd_frobenius_squared():
         A = _random(rng, (5, 5), dtype)
         f = svd(A)
         # d ||A||_F^2 = d sum s_i^2 -> sbar = 2s, and the gradient is 2A
-        Abar = svd_vjp(A, f, None, 2 * f.s, None, GradMode.inv())
+        Abar = svd_vjp(f, None, 2 * f.s, None, GradMode.inv())
         assert np.linalg.norm(Abar - 2 * A) <= 1e-10 * np.linalg.norm(A)
         fd = finite_difference_loop(lambda X: float(np.sum(np.linalg.svd(X, compute_uv=False) ** 2)), A)
         assert np.linalg.norm(Abar - fd) <= 1e-5 * np.linalg.norm(fd)
@@ -390,7 +401,7 @@ def test_vjp_fd_svt_l1():
         sbar = np.real(np.einsum("ij,ij->j", f.U.conj(), Bbar @ f.V)) * (f.s > 0.5)
         fd = finite_difference_loop(loss, A)
         for mode in [GradMode.exact(), GradMode.inv()]:
-            Abar = svd_vjp(A, f, Ubar, sbar, Vbar, mode)
+            Abar = svd_vjp(f, Ubar, sbar, Vbar, mode)
             rel = np.linalg.norm(Abar - fd) / np.linalg.norm(fd)
             assert rel <= 1e-5, (mode.variant, dtype, rel)
 
@@ -409,7 +420,7 @@ def test_vjp_fd_u_only_loss_real():
 
     f = svd(A)
     fd = finite_difference_loop(loss, A)
-    Abar = svd_vjp(A, f, W, None, None, GradMode.inv())
+    Abar = svd_vjp(f, W, None, None, GradMode.inv())
     assert np.linalg.norm(Abar - fd) <= 1e-5 * np.linalg.norm(fd)
 
 
@@ -424,8 +435,8 @@ def test_vjp_exact_and_inv_agree_on_separated_spectra():
         Ubar = _random(rng, (6, 5))
         Vbar = _random(rng, (5, 5))
         sbar = rng.standard_normal(5)
-        g_exact = svd_vjp(A, f, Ubar, sbar, Vbar, GradMode.exact())
-        g_inv = svd_vjp(A, f, Ubar, sbar, Vbar, GradMode.inv())
+        g_exact = svd_vjp(f, Ubar, sbar, Vbar, GradMode.exact())
+        g_inv = svd_vjp(f, Ubar, sbar, Vbar, GradMode.inv())
         assert np.linalg.norm(g_exact - g_inv) <= 1e-12 * np.linalg.norm(g_exact)
 
 
@@ -440,10 +451,10 @@ def test_vjp_exact_nonfinite_on_duplicates_safe_modes_finite():
     Ubar = _random(rng, (5, 5))
     Vbar = _random(rng, (5, 5))
     sbar = rng.standard_normal(5)
-    g = svd_vjp(A, f2, Ubar, sbar, Vbar, GradMode.exact())
+    g = svd_vjp(f2, Ubar, sbar, Vbar, GradMode.exact())
     assert not np.isfinite(g).all()
     for mode in SAFE_MODES:
-        g = svd_vjp(A, f2, Ubar, sbar, Vbar, mode)
+        g = svd_vjp(f2, Ubar, sbar, Vbar, mode)
         assert np.isfinite(g).all(), mode.variant
 
 
@@ -467,7 +478,7 @@ def test_vjp_gauge_term_complex_reconstruction():
     Vbar = (C.conj().T @ f.U) * s_hat_d[None, :]
     sbar = np.real(np.einsum("ij,ij->j", f.U.conj(), C @ f.V)) * (f.s > tau)
     fd = finite_difference_loop(loss, A)
-    Abar = svd_vjp(A, f, Ubar, sbar, Vbar, GradMode.inv())
+    Abar = svd_vjp(f, Ubar, sbar, Vbar, GradMode.inv())
     assert np.linalg.norm(Abar - fd) <= 1e-5 * np.linalg.norm(fd)
 
 
@@ -476,20 +487,48 @@ def test_vjp_shape_validation():
     A = _random(rng, (4, 3))
     f = svd(A)
     with pytest.raises(ValueError):
-        svd_vjp(A, f, np.zeros((4, 4)), None, None, GradMode.inv())
+        svd_vjp(f, np.zeros((4, 4)), None, None, GradMode.inv())
     with pytest.raises(ValueError):
-        svd_vjp(A, f, None, np.zeros(4), None, GradMode.inv())
+        svd_vjp(f, None, np.zeros(4), None, GradMode.inv())
     # a stack gives each matrix its own gradient, never their sum
     stack = np.stack([A, 2 * A])
     sbar = rng.standard_normal((2, 3))
-    g = svd_vjp(stack, svd(stack), None, sbar, None, GradMode.inv())
+    g = svd_vjp(svd(stack), None, sbar, None, GradMode.inv())
     assert g.shape == stack.shape
     for i in range(2):
-        own = svd_vjp(stack[i], svd(stack[i]), None, sbar[i], None, GradMode.inv())
+        own = svd_vjp(svd(stack[i]), None, sbar[i], None, GradMode.inv())
         assert g[i].tobytes() == own.tobytes()
     # cotangents must carry the stack's leading axes
     with pytest.raises(ValueError):
-        svd_vjp(stack, svd(stack), None, sbar[0], None, GradMode.inv())
+        svd_vjp(svd(stack), None, sbar[0], None, GradMode.inv())
+
+
+def test_vjp_refuses_factors_that_disagree():
+    # the factors are the only source of the input's shape and dtype, so
+    # factors that disagree with one another are refused by name
+    from svdgrad.linalg import SvdFactors
+
+    rng = np.random.default_rng(23)
+    f = svd(_random(rng, (4, 3)))
+    fs = svd(_random(rng, (2, 4, 3)))
+    bad_shapes = [
+        SvdFactors(U=f.U, s=f.s[:2], V=f.V),          # k of s
+        SvdFactors(U=f.U, s=f.s, V=f.V[:, :2]),       # k of V
+        SvdFactors(U=fs.U, s=fs.s[0], V=fs.V),        # leading axes of s
+        SvdFactors(U=fs.U, s=fs.s, V=fs.V[0]),        # leading axes of V
+        SvdFactors(U=fs.U, s=fs.s, V=fs.V[:1]),
+    ]
+    for bad in bad_shapes:
+        with pytest.raises(ValueError, match="factor shapes"):
+            svd_vjp(bad, None, np.ones(bad.s.shape), None, GradMode.inv())
+    # s or V in another dtype than U: float32 U with float64 s, complex U
+    # with float32 s, and a float32 or complex V beside a float64 U
+    for bad in (SvdFactors(U=f.U.astype(np.float32), s=f.s, V=f.V.astype(np.float32)),
+                SvdFactors(U=f.U.astype(np.complex128), s=f.s.astype(np.float32), V=f.V),
+                SvdFactors(U=f.U, s=f.s, V=f.V.astype(np.float32)),
+                SvdFactors(U=f.U, s=f.s, V=f.V.astype(np.complex128))):
+        with pytest.raises(TypeError, match="factor dtypes"):
+            svd_vjp(bad, None, None, None, GradMode.inv())
 
 
 def _stack_with_tie_and_zero(rng, shape, dtype):
@@ -517,14 +556,14 @@ def test_stacked_svd_vjp_matches_per_matrix(dtype, shape):
     f = svd(A)
     for mode in ALL_MODES:
         with np.errstate(all="ignore"):
-            g = svd_vjp(A, f, Ubar, sbar, Vbar, mode)
+            g = svd_vjp(f, Ubar, sbar, Vbar, mode)
             for i in range(len(A)):
-                own = svd_vjp(A[i], svd(A[i]), Ubar[i], sbar[i], Vbar[i], mode)
+                own = svd_vjp(svd(A[i]), Ubar[i], sbar[i], Vbar[i], mode)
                 assert g[i].tobytes() == own.tobytes(), (mode.variant, i)
         assert g.dtype == A.dtype
     # cotangents left out are zeros, as for one matrix
-    g = svd_vjp(A, f, None, sbar, None, GradMode.inv())
-    assert g[0].tobytes() == svd_vjp(A[0], svd(A[0]), None, sbar[0], None, GradMode.inv()).tobytes()
+    g = svd_vjp(f, None, sbar, None, GradMode.inv())
+    assert g[0].tobytes() == svd_vjp(svd(A[0]), None, sbar[0], None, GradMode.inv()).tobytes()
 
 
 def test_vjp_matches_jacobi_factors():
@@ -538,6 +577,6 @@ def test_vjp_matches_jacobi_factors():
     fj = SvdFactors(U=U, s=s, V=V)
     f = svd(A)
     sbar = rng.standard_normal(4)
-    g1 = svd_vjp(A, f, None, sbar, None, GradMode.inv())
-    g2 = svd_vjp(A, fj, None, sbar, None, GradMode.inv())
+    g1 = svd_vjp(f, None, sbar, None, GradMode.inv())
+    g2 = svd_vjp(fj, None, sbar, None, GradMode.inv())
     assert np.linalg.norm(g1 - g2) <= 1e-10 * np.linalg.norm(g1)

@@ -158,14 +158,20 @@ def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
     argv = ["gradcheck", "--checks", "2", "--seed", "11", "--output", str(path)]
     assert main(argv) == 0
     first = path.read_bytes()
-    with pytest.raises(SystemExit) as exc:
-        main(["gradcheck", "--seed", "5", "--checks"])
-    assert exc.value.code == 2
+    assert main(["gradcheck", "--seed", "5", "--checks"]) == 2
     assert main(["gradcheck", "--tolerance", "-1"]) == 2
     assert main(argv) == 0
     capsys.readouterr()
     assert path.read_bytes() == first
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_main_returns_argparse_exit_codes(capsys):
+    # an argparse usage error and --help return their exit codes instead
+    # of raising SystemExit out of main
+    assert main(["gradcheck", "--no-such-flag"]) == 2
+    assert main(["--help"]) == 0
+    capsys.readouterr()
 
 
 def test_gradcheck_impossible_tolerance_exits_one(capsys):
@@ -239,6 +245,20 @@ def test_efficacy_json_format_matches_csv(tmp_path, capsys):
         fields = row.split(",")
         mode, mse_sum = fields[2], float(fields[4])
         assert by_mode[mode]["mse_sum"] == mse_sum
+
+
+def test_efficacy_reports_the_clamp_the_backward_uses(capsys):
+    # the single-precision backward caps a larger clamp at float32's
+    # largest value; the report must state that value, not the flag's
+    f32_max = float(np.finfo(np.float32).max)
+    args = ["efficacy", "--trials", "1", "--seed", "3", "--cases", "1", "--workflows", "1",
+            "--modes", "tf,inv", "--clamp", "1e300", "--output", "-"]
+    assert main(args) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split(",")[9] for row in rows] == [repr(f32_max)] * 2
+    assert main(args + ["--format", "json"]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert [c["clamp"] for c in cells] == [f32_max] * 2
 
 
 def test_efficacy_writes_to_stdout_with_dash(capsys):

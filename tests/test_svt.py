@@ -112,7 +112,7 @@ def test_vjp_zero_cotangent():
     rng = np.random.default_rng(35)
     A = _random(rng, (5, 4))
     B, factors, s_hat = svt(A, ThresholdSpec.soft(0.5))
-    cache = SvtCache(A, factors, s_hat, ThresholdSpec.soft(0.5))
+    cache = SvtCache(factors, s_hat, ThresholdSpec.soft(0.5))
     Abar, taubar = svt_vjp(np.zeros_like(A), cache, GradMode.inv())
     assert np.array_equal(Abar, np.zeros_like(A))
     assert taubar == 0.0
@@ -128,7 +128,7 @@ def test_vjp_fd_soft_sum_and_tau():
         return float(B.sum())
 
     B, factors, s_hat = svt(A, spec)
-    cache = SvtCache(A, factors, s_hat, spec)
+    cache = SvtCache(factors, s_hat, spec)
     Bbar = np.ones_like(A)
     Abar, taubar = svt_vjp(Bbar, cache, GradMode.inv())
     fd = finite_difference_loop(loss, A)
@@ -155,7 +155,7 @@ def test_vjp_fd_hard_tail_l1():
             return float(np.abs(B).sum())
 
         B, factors, s_hat = svt(A, spec)
-        cache = SvtCache(A, factors, s_hat, spec)
+        cache = SvtCache(factors, s_hat, spec)
         with np.errstate(invalid="ignore"):
             Bbar = np.where(B == 0, 0, B / np.abs(B)).astype(dtype)
         Abar, taubar = svt_vjp(Bbar, cache, GradMode.inv())
@@ -171,7 +171,7 @@ def test_vjp_finite_on_duplicated_spectrum():
     A = (q1 * np.array([3.0, 2.0, 2.0, 2.0, 0.5, 0.0])[None, :]) @ q2.T
     spec = ThresholdSpec.soft(1.0)
     B, factors, s_hat = svt(A, spec)
-    cache = SvtCache(A, factors, s_hat, spec)
+    cache = SvtCache(factors, s_hat, spec)
     Bbar = _random(rng, (6, 6))
     for name in ["inv", "tf", "clip", "taylor"]:
         Abar, taubar = svt_vjp(Bbar, cache, GradMode(name))
@@ -183,9 +183,17 @@ def test_vjp_shape_mismatch_rejected():
     rng = np.random.default_rng(38)
     A = _random(rng, (5, 4))
     B, factors, s_hat = svt(A, ThresholdSpec.soft(0.5))
-    cache = SvtCache(A, factors, s_hat, ThresholdSpec.soft(0.5))
+    cache = SvtCache(factors, s_hat, ThresholdSpec.soft(0.5))
     with pytest.raises(ValueError):
         svt_vjp(np.zeros((4, 5)), cache, GradMode.inv())
+    # the input's shape comes from the factors, leading axes included
+    with pytest.raises(ValueError, match="Bbar shape"):
+        svt_vjp(np.zeros((2, 5, 4)), cache, GradMode.inv())
+    _, factors, s_hat = svt(np.stack([A, A]), ThresholdSpec.soft(0.5))
+    stacked = SvtCache(factors, s_hat, ThresholdSpec.soft(0.5))
+    for Bbar in (np.zeros((5, 4)), np.zeros((3, 5, 4)), np.zeros((2, 4, 5))):
+        with pytest.raises(ValueError, match="Bbar shape"):
+            svt_vjp(Bbar, stacked, GradMode.inv())
 
 
 def test_part2_part4_brackets_vanish():
@@ -224,7 +232,7 @@ def test_stacked_svt_vjp_matches_per_matrix(dtype, shape):
                            (ThresholdSpec.hard_tail(2), lambda _: ThresholdSpec.hard_tail(2))):
         B, factors, s_hat = svt(A, spec)
         assert kept_mask(factors.s, spec).shape == factors.s.shape
-        cache = SvtCache(A, factors, s_hat, spec)
+        cache = SvtCache(factors, s_hat, spec)
         for mode in [GradMode("tf"), GradMode("inv")]:
             Abar, taubar = svt_vjp(Bbar, cache, mode)
             assert taubar.shape == (4,) and taubar.dtype == np.float64
@@ -233,7 +241,7 @@ def test_stacked_svt_vjp_matches_per_matrix(dtype, shape):
                 B_i, f_i, s_hat_i = svt(A[i], one)
                 assert B[i].tobytes() == B_i.tobytes()
                 assert np.array_equal(kept_mask(factors.s, spec)[i], kept_mask(f_i.s, one))
-                Abar_i, taubar_i = svt_vjp(Bbar[i], SvtCache(A[i], f_i, s_hat_i, one), mode)
+                Abar_i, taubar_i = svt_vjp(Bbar[i], SvtCache(f_i, s_hat_i, one), mode)
                 assert Abar[i].tobytes() == Abar_i.tobytes(), (spec.kind, mode.variant, i)
                 assert isinstance(taubar_i, float)
                 assert np.float64(taubar[i]).tobytes() == np.float64(taubar_i).tobytes()
