@@ -375,7 +375,7 @@ def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
     Computed as
 
       Abar = U [ (F o [U^H Ubar - Ubar^H U]) S + T o (U^H Ubar)
-                 + diag(Re sbar) + S (F o [V^H Vbar - Vbar^H V]) ] V^H
+                 + diag(sbar) + S (F o [V^H Vbar - Vbar^H V]) ] V^H
              + (I - U U^H) Ubar diag(s_pinv) V^H
              + U diag(s_pinv) Vbar^H (I - V V^H)
 
@@ -391,9 +391,10 @@ def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
 
     The factors give the input's shape and dtype: U (..., m, k), s (..., k)
     and V (..., n, k) share their leading axes (else ValueError); V is in
-    U's dtype and s in its real dtype (else TypeError). On a stack each
-    matrix's gradient is bit-identical to its own 2-D call; `build_aux` runs
-    once per spectrum.
+    U's dtype and s in its real dtype (else TypeError), and so are Ubar,
+    Vbar and sbar (else TypeError naming it); None is a zero cotangent. On
+    a stack each matrix's gradient is bit-identical to its own 2-D call;
+    `build_aux` runs once per spectrum.
     """
     U, s, V = ensure_matrix(factors.U, "U"), factors.s, ensure_matrix(factors.V, "V")
     *stack, m, k = U.shape
@@ -416,6 +417,9 @@ def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
             f"cotangent shapes {Ubar.shape}/{sbar.shape}/{Vbar.shape} do not "
             f"conform to factors of a {(*stack, m, n)} input"
         )
+    for name, bar, dtype in (("Ubar", Ubar, U.dtype), ("sbar", sbar, rdt), ("Vbar", Vbar, U.dtype)):
+        if bar.dtype != dtype:
+            raise TypeError(f"cotangent {name} is {bar.dtype}, not the factors' {dtype}")
 
     FS, T, s_pinv_r = _stacked_aux(s, mode)
     FS = FS.astype(U.dtype, copy=False)
@@ -429,7 +433,7 @@ def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
         br_v = Q - _ct(Q)
         core = FS * br_u                          # (F o br_u) S
         core = core + T * P
-        core = core + _diag(np.real(sbar).astype(rdt, copy=False)).astype(U.dtype)
+        core = core + _diag(sbar).astype(U.dtype)
         core = core - FS.swapaxes(-1, -2) * br_v  # S (F o br_v)
         if np.iscomplexobj(U):
             diag_p = np.diagonal(P, axis1=-2, axis2=-1)

@@ -306,6 +306,10 @@ def run_efficacy(
             raise ValueError(f"{label} must not be empty")
     if min(seeds) < 0:
         raise ValueError("seeds must be >= 0")
+    if not set(workflows) <= {1, 2, 3}:
+        raise ValueError("workflows must be from 1, 2, 3")
+    for case in cases:  # refuses a case, size or basis before any cell runs
+        Scenario(case=case, size=size, basis=basis)
     keys = [(master, trial) for master in seeds for trial in range(n_trials)]
     cells: list[CellStats] = []
     for case in cases:
@@ -375,7 +379,12 @@ _SOLVERS = {
 
 @dataclass(frozen=True)
 class UnrolledConfig:
-    """Unrolled completion demo: sizes, unroll depth, optimizer, grad mode."""
+    """Unrolled completion demo: sizes, unroll depth, optimizer, grad mode.
+
+    The trainer's settings are range-checked on construction (ValueError).
+    `lr` must be >= 0 and finite; 0 keeps the parameters frozen. `steps`
+    must be >= 0; 0 only scores the initial parameters.
+    """
 
     size: tuple[int, int] = (20, 20)
     rank: int = 2
@@ -394,6 +403,10 @@ class UnrolledConfig:
             raise ValueError("sampling_ratio must be in (0, 1]")
         if self.n_unroll < 1:
             raise ValueError("n_unroll must be >= 1")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
+        if not 0 <= self.lr < math.inf:  # also rejects nan
+            raise ValueError("lr must be >= 0 and finite")
         if self.rank < 1 or self.rank > min(self.size):
             raise ValueError("rank must be in [1, min(size)]")
         if self.algorithm not in _SOLVERS:
@@ -633,9 +646,11 @@ def train_unrolled(
     """Adam training of the unrolled solver's positive scalars.
 
     Scalars are optimized in log space (exponential reparameterization keeps
-    lambda, mu, eta, rho positive). Every log line carries the held-out
-    completion MSE as `loss`, the per-step batch loss as `train_loss`, the
-    gradient finiteness flag, and the current positive parameters. An update
+    lambda, mu, eta, rho positive). One loop runs steps 0..config.steps;
+    step 0 scores the initial parameters and updates nothing, so its line
+    has no `injected` key. Every log line carries the held-out completion MSE
+    as `loss`, the per-step batch loss as `train_loss`, the gradient
+    finiteness flag, and the current positive parameters. An update
     that leaves any parameter non-finite halts training with a diagnostic
     line; safeguarded modes never trigger it, the exact mode does under
     injected duplicate spectra. So does a solver forward that meets a
@@ -667,56 +682,40 @@ def train_unrolled(
         return {name: _exp(v) for name, v in th.items()}
 
     log = TrainingLog(lines=[])
-    positive = positive_of(theta)
-    line = {"step": 0, "loss": None, "train_loss": None, "grad_finite": True, "params": positive}
-    try:
-        line["loss"], val_values = _val_mse(config, solver, val, positive)
-    except NonFiniteError:
-        _halt(log, line, _SOLVER_HALT)
-        return positive, log
-    log.lines.append(line)
+    val_values = None
+    for step in range(config.steps + 1):
+        line = {"step": step, "loss": None, "train_loss": None, "grad_finite": True,
+                "params": positive_of(theta)}
+        if step > 0:
+            injected = config.inject_rate > 0 and float(inject_rng.random()) < config.inject_rate
+            line["injected"] = injected
+            sample = _injected_sample(config, step) if injected else dataset[(step - 1) % len(dataset)]
+            with np.errstate(**_QUIET):
+                bindings = _run_bindings(config, line["params"], sample)
+                try:
+                    values = tape.forward(bindings)
+                except NonFiniteError:
+                    _halt(log, {**line, "grad_finite": None}, _SOLVER_HALT)
+                    break
+                grads = tape.backward(values, loss, config.mode)
+            tg = _theta_grads(config, bindings, grads)
 
-    for step in range(1, config.steps + 1):
-        injected = config.inject_rate > 0 and float(inject_rng.random()) < config.inject_rate
-        sample = _injected_sample(config, step) if injected else dataset[(step - 1) % len(dataset)]
-        positive = positive_of(theta)
-        with np.errstate(**_QUIET):
-            bindings = _run_bindings(config, positive, sample)
-            try:
-                values = tape.forward(bindings)
-            except NonFiniteError:
-                line = {"step": step, "loss": None, "train_loss": None, "grad_finite": None,
-                        "injected": injected, "params": positive}
-                _halt(log, line, _SOLVER_HALT)
+            b1, b2 = _ADAM_BETA1, _ADAM_BETA2
+            for name in theta:
+                g = tg[name]
+                adam_m[name] = b1 * adam_m[name] + (1 - b1) * g
+                adam_v[name] = b2 * adam_v[name] + (1 - b2) * g * g
+                mhat = adam_m[name] / (1 - b1**step)
+                vhat = adam_v[name] / (1 - b2**step)
+                theta[name] -= config.lr * mhat / (math.sqrt(vhat) + _ADAM_EPS)
+
+            line.update(train_loss=values[loss], grad_finite=all(map(math.isfinite, tg.values())),
+                        params=positive_of(theta))
+            if not all(map(math.isfinite, line["params"].values())):
+                _halt(log, line, "non-finite parameter after update")
                 break
-            train_loss = values[loss]
-            grads = tape.backward(values, loss, config.mode)
-        tg = _theta_grads(config, bindings, grads)
-        grad_finite = all(math.isfinite(v) for v in tg.values())
-
-        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
-        for name in theta:
-            g = tg[name]
-            adam_m[name] = b1 * adam_m[name] + (1 - b1) * g
-            adam_v[name] = b2 * adam_v[name] + (1 - b2) * g * g
-            mhat = adam_m[name] / (1 - b1**step)
-            vhat = adam_v[name] / (1 - b2**step)
-            theta[name] -= config.lr * mhat / (math.sqrt(vhat) + _ADAM_EPS)
-
-        params_now = positive_of(theta)
-        line = {
-            "step": step,
-            "loss": None,
-            "train_loss": train_loss,
-            "grad_finite": grad_finite,
-            "injected": injected,
-            "params": params_now,
-        }
-        if not all(math.isfinite(v) for v in params_now.values()):
-            _halt(log, line, "non-finite parameter after update")
-            break
         try:
-            line["loss"], val_values = _val_mse(config, solver, val, params_now, val_values)
+            line["loss"], val_values = _val_mse(config, solver, val, line["params"], val_values)
         except NonFiniteError:
             _halt(log, line, _SOLVER_HALT)
             break

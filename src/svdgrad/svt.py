@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import GradMode, svd_vjp
-from .linalg import NonFiniteError, SvdFactors, _ct, ensure_matrix, real_dtype_of, svd
+from .linalg import NonFiniteError, SvdFactors, _ct, ensure_matrix, svd
 
 __all__ = ["SvtCache", "ThresholdSpec", "svt", "svt_vjp", "threshold"]
 
@@ -127,15 +127,11 @@ def _kept_sums(x: np.ndarray, kept: np.ndarray) -> np.ndarray:
         return np.float64(x[kept].sum())
     stack, k = x.shape[:-1], x.shape[-1]
     x, kept = x.reshape(-1, k), kept.reshape(-1, k)
-    if (kept == kept[0]).all():
-        # every spectrum keeps the same positions: one gather serves them all
-        sums = x[:, kept[0]].sum(axis=-1)
-    else:
-        counts = kept.sum(axis=-1)
-        sums = np.zeros(counts.shape, dtype=x.dtype)
-        for p in set(counts.tolist()) - {0}:
-            rows = counts == p
-            sums[rows] = x[rows][kept[rows]].reshape(-1, p).sum(axis=-1)
+    counts = kept.sum(axis=-1)
+    sums = np.zeros(counts.shape, dtype=x.dtype)
+    for p in set(counts.tolist()) - {0}:
+        rows = counts == p
+        sums[rows] = x[rows][kept[rows]].reshape(-1, p).sum(axis=-1)
     return sums.astype(np.float64).reshape(stack)
 
 
@@ -147,22 +143,24 @@ def svt_vjp(Bbar, cached: SvtCache, mode: GradMode) -> tuple[np.ndarray, float |
     cotangent Re diag(U^H Bbar V) masked to kept positions. taubar (soft only)
     is minus the sum of the pre-mask spectrum cotangents over kept positions.
 
-    Bbar is shaped like the input, (..., m, n) as the factors give it. On a
-    stack Abar is each matrix's own gradient, bit for bit, and taubar is a
-    float64 array with one value per matrix; for one matrix it is a float.
+    Bbar is shaped like the input, (..., m, n) as the factors give it, and
+    in U's dtype (else TypeError). On a stack Abar is each matrix's own
+    gradient, bit for bit, and taubar is a float64 array with one value per
+    matrix; for one matrix it is a float.
     """
     Bbar = ensure_matrix(Bbar, "Bbar")
     factors, s_hat, spec = cached.factors, cached.s_hat, cached.spec
     U, s, V = factors.U, factors.s, factors.V
     if Bbar.shape != (*U.shape[:-1], V.shape[-2]):
         raise ValueError(f"Bbar shape {Bbar.shape} does not match the {U.shape} U and {V.shape} V")
+    if Bbar.dtype != U.dtype:
+        raise TypeError(f"cotangent Bbar is {Bbar.dtype}, not the factors' {U.dtype}")
 
     s_d = s_hat.astype(Bbar.dtype, copy=False)[..., None, :]
     gV = Bbar @ V
     Ubar = gV * s_d
     Vbar = (_ct(Bbar) @ U) * s_d
     sbar_pre = np.real(np.einsum("...ij,...ij->...j", U.conj(), gV))
-    sbar_pre = sbar_pre.astype(real_dtype_of(Bbar.dtype), copy=False)
     kept = kept_mask(s, spec)
     sbar = np.where(kept, sbar_pre, np.asarray(0, dtype=s.dtype))
     taubar = -_kept_sums(sbar_pre, kept) if spec.kind == "soft" else np.zeros(U.shape[:-2])

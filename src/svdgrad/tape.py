@@ -28,7 +28,7 @@ parameter bound to an array shaped like the stack gets one value per matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,17 +50,22 @@ class Node:
 
 @dataclass
 class GradientSet:
-    """Cotangents keyed by node id, with name lookup for inputs/parameters."""
+    """Cotangents keyed by node id, with name lookup for inputs/parameters;
+    their finiteness is computed when asked, not by the backward pass."""
 
     cotangents: dict[int, object]
     names: dict[str, int]
-    nonfinite_nodes: list[int] = field(default_factory=list)
 
     def by_name(self, name: str):
         return self.cotangents.get(self.names[name])
 
+    @property
+    def nonfinite_nodes(self) -> list[int]:
+        """Ids of the nodes with a non-finite cotangent entry, last node first."""
+        return sorted((idx for idx, g in self.cotangents.items() if not _all_finite(g)), reverse=True)
+
     def all_finite(self) -> bool:
-        return all(_all_finite(g) for g in self.cotangents.values())
+        return not self.nonfinite_nodes
 
 
 class Tape:
@@ -175,14 +180,9 @@ class Tape:
             raise ValueError("loss node must evaluate to a real scalar")
         stacked = np.ndim(values[loss]) > 0
         cot: dict[int, object] = {loss: np.ones(np.shape(values[loss])) if stacked else 1.0}
-        nonfinite: list[int] = []
         for node in reversed(self.nodes):
             g = cot.get(node.idx)
-            if g is None:
-                continue
-            if not _all_finite(g):
-                nonfinite.append(node.idx)
-            if not node.parents:
+            if g is None or not node.parents:
                 continue
             args = [values[p] for p in node.parents]
             parent_cots = _OPS[node.op][1](g, args, node, values.saved.get(node.idx), mode)
@@ -191,7 +191,7 @@ class Tape:
                     if stacked:
                         gp = _sum_to(gp, values[p])
                     cot[p] = gp if p not in cot else cot[p] + gp
-        return GradientSet(cotangents=cot, names=dict(self.names), nonfinite_nodes=nonfinite)
+        return GradientSet(cotangents=cot, names=dict(self.names))
 
 
 class _Values(list):

@@ -131,7 +131,7 @@ def test_criterion_2_smooth_regime_gradients():
         vals = tape.forward(bind)
         g_exact = tape.backward(vals, loss, exact)
         g_inv = tape.backward(vals, loss, inv)
-        assert g_exact.all_finite and g_inv.all_finite
+        assert g_exact.all_finite() and g_inv.all_finite()
         ge = g_exact.by_name("A")
         gi = g_inv.by_name("A")
         worst_pair = max(worst_pair,
@@ -371,7 +371,7 @@ def test_criterion_7_hermitian_psd_gradients():
             loss = t.l1_loss(t.svt(a, spec=ThresholdSpec.soft(tau)))
         vals = t.forward({"A": A})
         g = t.backward(vals, loss, inv)
-        assert g.all_finite
+        assert g.all_finite()
         fd = finite_difference(lambda M: t.forward({"A": M})[loss], A)
         worst = max(worst, np.linalg.norm(g.by_name("A") - fd) / np.linalg.norm(fd))
     elapsed = time.perf_counter() - start

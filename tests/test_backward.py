@@ -531,6 +531,28 @@ def test_vjp_refuses_factors_that_disagree():
             svd_vjp(bad, None, None, None, GradMode.inv())
 
 
+def test_vjps_refuse_cotangents_in_another_dtype():
+    # a cotangent in another dtype than the factors would decide the
+    # gradient's dtype (complex128 from a float32 input); both VJPs refuse it
+    # and name the cotangent
+    from svdgrad.svt import SvtCache, svt_vjp
+
+    rng = np.random.default_rng(29)
+    B, factors, s_hat = svt(_random(rng, (4, 4), np.float32), ThresholdSpec.soft(0.1))
+    wide = np.ones((4, 4), np.complex128)
+    with pytest.raises(TypeError, match="Bbar"):
+        svt_vjp(wide, SvtCache(factors, s_hat, ThresholdSpec.soft(0.1)), GradMode.inv())
+    with pytest.raises(TypeError, match="Ubar"):
+        svd_vjp(factors, wide, None, None, GradMode.inv())
+    with pytest.raises(TypeError, match="Vbar"):
+        svd_vjp(factors, None, None, wide, GradMode.inv())
+    with pytest.raises(TypeError, match="sbar"):
+        svd_vjp(factors, None, np.ones(4), None, GradMode.inv())
+    # in the factors' dtypes the gradient keeps the input's dtype
+    assert svt_vjp(np.ones((4, 4), np.float32), SvtCache(factors, s_hat, ThresholdSpec.soft(0.1)),
+                   GradMode.inv())[0].dtype == np.float32
+
+
 def _stack_with_tie_and_zero(rng, shape, dtype):
     """Three random matrices, one with an exactly tied leading pair (diagonal,
     so LAPACK returns the tie exactly) and one all zero."""

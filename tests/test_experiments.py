@@ -120,6 +120,25 @@ def test_run_efficacy_input_validation():
         run_efficacy(1, ("tf", "inv"), seeds=(3407, -5))
 
 
+@pytest.mark.parametrize("kwargs,needle", [
+    ({"workflows": (3, 4)}, "workflows"),   # would run workflow 3 labelled 4
+    ({"cases": (1, 3)}, "case"),
+    ({"size": (-1, 10)}, "size"),
+    ({"size": (2, 10)}, "size"),
+    ({"basis": "haar"}, "basis"),
+], ids=["workflow", "case", "size-negative", "size-small", "basis"])
+def test_run_efficacy_refuses_settings_before_any_cell(kwargs, needle, monkeypatch):
+    # run_efficacy checks every setting it reads before it scores a cell
+    import svdgrad.experiments as ex
+
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(ex, "_efficacy_cell", no_cell)
+    with pytest.raises(ValueError, match=needle):
+        run_efficacy(1, ("tf", "inv"), **kwargs)
+
+
 def test_run_efficacy_reproducible():
     kw = dict(cases=(1,), workflows=(1,), seeds=(3407,))
     r1 = run_efficacy(4, ["tf", "inv"], **kw)
@@ -418,6 +437,21 @@ def test_unrolled_config_validation():
         UnrolledConfig(inject_rate=1.5)
     with pytest.raises(ValueError, match="seed"):
         UnrolledConfig(seed=-1)
+
+
+@pytest.mark.parametrize("kwargs,needle", [
+    ({"lr": -0.05}, "lr must be >= 0 and finite"),
+    ({"lr": math.nan}, "lr must be >= 0 and finite"),
+    ({"lr": math.inf}, "lr must be >= 0 and finite"),
+    ({"steps": -1}, "steps must be >= 0"),
+], ids=["lr-negative", "lr-nan", "lr-inf", "steps-negative"])
+def test_unrolled_config_refuses_lr_and_steps_out_of_range(kwargs, needle):
+    # a negative lr climbs the loss and a non-finite one poisons every
+    # parameter; the config that the trainer reads refuses both, and a
+    # negative step count
+    with pytest.raises(ValueError, match=needle):
+        UnrolledConfig(**kwargs)
+    UnrolledConfig(lr=0.0, steps=0)  # a frozen run that only scores step 0
 
 
 @pytest.mark.parametrize("algorithm", ["admm", "pgd"])
