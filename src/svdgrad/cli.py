@@ -70,8 +70,6 @@ class RunConfig:
             raise ValueError("tolerance must be >= 0")
         if self.seed < 0:  # gradcheck seeds Philox with it directly
             raise ValueError("seed must be >= 0")
-        if len(self.size) != 2:
-            raise ValueError("size must be two integers")
         for variant in (*self.modes, self.mode):
             self.grad_mode(variant)
         if self.command == "train":

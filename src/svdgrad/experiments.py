@@ -7,8 +7,9 @@ duplicate singular-value pair (relative gap 1e-15) at scales 1e-10 (case 1)
 and 1e-18 (case 2). Workflows: 1 reconstruct + L1, 2 hard-threshold the two
 trailing values + L1, 3 soft-threshold chosen so the two trailing values
 vanish + L1. All modes share one cached forward per trial; only backward
-differs. Each cell runs as one stack: one float32 forward and one backward
-per mode serve all of its trials.
+differs. Each workflow runs as one stack over all its cases: one float32
+forward and one backward per mode serve all of its trials, and each cell's
+rows are sliced back out of it.
 
 The completion demos unroll ADMM / proximal gradient descent over the tape
 with per-iteration learnable positive scalars and train them with Adam.
@@ -64,7 +65,8 @@ class Scenario:
     k - 2 further values, all |N(0,1)| * scale with scale 1e-10 (case 1) or
     1e-18 (case 2). basis "identity" keeps A = diag(spectrum) exactly;
     "rotated" conjugates by seeded Haar orthogonal factors so the matrix is
-    dense while the double-precision spectrum is unchanged.
+    dense while the double-precision spectrum is unchanged. `size` must be
+    two values (ValueError).
     """
 
     case: int = 1
@@ -77,6 +79,8 @@ class Scenario:
             raise ValueError("case must be 1 or 2")
         if self.basis not in ("identity", "rotated"):
             raise ValueError("basis must be 'identity' or 'rotated'")
+        if len(self.size) != 2:
+            raise ValueError("size must be two integers")
         if min(self.size) < 3:
             raise ValueError("size must allow at least 3 singular values")
 
@@ -211,17 +215,17 @@ def _normalize_modes(modes) -> list[GradMode]:
     return out
 
 
-def _efficacy_cell(solver, case: int, workflow: int, keys, size, basis: str, modes):
-    """All paired trials of one (case, workflow) cell as one stack, on the
-    cell's (workflow tape, loss node).
+def _efficacy_workflow(workflow: int, keys, size, basis: str, modes):
+    """All paired trials of one workflow, across its cases, as one stack on
+    one workflow tape.
 
-    keys lists each trial's (master seed, trial index). Returns the squared
-    gradient errors, shaped (mode, trial), and the attempts each trial used.
-    A trial whose reference is invalid is regenerated with an incremented
-    sub-seed; each round generates, cut-tests and references only the trials
-    still invalid, each as one stack.
+    keys lists each trial's (master seed, trial index, case). Returns the
+    squared gradient errors, shaped (mode, trial), and the attempts each
+    trial used. A trial whose reference is invalid is regenerated with an
+    incremented sub-seed; each round generates, cut-tests and references
+    only the trials still invalid, each as one stack.
     """
-    tape, loss = solver
+    tape, loss = _workflow_tape(workflow)
     m, n = size
     A64 = np.empty((len(keys), m, n))
     svals = np.empty((len(keys), min(m, n)))
@@ -229,11 +233,11 @@ def _efficacy_cell(solver, case: int, workflow: int, keys, size, basis: str, mod
     attempts = np.zeros(len(keys), dtype=int)
     pending = np.arange(len(keys))
     while pending.size:
-        specs = [
-            Scenario(case=case, seed=(keys[i][0], case, workflow, keys[i][1], int(attempts[i])),
-                     size=size, basis=basis)
-            for i in pending
-        ]
+        specs = []
+        for i in pending:
+            master, trial, case = keys[i]
+            specs.append(Scenario(case=case, seed=(master, case, workflow, trial, int(attempts[i])),
+                                  size=size, basis=basis))
         A, s = _scenario_parts(specs)
         valid = np.ones(len(pending), dtype=bool)
         if workflow == 2:
@@ -261,7 +265,7 @@ def _efficacy_cell(solver, case: int, workflow: int, keys, size, basis: str, mod
         pending = pending[~valid]
         attempts[pending] += 1
         if pending.size and attempts[pending[0]] > 200:
-            master, trial = keys[pending[0]]
+            master, trial, case = keys[pending[0]]
             raise RuntimeError(
                 f"reference stayed invalid after {attempts[pending[0]]} regenerations "
                 f"(case {case}, workflow {workflow}, trial {trial})"
@@ -289,11 +293,13 @@ def run_efficacy(
     double-precision gradient as reference (regenerating with an incremented
     sub-seed when the reference itself is non-finite), runs the forward once
     in single precision, and accumulates each mode's squared gradient error.
-    Each (case, workflow) cell runs its len(seeds) * n_trials trials as one
+    Each workflow runs its len(cases) * len(seeds) * n_trials trials as one
     stack: one Tape.backward per mode, plus one per regeneration round of the
-    reference. The per-trial errors are added in (seed, trial) order, so the
-    report is bit-identical to scoring the trials one at a time, and
-    bit-reproducible for a fixed configuration.
+    reference. Each (case, workflow) cell's per-trial errors are sliced back
+    out of the stack and added in (seed, trial) order, so the report is
+    bit-identical to scoring the trials one at a time, and bit-reproducible
+    for a fixed configuration. A repeated case, workflow or mode variant is
+    refused, like every other bad setting, before any trial runs.
     """
     modes = _normalize_modes(modes)
     if n_trials < 1:
@@ -304,25 +310,33 @@ def run_efficacy(
     for label, values in (("seeds", seeds), ("cases", cases), ("workflows", workflows)):
         if not values:
             raise ValueError(f"{label} must not be empty")
+    # a repeated cell would be scored again as a duplicate row
+    for label, values in (("cases", cases), ("workflows", workflows),
+                          ("modes", [m.variant for m in modes])):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{label} must not repeat an entry")
     if min(seeds) < 0:
         raise ValueError("seeds must be >= 0")
     if not set(workflows) <= {1, 2, 3}:
         raise ValueError("workflows must be from 1, 2, 3")
     for case in cases:  # refuses a case, size or basis before any cell runs
         Scenario(case=case, size=size, basis=basis)
-    keys = [(master, trial) for master in seeds for trial in range(n_trials)]
+    per_cell = len(seeds) * n_trials
+    # case-major, so each case's trials are one slice in (seed, trial) order
+    keys = [(master, trial, case) for case in cases for master in seeds for trial in range(n_trials)]
+    scored = {workflow: _efficacy_workflow(workflow, keys, size, basis, modes) for workflow in workflows}
     cells: list[CellStats] = []
-    for case in cases:
+    for c, case in enumerate(cases):
+        rows = slice(c * per_cell, (c + 1) * per_cell)
         for workflow in workflows:
-            solver = _workflow_tape(workflow)
-            sumsq, attempts = _efficacy_cell(solver, case, workflow, keys, size, basis, modes)
+            sumsq, attempts = scored[workflow]
             sums = [0.0] * len(modes)
             means = [0.0] * len(modes)
             for i in range(len(modes)):
-                for trial_sumsq in sumsq[i].tolist():
+                for trial_sumsq in sumsq[i, rows].tolist():
                     sums[i] += trial_sumsq
                     means[i] += trial_sumsq / (size[0] * size[1])
-            invalid = int(attempts.sum())
+            invalid = int(attempts[rows].sum())
             for i, mode in enumerate(modes):
                 t, clamp = mode.stability.resolve(np.float32)
                 cells.append(
@@ -330,7 +344,7 @@ def run_efficacy(
                         case=case,
                         workflow=workflow,
                         mode=mode.variant,
-                        trials=n_trials * len(seeds),
+                        trials=per_cell,
                         mse_sum=sums[i],
                         mse_mean=means[i],
                         invalid_trials=invalid,
@@ -382,8 +396,9 @@ class UnrolledConfig:
     """Unrolled completion demo: sizes, unroll depth, optimizer, grad mode.
 
     The trainer's settings are range-checked on construction (ValueError).
-    `lr` must be >= 0 and finite; 0 keeps the parameters frozen. `steps`
-    must be >= 0; 0 only scores the initial parameters.
+    `size` must be two values. `lr` must be >= 0 and finite; 0 keeps the
+    parameters frozen. `steps` must be >= 0; 0 only scores the initial
+    parameters.
     """
 
     size: tuple[int, int] = (20, 20)
@@ -401,6 +416,8 @@ class UnrolledConfig:
     def __post_init__(self):
         if not 0 < self.sampling_ratio <= 1:
             raise ValueError("sampling_ratio must be in (0, 1]")
+        if len(self.size) != 2:
+            raise ValueError("size must be two integers")
         if self.n_unroll < 1:
             raise ValueError("n_unroll must be >= 1")
         if self.steps < 0:

@@ -296,6 +296,15 @@ def test_config_file_merge_and_flag_override(tmp_path, capsys):
         assert row.split(",")[3] == "3"
 
 
+@pytest.mark.parametrize("command", ["train", "efficacy"])
+def test_config_size_of_three_values_exits_two(command, tmp_path, capsys):
+    cfg = tmp_path / "size.json"
+    cfg.write_text(json.dumps({"size": [8, 8, 3]}))
+    rc = main([command, "--config", str(cfg)])
+    assert rc == 2
+    assert "size must be two integers" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"trials": 2, "tirals": 5}))
@@ -342,6 +351,10 @@ def test_missing_config_exits_two(tmp_path, capsys):
     (["gradcheck", "--seed", "-1"], "seed must be"),
     (["train", "--seed", "-2"], "seed must be"),
     (["efficacy", "--seeds", "-5"], "seeds must be"),
+    (["efficacy", "--trials", "2", "--cases", "1,1", "--workflows", "3,3",
+      "--modes", "tf,inv"], "cases must not repeat"),
+    (["efficacy", "--trials", "2", "--workflows", "3,3"], "workflows must not repeat"),
+    (["efficacy", "--trials", "2", "--modes", "tf,inv,tf"], "modes must not repeat"),
 ])
 def test_invalid_values_exit_two(argv, needle, capsys):
     rc = main(argv)

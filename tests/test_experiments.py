@@ -49,6 +49,9 @@ def test_scenario_validation():
         Scenario(basis="fourier")
     with pytest.raises(ValueError):
         Scenario(size=(2, 10))
+    for size in ((10,), (10, 10, 10)):
+        with pytest.raises(ValueError, match="size must be two"):
+            Scenario(size=size)
 
 
 def test_generate_scenario_deterministic():
@@ -126,7 +129,14 @@ def test_run_efficacy_input_validation():
     ({"size": (-1, 10)}, "size"),
     ({"size": (2, 10)}, "size"),
     ({"basis": "haar"}, "basis"),
-], ids=["workflow", "case", "size-negative", "size-small", "basis"])
+    ({"size": (10, 10, 10)}, "size"),
+    # a repeated cell would be scored again and written as duplicate rows
+    ({"cases": (1, 1)}, "cases"),
+    ({"workflows": (3, 1, 3)}, "workflows"),
+    ({"modes": ("tf", "inv", "tf")}, "modes"),
+    ({"modes": ("tf", "inv", GradMode("tf", clip_value=1e8))}, "modes"),
+], ids=["workflow", "case", "size-negative", "size-small", "basis", "size-three",
+        "case-repeated", "workflow-repeated", "mode-repeated", "mode-variant-repeated"])
 def test_run_efficacy_refuses_settings_before_any_cell(kwargs, needle, monkeypatch):
     # run_efficacy checks every setting it reads before it scores a cell
     import svdgrad.experiments as ex
@@ -134,9 +144,9 @@ def test_run_efficacy_refuses_settings_before_any_cell(kwargs, needle, monkeypat
     def no_cell(*args):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr(ex, "_efficacy_cell", no_cell)
+    monkeypatch.setattr(ex, "_efficacy_workflow", no_cell)
     with pytest.raises(ValueError, match=needle):
-        run_efficacy(1, ("tf", "inv"), **kwargs)
+        run_efficacy(1, **{"modes": ("tf", "inv"), **kwargs})
 
 
 def test_run_efficacy_reproducible():
@@ -146,8 +156,9 @@ def test_run_efficacy_reproducible():
     assert r1.to_json_dict() == r2.to_json_dict()
 
 
-def test_run_efficacy_builds_one_tape_per_cell(monkeypatch):
-    # a cell's trials differ only in the bound A and tau, so they share a tape
+def test_run_efficacy_builds_one_tape_per_workflow(monkeypatch):
+    # a workflow's trials, across its cases, differ only in the bound A and
+    # tau, so they share a tape
     built = []
 
     def counting(workflow):
@@ -156,7 +167,7 @@ def test_run_efficacy_builds_one_tape_per_cell(monkeypatch):
 
     monkeypatch.setattr(experiments, "_workflow_tape", counting)
     run_efficacy(3, ["tf", "inv"], seeds=(1, 2))
-    assert built == [1, 2, 3, 1, 2, 3]
+    assert built == [1, 2, 3]
 
 
 _MODES = ("tf", "clip", "taylor", "inv")
@@ -164,12 +175,14 @@ _EFFICACY_CONFIGS = [
     dict(n_trials=10, seeds=(1, 2)),
     dict(n_trials=4, seeds=(5, 11), cases=(2,), size=(8, 12), basis="identity"),
     dict(n_trials=3, seeds=(3,), workflows=(2, 3), size=(7, 5)),
+    # cells sliced back out of each workflow's stack in an unsorted order
+    dict(n_trials=3, seeds=(4,), cases=(2, 1), workflows=(3, 1)),
 ]
 
 
 @pytest.mark.parametrize("config", _EFFICACY_CONFIGS)
 def test_batched_efficacy_matches_per_trial_loop(config):
-    # each cell runs as one stack, yet the report is byte-identical to
+    # each workflow runs as one stack, yet the report is byte-identical to
     # generating, referencing and scoring every trial on its own
     batched = run_efficacy(modes=_MODES, **config).to_csv_text()
     assert batched == efficacy_report_per_trial(modes=_MODES, **config).to_csv_text()
@@ -197,7 +210,7 @@ def test_batched_scenarios_match_one_at_a_time():
         experiments._scenario_parts([Scenario(size=(4, 4)), Scenario(size=(5, 5))])
 
 
-def test_run_efficacy_one_backward_per_cell_mode_and_reference_round(monkeypatch):
+def test_run_efficacy_one_backward_per_workflow_mode_and_reference_round(monkeypatch):
     backward, references = [], []
     original_backward, original_reference = Tape.backward, experiments.reference_gradient
 
@@ -213,11 +226,13 @@ def test_run_efficacy_one_backward_per_cell_mode_and_reference_round(monkeypatch
     monkeypatch.setattr(experiments, "reference_gradient", counting_reference)
     report = run_efficacy(modes=_MODES, **_EFFICACY_CONFIGS[0])
     invalid = sum(c.invalid_trials for c in report.cells) // len(_MODES)
-    # every cell references its 20 trials, plus each regenerated one that
-    # passes the workflow-2 cut test, in rounds of stacks
+    # every workflow references the 20 trials of each of its two cases, plus
+    # each regenerated one that passes the workflow-2 cut test, in rounds of
+    # stacks; the first round stacks both cases
+    assert references[0] == 2 * 20
     assert 6 * 20 < sum(references) <= 6 * 20 + invalid
     assert len(references) < sum(references)
-    assert len(backward) == 6 * len(_MODES) + len(references)
+    assert len(backward) == 3 * len(_MODES) + len(references)
 
 
 def test_report_cell_lookup():
@@ -437,6 +452,9 @@ def test_unrolled_config_validation():
         UnrolledConfig(inject_rate=1.5)
     with pytest.raises(ValueError, match="seed"):
         UnrolledConfig(seed=-1)
+    for size in ((8,), (8, 8, 3)):
+        with pytest.raises(ValueError, match="size must be two"):
+            UnrolledConfig(size=size)
 
 
 @pytest.mark.parametrize("kwargs,needle", [
