@@ -139,37 +139,42 @@ class AuxMatrices:
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-def _validate_s(s) -> np.ndarray:
+def _validate_s(s) -> tuple[np.ndarray, np.generic, np.generic]:
+    """s as an array, with its smallest and largest value (0 and 0 for an
+    empty one).
+
+    A spectrum must be a real vector (else ValueError, or TypeError for a
+    complex one) of finite nonnegative values (else ValueError). One min and
+    one max reduction check it: NaN fails both comparisons below and +inf
+    the upper one, so a spectrum holding a non-finite value is reported as
+    such even when it also holds a negative one.
+    """
     s = np.asarray(s)
     if s.ndim != 1:
         raise ValueError(f"singular values must be a vector, got shape {s.shape}")
-    ok = np.isfinite(s)
-    ok &= s >= 0
-    if np.count_nonzero(ok) != s.size:
-        if not np.isfinite(s).all():
+    if np.iscomplexobj(s):
+        raise TypeError(f"singular values must be real, got {s.dtype}")
+    if s.size == 0:
+        return s, s.dtype.type(0), s.dtype.type(0)
+    lo, hi = s.min(), s.max()
+    if not (lo >= 0 and hi < np.inf):
+        if not hi < np.inf or lo == -np.inf:
             raise ValueError("singular values contain non-finite entries")
         raise ValueError("singular values must be nonnegative")
-    return s
+    return s, lo, hi
 
 
 def _working_dtype(s: np.ndarray) -> np.dtype:
-    """The real dtype a spectrum's arithmetic runs in.
-
-    A float32 or float64 spectrum keeps its own dtype and any other real one
-    (integers, float16, longdouble) runs in float64; a complex spectrum is
-    refused.
-    """
-    if np.iscomplexobj(s):
-        raise TypeError(f"singular values must be real, got {s.dtype}")
+    """The real dtype a spectrum's arithmetic runs in: a float32 or float64
+    spectrum keeps its own dtype and any other real one (integers, float16,
+    longdouble) runs in float64."""
     return s.dtype if s.dtype in _FLOATS else np.dtype(np.float64)
 
 
-def _spread(s: np.ndarray) -> tuple[np.floating, np.ndarray]:
-    """The scale sigma_max (1 for an all-zero spectrum) and the k×k
+def _spread(s: np.ndarray, hi) -> tuple[np.floating, np.ndarray]:
+    """The scale sigma_max = hi (1 for an all-zero spectrum) and the k×k
     differences diff[i, j] = sigma_j - sigma_i."""
-    scale = s.max(initial=0)
-    if scale == 0:
-        scale = s.dtype.type(1)
+    scale = hi if hi > 0 else s.dtype.type(1)
     return scale, s[None, :] - s[:, None]
 
 
@@ -199,10 +204,11 @@ def classify_pairs(s, t: float) -> np.ndarray:
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    s = _validate_s(s)
-    s = s.astype(_working_dtype(s), copy=False)
+    s, _, hi = _validate_s(s)
+    rdt = _working_dtype(s)
+    s = s.astype(rdt, copy=False)
     with np.errstate(under="ignore"):
-        _, equal = _relative_gaps(s, *_spread(s), t)
+        _, equal = _relative_gaps(s, *_spread(s, rdt.type(hi)), t)
     both_zero = (s[:, None] == 0) & (s[None, :] == 0)
     labels = np.full(equal.shape, UNEQUAL, dtype=np.int8)
     labels[equal] = EQUAL_NONZERO
@@ -240,10 +246,15 @@ def build_aux(s, mode: GradMode) -> AuxMatrices:
     s is one spectrum, never a stack: `svd_vjp` calls this once per matrix
     of a stack.
 
-    A float32 or float64 spectrum keeps its dtype and any other real one
-    runs in float64 (the rule `classify_pairs` uses). So a float32 benchmark
-    faithfully reproduces float32 gap rounding. A value beyond float64's
-    range raises ValueError. FS = F_ij * sigma_j is formed from the relative
+    s is validated by one min and one max reduction, the checks and
+    messages `classify_pairs` uses: a value that is NaN or infinite raises
+    ValueError "non-finite" (also beside a negative value), a negative one
+    "nonnegative", and anything but a vector "vector". The same two values
+    give sigma_max and whether any value is exactly zero. A float32 or
+    float64 spectrum keeps its dtype and any other real one runs in float64
+    (the rule `classify_pairs` uses). So a float32 benchmark faithfully
+    reproduces float32 gap rounding. A value beyond float64's range raises
+    ValueError. FS = F_ij * sigma_j is formed from the relative
     F (sigma_max^2 times F) with exact antisymmetry in every mode and never
     passes through F alone, which overflows float32 on spectra near 1e-18.
     In the safeguarded modes any entry of FS, T or s_pinv that overflows is
@@ -252,14 +263,19 @@ def build_aux(s, mode: GradMode) -> AuxMatrices:
 
     Every intermediate is k×k or smaller: the degree-K Taylor series is
     summed in place, and the pair masks of exact zeros are formed only when
-    a value is zero.
+    a value is zero. The returned FS and T are fresh k×k arrays and s_pinv a
+    fresh k-vector in the working dtype; a run that overflows FS forms it a
+    second time, and T is filled only in `inv` mode when a pair off the
+    diagonal is classified equal.
     """
-    s = _validate_s(s)
+    s, lo, hi = _validate_s(s)
     rdt = _working_dtype(s)
     if s.dtype != rdt:
+        # rounding is monotone, so the cast's extremes are the extremes' casts
         with np.errstate(over="ignore"):
             s = s.astype(rdt)
-        if not np.isfinite(s).all():
+            lo, hi = rdt.type(lo), rdt.type(hi)
+        if not hi < np.inf:
             raise ValueError(f"singular values overflow {rdt}")
     k = s.shape[0]
     t, clamp = _limits(mode.stability, rdt)
@@ -268,9 +284,9 @@ def build_aux(s, mode: GradMode) -> AuxMatrices:
     one = rdt.type(1)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        scale, diff = _spread(s)
+        scale, diff = _spread(s, hi)
         # the exact zeros, None when no value is zero
-        zero = s == 0 if np.count_nonzero(s) < k else None
+        zero = s == 0 if lo == 0 else None
         equal = None
         if variant == "taylor":
             F_rel = _taylor_relative(s, scale, diff, mode.taylor_k)
@@ -303,8 +319,9 @@ def build_aux(s, mode: GradMode) -> AuxMatrices:
         if safe:
             np.minimum(recip, clamp, out=recip)
         T = np.zeros((k, k), dtype=rdt)
-        # only a classified-equal pair off the diagonal fills T
-        if variant == "inv" and np.count_nonzero(equal) > np.count_nonzero(equal.diagonal()):
+        # only a classified-equal pair off the diagonal fills T; every
+        # diagonal pair is classified equal
+        if variant == "inv" and np.count_nonzero(equal) > k:
             # each such pair, unless both values are zero
             fill = equal if zero is None else equal & ~(zero[:, None] & zero[None, :])
             np.fill_diagonal(fill, False)
@@ -355,18 +372,26 @@ def _diag(v: np.ndarray) -> np.ndarray:
 
 
 def _stacked_aux(s: np.ndarray, mode: GradMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """FS, T and s_pinv of every spectrum of the (..., k) stack s, from one
-    build_aux call per spectrum; one spectrum's arrays are used as built,
-    which spares a lone matrix's backward the copies."""
+    """FS, T and s_pinv of every spectrum of the (..., k) stack s.
+
+    build_aux runs once per spectrum, and its arrays are written into
+    preallocated (N, k, k) and (N, k) arrays; one spectrum's arrays are used
+    as built, which spares a lone matrix's backward the copies. build_aux
+    stays per spectrum for the benchmark tracer (see `svd_vjp`).
+    """
     if s.ndim == 1:
         aux = build_aux(s, mode)
         return aux.FS, aux.T, aux.s_pinv
     k = s.shape[-1]
-    auxes = [build_aux(si, mode) for si in s.reshape(-1, k)]
-    FS = np.stack([a.FS for a in auxes]).reshape(*s.shape, k)
-    T = np.stack([a.T for a in auxes]).reshape(*s.shape, k)
-    s_pinv = np.stack([a.s_pinv for a in auxes]).reshape(s.shape)
-    return FS, T, s_pinv
+    spectra = s.reshape(-1, k)
+    rdt = _working_dtype(s)
+    FS = np.empty((len(spectra), k, k), dtype=rdt)
+    T = np.empty_like(FS)
+    s_pinv = np.empty((len(spectra), k), dtype=rdt)
+    for i, si in enumerate(spectra):
+        aux = build_aux(si, mode)
+        FS[i], T[i], s_pinv[i] = aux.FS, aux.T, aux.s_pinv
+    return FS.reshape(*s.shape, k), T.reshape(*s.shape, k), s_pinv.reshape(s.shape)
 
 
 def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
@@ -393,8 +418,11 @@ def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
     and V (..., n, k) share their leading axes (else ValueError); V is in
     U's dtype and s in its real dtype (else TypeError), and so are Ubar,
     Vbar and sbar (else TypeError naming it); None is a zero cotangent. On
-    a stack each matrix's gradient is bit-identical to its own 2-D call;
-    `build_aux` runs once per spectrum.
+    a stack each matrix's gradient is bit-identical to its own 2-D call.
+    `build_aux` runs once per spectrum, not once per stack: the benchmark
+    tracer's pair-count hook passes every s that reaches `build_aux` to
+    `classify_pairs` as one spectrum, and `classify_pairs` refuses a stack,
+    so one call per stack waits for a tracer that counts a stack's pairs.
     """
     U, s, V = ensure_matrix(factors.U, "U"), factors.s, ensure_matrix(factors.V, "V")
     *stack, m, k = U.shape

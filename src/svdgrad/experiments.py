@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 _CASE_SCALES = {1: 1e-10, 2: 1e-18}
+# trials scored as one stack: each holds about 22 KB while it is scored,
+# and the benchmark's 40-trial workflows stay one stack
+_EFFICACY_CHUNK = 256
 
 
 def _rng(*entropy) -> np.random.Generator:
@@ -216,16 +219,29 @@ def _normalize_modes(modes) -> list[GradMode]:
 
 
 def _efficacy_workflow(workflow: int, keys, size, basis: str, modes):
-    """All paired trials of one workflow, across its cases, as one stack on
-    one workflow tape.
+    """All paired trials of one workflow, across its cases, on one workflow
+    tape, scored as stacks of at most _EFFICACY_CHUNK trials.
 
     keys lists each trial's (master seed, trial index, case). Returns the
     squared gradient errors, shaped (mode, trial), and the attempts each
-    trial used. A trial whose reference is invalid is regenerated with an
-    incremented sub-seed; each round generates, cut-tests and references
-    only the trials still invalid, each as one stack.
+    trial used, in the order of keys. A trial scores alike in any chunk, so
+    the chunk size bounds the memory a workflow holds without changing a
+    result.
     """
     tape, loss = _workflow_tape(workflow)
+    parts = [_efficacy_chunk(tape, loss, workflow, keys[start:start + _EFFICACY_CHUNK], size, basis, modes)
+             for start in range(0, len(keys), _EFFICACY_CHUNK)]
+    return np.concatenate([p[0] for p in parts], axis=1), np.concatenate([p[1] for p in parts])
+
+
+def _efficacy_chunk(tape: Tape, loss: int, workflow: int, keys, size, basis: str, modes):
+    """The trials of keys as one stack on the workflow's tape: their squared
+    gradient errors, shaped (mode, trial), and their attempts.
+
+    A trial whose reference is invalid is regenerated with an incremented
+    sub-seed; each round generates, cut-tests and references only the
+    trials still invalid, each as one stack.
+    """
     m, n = size
     A64 = np.empty((len(keys), m, n))
     svals = np.empty((len(keys), min(m, n)))
@@ -293,12 +309,13 @@ def run_efficacy(
     double-precision gradient as reference (regenerating with an incremented
     sub-seed when the reference itself is non-finite), runs the forward once
     in single precision, and accumulates each mode's squared gradient error.
-    Each workflow runs its len(cases) * len(seeds) * n_trials trials as one
-    stack: one Tape.backward per mode, plus one per regeneration round of the
+    Each workflow runs its len(cases) * len(seeds) * n_trials trials on one
+    tape, as consecutive stacks of at most _EFFICACY_CHUNK trials: one
+    Tape.backward per mode and stack, plus one per regeneration round of the
     reference. Each (case, workflow) cell's per-trial errors are sliced back
-    out of the stack and added in (seed, trial) order, so the report is
-    bit-identical to scoring the trials one at a time, and bit-reproducible
-    for a fixed configuration. A repeated case, workflow or mode variant is
+    out and added in (seed, trial) order, so the report is bit-identical to
+    scoring the trials one at a time, and bit-reproducible for a fixed
+    configuration. A repeated seed, case, workflow or mode variant is
     refused, like every other bad setting, before any trial runs.
     """
     modes = _normalize_modes(modes)
@@ -310,8 +327,9 @@ def run_efficacy(
     for label, values in (("seeds", seeds), ("cases", cases), ("workflows", workflows)):
         if not values:
             raise ValueError(f"{label} must not be empty")
-    # a repeated cell would be scored again as a duplicate row
-    for label, values in (("cases", cases), ("workflows", workflows),
+    # a repeated cell would be scored again as a duplicate row, and a
+    # repeated seed would score its trials twice
+    for label, values in (("seeds", seeds), ("cases", cases), ("workflows", workflows),
                           ("modes", [m.variant for m in modes])):
         if len(set(values)) < len(values):
             raise ValueError(f"{label} must not repeat an entry")

@@ -311,6 +311,62 @@ def test_aux_bytes_match_reference():
     assert checked == 60 * 2 * len(modes)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float16, np.longdouble])
+def test_aux_bytes_match_reference_in_other_dtypes(dtype):
+    # a spectrum that is neither float32 nor float64 is validated in its own
+    # dtype and runs as its float64 cast; every byte must agree with the
+    # reference run on that cast
+    if dtype is np.longdouble and np.finfo(np.longdouble).nmant == np.finfo(np.float64).nmant:
+        pytest.skip("longdouble is float64 here")
+    modes = [GradMode.clip(clip_value=1e30)]
+    for stab in (StabilityParams(), StabilityParams(t=1e45), StabilityParams(clamp=3.0)):
+        modes += [GradMode.exact(stab), GradMode.tf(stab), GradMode.clip(stability=stab), GradMode.inv(stab)]
+        modes += [GradMode.taylor(k, stab) for k in (1, 9)]
+    rng = np.random.default_rng(2025)
+    checked = 0
+    for trial, s in enumerate(_oracle_spectra(rng)):
+        top = s.max()
+        if dtype is np.int64:
+            # ties and zeros come from the rounding
+            spectrum = np.round(s / top * 1000 if top else s).astype(np.int64)
+        elif dtype is np.float16:
+            # subnormal values and zeros come from the rounding
+            spectrum = (s / top * 100 if top else s).astype(np.float16)
+        else:
+            # each value off float64's grid, and now and then one so small
+            # that it is zero only once cast
+            spectrum = np.nextafter(s.astype(np.longdouble), np.longdouble(np.inf))
+            if trial % 3 == 0:
+                spectrum[-1] = np.longdouble("1e-4000")
+        for mode in modes:
+            aux = build_aux(spectrum, mode)
+            ref = build_aux_reference(spectrum, mode, dtype=np.float64)
+            for name, got, want in zip(("FS", "T", "s_pinv"), (aux.FS, aux.T, aux.s_pinv), ref):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, mode, spectrum)
+                assert got.tobytes() == want.tobytes(), (name, mode, spectrum)
+            checked += 1
+    assert checked == 60 * len(modes)
+
+
+@pytest.mark.parametrize("check", [lambda s: build_aux(s, GradMode.inv()), lambda s: classify_pairs(s, 1e30)],
+                         ids=["build_aux", "classify_pairs"])
+@pytest.mark.parametrize("s,needle", [
+    ([1.0, np.nan], "non-finite"),
+    ([1.0, np.inf], "non-finite"),
+    ([1.0, -np.inf], "non-finite"),
+    ([1.0, -0.5], "nonnegative"),
+    # a non-finite value is reported ahead of a negative one
+    ([-0.5, np.nan, 1.0], "non-finite"),
+    ([np.nan, -0.5], "non-finite"),
+    ([np.inf, -0.5], "non-finite"),
+    ([[1.0, 2.0]], "vector"),
+    ([[np.nan, -1.0]], "vector"),
+])
+def test_spectrum_errors_and_their_order(check, s, needle):
+    with pytest.raises(ValueError, match=needle):
+        check(np.array(s))
+
+
 def test_mode_constructor_validation():
     with pytest.raises(ValueError):
         GradMode("nope")
@@ -586,6 +642,49 @@ def test_stacked_svd_vjp_matches_per_matrix(dtype, shape):
     # cotangents left out are zeros, as for one matrix
     g = svd_vjp(f, None, sbar, None, GradMode.inv())
     assert g[0].tobytes() == svd_vjp(svd(A[0]), None, sbar[0], None, GradMode.inv()).tobytes()
+
+
+def test_stacked_aux_across_branches_matches_per_matrix(monkeypatch):
+    # one float32 stack whose spectra take different build_aux branches:
+    # case-2 scale (1e-18) with a tiny pair whose relative F overflows, so
+    # FS is formed a second time; an exact tie, which fills T in inv mode;
+    # a zero tail; and a separated spectrum. Written into one preallocated
+    # stack, each matrix's gradient is bit-identical to its own 2-D call
+    import svdgrad.backward as backward
+    from svdgrad.linalg import SvdFactors
+
+    retries = []
+    clamp = backward._clamp_nonfinite
+    monkeypatch.setattr(backward, "_clamp_nonfinite", lambda x, c: retries.append(1) or clamp(x, c))
+    s = np.array([
+        np.array([1.0, 0.6, 2e-22, 1e-22]) * 1e-18,
+        [2.0, 1.5, 1.5, 0.5],
+        [3.0, 1.0, 0.0, 0.0],
+        [4.0, 3.0, 2.0, 1.0],
+    ], dtype=np.float32)
+    rng = np.random.default_rng(61)
+    N, k, m, n = *s.shape, 6, 5
+    U = np.linalg.qr(rng.standard_normal((N, m, k)))[0].astype(np.float32)
+    V = np.linalg.qr(rng.standard_normal((N, n, k)))[0].astype(np.float32)
+    Ubar = _random(rng, (N, m, k), np.float32)
+    Vbar = _random(rng, (N, n, k), np.float32)
+    sbar = _random(rng, (N, k), np.float32)
+    beyond = StabilityParams(t=1e45)
+    retried = set()
+    for mode in ALL_MODES + [GradMode.tf(beyond), GradMode.inv(beyond)]:
+        with np.errstate(all="ignore"):
+            g = svd_vjp(SvdFactors(U=U, s=s, V=V), Ubar, sbar, Vbar, mode)
+            for i in range(N):
+                retries.clear()
+                own = svd_vjp(SvdFactors(U=U[i], s=s[i], V=V[i]), Ubar[i], sbar[i], Vbar[i], mode)
+                assert g[i].tobytes() == own.tobytes(), (mode, i)
+                if retries:
+                    retried.add((mode.variant, i))
+        assert g.dtype == np.float32
+    # only the case-2 spectrum takes the retry, in taylor and with t beyond
+    # float32's range
+    assert retried == {("taylor", 0), ("tf", 0), ("inv", 0)}
+    assert np.count_nonzero(build_aux(s[1], GradMode.inv()).T) == 2
 
 
 def test_vjp_matches_jacobi_factors():

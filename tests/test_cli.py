@@ -355,6 +355,7 @@ def test_missing_config_exits_two(tmp_path, capsys):
       "--modes", "tf,inv"], "cases must not repeat"),
     (["efficacy", "--trials", "2", "--workflows", "3,3"], "workflows must not repeat"),
     (["efficacy", "--trials", "2", "--modes", "tf,inv,tf"], "modes must not repeat"),
+    (["efficacy", "--trials", "2", "--seeds", "1,1"], "seeds must not repeat"),
 ])
 def test_invalid_values_exit_two(argv, needle, capsys):
     rc = main(argv)

@@ -135,8 +135,11 @@ def test_run_efficacy_input_validation():
     ({"workflows": (3, 1, 3)}, "workflows"),
     ({"modes": ("tf", "inv", "tf")}, "modes"),
     ({"modes": ("tf", "inv", GradMode("tf", clip_value=1e8))}, "modes"),
+    # a repeated seed would score the same trials twice
+    ({"seeds": (1, 1)}, "seeds"),
 ], ids=["workflow", "case", "size-negative", "size-small", "basis", "size-three",
-        "case-repeated", "workflow-repeated", "mode-repeated", "mode-variant-repeated"])
+        "case-repeated", "workflow-repeated", "mode-repeated", "mode-variant-repeated",
+        "seeds-repeated"])
 def test_run_efficacy_refuses_settings_before_any_cell(kwargs, needle, monkeypatch):
     # run_efficacy checks every setting it reads before it scores a cell
     import svdgrad.experiments as ex
@@ -193,6 +196,23 @@ def test_batched_efficacy_regenerates_like_the_loop():
     # regeneration rounds and their sub-seeds
     report = run_efficacy(modes=_MODES, **_EFFICACY_CONFIGS[0])
     assert sum(c.invalid_trials for c in report.cells) > 0
+
+
+def test_chunked_efficacy_matches_one_stack(monkeypatch):
+    # a workflow's trials scored three at a time, the last chunk partial and
+    # regenerated trials among them, give the report of one stack
+    whole = run_efficacy(modes=_MODES, **_EFFICACY_CONFIGS[0]).to_csv_text()
+    chunks = []
+    original = experiments._efficacy_chunk
+
+    def counting(tape, loss, workflow, keys, *args):
+        chunks.append(len(keys))
+        return original(tape, loss, workflow, keys, *args)
+
+    monkeypatch.setattr(experiments, "_EFFICACY_CHUNK", 3)
+    monkeypatch.setattr(experiments, "_efficacy_chunk", counting)
+    assert run_efficacy(modes=_MODES, **_EFFICACY_CONFIGS[0]).to_csv_text() == whole
+    assert chunks == 3 * ([3] * 13 + [1])
 
 
 def test_batched_scenarios_match_one_at_a_time():
