@@ -139,58 +139,91 @@ class AuxMatrices:
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-def _validate_s(s) -> tuple[np.ndarray, np.generic, np.generic]:
-    """s as an array, with its smallest and largest value (0 and 0 for an
-    empty one).
-
-    A spectrum must be a real vector (else ValueError, or TypeError for a
-    complex one) of finite nonnegative values (else ValueError). One min and
-    one max reduction check it: NaN fails both comparisons below and +inf
-    the upper one, so a spectrum holding a non-finite value is reported as
-    such even when it also holds a negative one.
-    """
+def _as_vector(s) -> np.ndarray:
+    """s as an array, refused unless it is a real vector: ValueError for any
+    other shape, TypeError for a complex one."""
     s = np.asarray(s)
     if s.ndim != 1:
         raise ValueError(f"singular values must be a vector, got shape {s.shape}")
     if np.iscomplexobj(s):
         raise TypeError(f"singular values must be real, got {s.dtype}")
-    if s.size == 0:
-        return s, s.dtype.type(0), s.dtype.type(0)
-    lo, hi = s.min(), s.max()
+    return s
+
+
+def _check_extremes(lo, hi) -> None:
+    """Refuse a spectrum whose smallest value is lo and largest hi unless
+    every value is finite and nonnegative. NaN fails both comparisons and
+    +inf the upper one, so a spectrum holding a non-finite value is
+    reported as such even when it also holds a negative one."""
     if not (lo >= 0 and hi < np.inf):
         if not hi < np.inf or lo == -np.inf:
             raise ValueError("singular values contain non-finite entries")
         raise ValueError("singular values must be nonnegative")
+
+
+def _in_working_dtype(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real (..., k) stack s in its working dtype, with the smallest and
+    largest value of each spectrum (0 and 0 when k = 0).
+
+    Every value must be finite and nonnegative (else ValueError), which one
+    min and one max reduction along the last axis check. In a stack the
+    first spectrum that fails raises, with the message its own call would
+    give. A float32 or float64 stack keeps its dtype and any other real one
+    (integers, float16, longdouble) runs in float64; a value that overflows
+    it when cast raises ValueError as well.
+    """
+    if s.size == 0:
+        lo = hi = s.dtype.type(0)
+    else:
+        lo, hi = s.min(axis=-1), s.max(axis=-1)
+        if s.ndim == 1:
+            _check_extremes(lo, hi)
+        else:
+            failing = np.flatnonzero(~((lo >= 0) & (hi < np.inf)))
+            if failing.size:
+                _check_extremes(lo.flat[failing[0]], hi.flat[failing[0]])
+    rdt = s.dtype if s.dtype in _FLOATS else np.dtype(np.float64)
+    if s.dtype != rdt:
+        # rounding is monotone, so the cast's extremes are the extremes' casts
+        with np.errstate(over="ignore"):
+            s, lo, hi = s.astype(rdt), lo.astype(rdt), hi.astype(rdt)
+        if not np.all(hi < np.inf):
+            raise ValueError(f"singular values overflow {rdt}")
     return s, lo, hi
 
 
-def _working_dtype(s: np.ndarray) -> np.dtype:
-    """The real dtype a spectrum's arithmetic runs in: a float32 or float64
-    spectrum keeps its own dtype and any other real one (integers, float16,
-    longdouble) runs in float64."""
-    return s.dtype if s.dtype in _FLOATS else np.dtype(np.float64)
-
-
-def _spread(s: np.ndarray, hi) -> tuple[np.floating, np.ndarray]:
-    """The scale sigma_max = hi (1 for an all-zero spectrum) and the k×k
-    differences diff[i, j] = sigma_j - sigma_i."""
-    scale = hi if hi > 0 else s.dtype.type(1)
-    return scale, s[None, :] - s[:, None]
+def _spread(s: np.ndarray, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The scale sigma_max = hi (1 for an all-zero spectrum) of each spectrum
+    of the (..., k) stack s and the differences diff[..., i, j] = sigma_j -
+    sigma_i. hi must broadcast against the (..., k, k) pairs: a scalar for
+    one spectrum, shaped (..., 1, 1) for a stack."""
+    # adding the zero test keeps hi's dtype, and every nonzero hi exactly
+    return hi + (hi == 0), s[..., None, :] - s[..., :, None]
 
 
 def _relative_gaps(s: np.ndarray, scale, diff: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Relative squared gaps and the equal-pair mask.
+    """Relative squared gaps and the equal-pair mask of each spectrum of s.
 
-    gap[i, j] = (sigma_j^2 - sigma_i^2) / sigma_max^2, formed as
+    gap[..., i, j] = (sigma_j^2 - sigma_i^2) / sigma_max^2, formed as
     ((sigma_j - sigma_i) / sigma_max) * ((sigma_j + sigma_i) / sigma_max) so
     that it is exactly antisymmetric and a pair one ulp apart keeps a nonzero
     gap at any scale (scaling s first would round such a pair into a tie).
     A pair is equal when |gap| < 1/t.
     """
-    gap = (diff / scale) * ((s[None, :] + s[:, None]) / scale)
+    gap = (diff / scale) * ((s[..., None, :] + s[..., :, None]) / scale)
     # comparison in float64 so that 1/t cannot underflow in a float32 run
     equal = np.abs(gap).astype(np.float64, copy=False) < 1.0 / float(t)
     return gap, equal
+
+
+def _classify(s: np.ndarray, hi, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(scale, diff, gap, equal) of the (..., k) stack s, in its working
+    dtype and with largest values hi (shaped as `_spread` takes them): the
+    part of the backward that does not depend on the mode. Its arithmetic
+    underflows on tiny spectra and may overflow near the dtype's largest
+    value, so callers run it under np.errstate."""
+    scale, diff = _spread(s, hi)
+    return (scale, diff, *_relative_gaps(s, scale, diff, t))
 
 
 def classify_pairs(s, t: float) -> np.ndarray:
@@ -199,16 +232,15 @@ def classify_pairs(s, t: float) -> np.ndarray:
     A pair is equal when |sigma_j^2 - sigma_i^2| < sigma_max^2 / t
     (strictly), so the labels do not depend on the scale of the spectrum; an
     equal pair is EQUAL_ZERO only when both values are exactly zero. Diagonal
-    entries are labelled like any other equal pair. The spectrum runs in the
-    dtype `build_aux` would use for it; t must be positive.
+    entries are labelled like any other equal pair. The spectrum is checked,
+    cast and classified as `build_aux` does it (a value beyond the working
+    dtype raises ValueError); t must be positive.
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    s, _, hi = _validate_s(s)
-    rdt = _working_dtype(s)
-    s = s.astype(rdt, copy=False)
-    with np.errstate(under="ignore"):
-        _, equal = _relative_gaps(s, *_spread(s, rdt.type(hi)), t)
+    s, _, hi = _in_working_dtype(_as_vector(s))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        equal = _classify(s, hi, t)[3]
     both_zero = (s[:, None] == 0) & (s[None, :] == 0)
     labels = np.full(equal.shape, UNEQUAL, dtype=np.int8)
     labels[equal] = EQUAL_NONZERO
@@ -240,43 +272,43 @@ def _form_fs(F_rel: np.ndarray, s_rel: np.ndarray, scale, clip_fs, equal) -> np.
     return FS
 
 
-def build_aux(s, mode: GradMode) -> AuxMatrices:
+def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
     """Construct FS, T and s_pinv of one spectrum for one backward mode.
 
-    s is one spectrum, never a stack: `svd_vjp` calls this once per matrix
-    of a stack.
+    s is one spectrum, never a stack. s is validated by one min and one max
+    reduction, the checks and messages `classify_pairs` uses: a value that
+    is NaN or infinite raises ValueError "non-finite" (also beside a
+    negative value), a negative one "nonnegative", and anything but a vector
+    "vector". The same two values give sigma_max and whether any value is
+    exactly zero. A float32 or float64 spectrum keeps its dtype and any
+    other real one runs in float64 (the rule `classify_pairs` uses). So a
+    float32 benchmark faithfully reproduces float32 gap rounding. A value
+    beyond float64's range raises ValueError. FS = F_ij * sigma_j is formed
+    from the relative F (sigma_max^2 times F) with exact antisymmetry in
+    every mode and never passes through F alone, which overflows float32 on
+    spectra near 1e-18. In the safeguarded modes any entry of FS, T or
+    s_pinv that overflows is clamped; an overflowing relative F is clamped
+    before FS is formed from it, so that it cannot meet a zero sigma as
+    inf * 0.
 
-    s is validated by one min and one max reduction, the checks and
-    messages `classify_pairs` uses: a value that is NaN or infinite raises
-    ValueError "non-finite" (also beside a negative value), a negative one
-    "nonnegative", and anything but a vector "vector". The same two values
-    give sigma_max and whether any value is exactly zero. A float32 or
-    float64 spectrum keeps its dtype and any other real one runs in float64
-    (the rule `classify_pairs` uses). So a float32 benchmark faithfully
-    reproduces float32 gap rounding. A value beyond float64's range raises
-    ValueError. FS = F_ij * sigma_j is formed from the relative
-    F (sigma_max^2 times F) with exact antisymmetry in every mode and never
-    passes through F alone, which overflows float32 on spectra near 1e-18.
-    In the safeguarded modes any entry of FS, T or s_pinv that overflows is
-    clamped; an overflowing relative F is clamped before FS is formed from
-    it, so that it cannot meet a zero sigma as inf * 0.
+    The pair classification (sigma_max, the differences, the relative gaps
+    and the equal mask) does not depend on the mode. `svd_vjp` runs it once
+    per stack and passes each spectrum's row as `pairs`, the tuple
+    (lo, scale, diff, gap, equal) of that row, with s already validated and
+    in its working dtype; this call then does only the mode's work. Without
+    `pairs` the spectrum is checked and classified here (taylor, which
+    ignores the classification, forms only sigma_max and the differences).
 
     Every intermediate is k×k or smaller: the degree-K Taylor series is
     summed in place, and the pair masks of exact zeros are formed only when
     a value is zero. The returned FS and T are fresh k×k arrays and s_pinv a
     fresh k-vector in the working dtype; a run that overflows FS forms it a
     second time, and T is filled only in `inv` mode when a pair off the
-    diagonal is classified equal.
+    diagonal is classified equal. Nothing in `pairs` is written to.
     """
-    s, lo, hi = _validate_s(s)
-    rdt = _working_dtype(s)
-    if s.dtype != rdt:
-        # rounding is monotone, so the cast's extremes are the extremes' casts
-        with np.errstate(over="ignore"):
-            s = s.astype(rdt)
-            lo, hi = rdt.type(lo), rdt.type(hi)
-        if not hi < np.inf:
-            raise ValueError(f"singular values overflow {rdt}")
+    if pairs is None:
+        s, lo, hi = _in_working_dtype(_as_vector(s))
+    rdt = s.dtype
     k = s.shape[0]
     t, clamp = _limits(mode.stability, rdt)
     variant = mode.variant
@@ -284,15 +316,19 @@ def build_aux(s, mode: GradMode) -> AuxMatrices:
     one = rdt.type(1)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        scale, diff = _spread(s, hi)
+        if pairs is None:
+            # the series ignores the equal-pair classification
+            if variant == "taylor":
+                pairs = (lo, *_spread(s, hi), None, None)
+            else:
+                pairs = (lo, *_classify(s, hi, t))
+        lo, scale, diff, gap, equal = pairs
         # the exact zeros, None when no value is zero
         zero = s == 0 if lo == 0 else None
-        equal = None
         if variant == "taylor":
             F_rel = _taylor_relative(s, scale, diff, mode.taylor_k)
         else:
-            F_rel, equal = _relative_gaps(s, scale, diff, t)
-            np.divide(one, F_rel, out=F_rel)
+            F_rel = one / gap
             if safe:
                 # tf, clip and inv divide only on unequal pairs
                 F_rel[equal] = 0
@@ -323,7 +359,7 @@ def build_aux(s, mode: GradMode) -> AuxMatrices:
         # diagonal pair is classified equal
         if variant == "inv" and np.count_nonzero(equal) > k:
             # each such pair, unless both values are zero
-            fill = equal if zero is None else equal & ~(zero[:, None] & zero[None, :])
+            fill = equal.copy() if zero is None else equal & ~(zero[:, None] & zero[None, :])
             np.fill_diagonal(fill, False)
             np.copyto(T, recip, where=fill)
         s_pinv = recip
@@ -374,22 +410,28 @@ def _diag(v: np.ndarray) -> np.ndarray:
 def _stacked_aux(s: np.ndarray, mode: GradMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """FS, T and s_pinv of every spectrum of the (..., k) stack s.
 
-    build_aux runs once per spectrum, and its arrays are written into
-    preallocated (N, k, k) and (N, k) arrays; one spectrum's arrays are used
-    as built, which spares a lone matrix's backward the copies. build_aux
-    stays per spectrum for the benchmark tracer (see `svd_vjp`).
+    Per stack: one vectorised pass validates every spectrum (the first one
+    that fails raises) and classifies its pairs (`_classify`). Per spectrum:
+    build_aux takes that spectrum's row and does only the mode's work, and
+    its arrays are written into preallocated (N, k, k) and (N, k) arrays.
+    build_aux stays per spectrum for the benchmark tracer (see `svd_vjp`).
+    A lone spectrum goes to build_aux as it is: it classifies the spectrum
+    inline, which spares a lone matrix's backward the stack's copies.
     """
     if s.ndim == 1:
         aux = build_aux(s, mode)
         return aux.FS, aux.T, aux.s_pinv
     k = s.shape[-1]
-    spectra = s.reshape(-1, k)
-    rdt = _working_dtype(s)
-    FS = np.empty((len(spectra), k, k), dtype=rdt)
+    spectra, lo, hi = _in_working_dtype(s.reshape(-1, k))
+    t = _limits(mode.stability, spectra.dtype)[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        scale, diff, gap, equal = _classify(spectra, hi[:, None, None], t)
+    FS = np.empty((len(spectra), k, k), dtype=spectra.dtype)
     T = np.empty_like(FS)
-    s_pinv = np.empty((len(spectra), k), dtype=rdt)
-    for i, si in enumerate(spectra):
-        aux = build_aux(si, mode)
+    s_pinv = np.empty((len(spectra), k), dtype=spectra.dtype)
+    # each row's scale a scalar, as build_aux forms it for a lone spectrum
+    for i, (si, *row) in enumerate(zip(spectra, lo, scale.ravel(), diff, gap, equal)):
+        aux = build_aux(si, mode, pairs=row)
         FS[i], T[i], s_pinv[i] = aux.FS, aux.T, aux.s_pinv
     return FS.reshape(*s.shape, k), T.reshape(*s.shape, k), s_pinv.reshape(s.shape)
 
@@ -419,10 +461,13 @@ def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
     U's dtype and s in its real dtype (else TypeError), and so are Ubar,
     Vbar and sbar (else TypeError naming it); None is a zero cotangent. On
     a stack each matrix's gradient is bit-identical to its own 2-D call.
-    `build_aux` runs once per spectrum, not once per stack: the benchmark
-    tracer's pair-count hook passes every s that reaches `build_aux` to
-    `classify_pairs` as one spectrum, and `classify_pairs` refuses a stack,
-    so one call per stack waits for a tracer that counts a stack's pairs.
+    On a stack the spectra are validated, and their pairs classified, once
+    per stack; the first spectrum that fails raises its own 2-D call's
+    error. `build_aux` still runs once per spectrum for the mode's work:
+    the benchmark tracer's pair-count hook passes every s that reaches
+    `build_aux` to `classify_pairs` as one spectrum, and `classify_pairs`
+    refuses a stack, so one call per stack waits for a tracer that counts a
+    stack's pairs.
     """
     U, s, V = ensure_matrix(factors.U, "U"), factors.s, ensure_matrix(factors.V, "V")
     *stack, m, k = U.shape

@@ -361,7 +361,13 @@ def test_aux_bytes_match_reference_in_other_dtypes(dtype):
     ([np.inf, -0.5], "non-finite"),
     ([[1.0, 2.0]], "vector"),
     ([[np.nan, -1.0]], "vector"),
+    # finite in longdouble but beyond float64, the dtype it runs in: refused,
+    # not cast to inf with a warning
+    pytest.param([np.longdouble("1e400"), 1.0, 1.0], "overflow",
+                 marks=pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                                          reason="longdouble has float64's range here")),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectrum_errors_and_their_order(check, s, needle):
     with pytest.raises(ValueError, match=needle):
         check(np.array(s))
@@ -645,46 +651,69 @@ def test_stacked_svd_vjp_matches_per_matrix(dtype, shape):
 
 
 def test_stacked_aux_across_branches_matches_per_matrix(monkeypatch):
-    # one float32 stack whose spectra take different build_aux branches:
-    # case-2 scale (1e-18) with a tiny pair whose relative F overflows, so
-    # FS is formed a second time; an exact tie, which fills T in inv mode;
-    # a zero tail; and a separated spectrum. Written into one preallocated
-    # stack, each matrix's gradient is bit-identical to its own 2-D call
+    # one stack whose spectra take different build_aux branches: case-2
+    # scale (1e-18) with a tiny pair whose relative F overflows float32, so
+    # FS is formed a second time; an exact tie, which fills T in inv mode; a
+    # zero tail; a separated spectrum; and an all-zero one, whose sigma_max
+    # falls back to 1. The stack is classified in one pass, each spectrum at
+    # its own scale; in float32 and in float64 each matrix's gradient is
+    # bit-identical to its own 2-D call
     import svdgrad.backward as backward
     from svdgrad.linalg import SvdFactors
 
     retries = []
     clamp = backward._clamp_nonfinite
     monkeypatch.setattr(backward, "_clamp_nonfinite", lambda x, c: retries.append(1) or clamp(x, c))
-    s = np.array([
+    spectra = np.array([
         np.array([1.0, 0.6, 2e-22, 1e-22]) * 1e-18,
         [2.0, 1.5, 1.5, 0.5],
         [3.0, 1.0, 0.0, 0.0],
         [4.0, 3.0, 2.0, 1.0],
-    ], dtype=np.float32)
-    rng = np.random.default_rng(61)
-    N, k, m, n = *s.shape, 6, 5
-    U = np.linalg.qr(rng.standard_normal((N, m, k)))[0].astype(np.float32)
-    V = np.linalg.qr(rng.standard_normal((N, n, k)))[0].astype(np.float32)
-    Ubar = _random(rng, (N, m, k), np.float32)
-    Vbar = _random(rng, (N, n, k), np.float32)
-    sbar = _random(rng, (N, k), np.float32)
+        [0.0, 0.0, 0.0, 0.0],
+    ])
     beyond = StabilityParams(t=1e45)
-    retried = set()
-    for mode in ALL_MODES + [GradMode.tf(beyond), GradMode.inv(beyond)]:
-        with np.errstate(all="ignore"):
-            g = svd_vjp(SvdFactors(U=U, s=s, V=V), Ubar, sbar, Vbar, mode)
-            for i in range(N):
-                retries.clear()
-                own = svd_vjp(SvdFactors(U=U[i], s=s[i], V=V[i]), Ubar[i], sbar[i], Vbar[i], mode)
-                assert g[i].tobytes() == own.tobytes(), (mode, i)
-                if retries:
-                    retried.add((mode.variant, i))
-        assert g.dtype == np.float32
-    # only the case-2 spectrum takes the retry, in taylor and with t beyond
-    # float32's range
-    assert retried == {("taylor", 0), ("tf", 0), ("inv", 0)}
-    assert np.count_nonzero(build_aux(s[1], GradMode.inv()).T) == 2
+    # only the case-2 spectrum takes the retry, in float32 alone: in taylor
+    # and with t beyond float32's range
+    for dtype, expected in ((np.float32, {("taylor", 0), ("tf", 0), ("inv", 0)}), (np.float64, set())):
+        s = spectra.astype(dtype)
+        rng = np.random.default_rng(61)
+        N, k, m, n = *s.shape, 6, 5
+        U = np.linalg.qr(rng.standard_normal((N, m, k)))[0].astype(dtype)
+        V = np.linalg.qr(rng.standard_normal((N, n, k)))[0].astype(dtype)
+        Ubar = _random(rng, (N, m, k), dtype)
+        Vbar = _random(rng, (N, n, k), dtype)
+        sbar = _random(rng, (N, k), dtype)
+        retried = set()
+        for mode in ALL_MODES + [GradMode.tf(beyond), GradMode.inv(beyond)]:
+            with np.errstate(all="ignore"):
+                g = svd_vjp(SvdFactors(U=U, s=s, V=V), Ubar, sbar, Vbar, mode)
+                for i in range(N):
+                    retries.clear()
+                    own = svd_vjp(SvdFactors(U=U[i], s=s[i], V=V[i]), Ubar[i], sbar[i], Vbar[i], mode)
+                    assert g[i].tobytes() == own.tobytes(), (dtype, mode, i)
+                    if retries:
+                        retried.add((mode.variant, i))
+            assert g.dtype == dtype
+        assert retried == expected, dtype
+        assert np.count_nonzero(build_aux(s[1], GradMode.inv()).T) == 2
+
+
+def test_stacked_vjp_reports_the_first_failing_spectrum():
+    # a stack is validated in one pass, yet the error is the one the first
+    # failing matrix's own 2-D call gives, whatever the matrices after it hold
+    from svdgrad.linalg import SvdFactors
+
+    for spectra, needle in (
+        ([[2.0, 1.0], [1.0, -0.5], [np.nan, 1.0]], "nonnegative"),
+        ([[2.0, 1.0], [np.nan, -0.5], [1.0, -0.5]], "non-finite"),
+    ):
+        s = np.array(spectra)
+        U = np.broadcast_to(np.eye(2), (len(s), 2, 2))
+        for mode in ALL_MODES:
+            with pytest.raises(ValueError, match=needle):
+                svd_vjp(SvdFactors(U=U, s=s, V=U), None, np.ones_like(s), None, mode)
+            with pytest.raises(ValueError, match=needle):
+                svd_vjp(SvdFactors(U=U[1], s=s[1], V=U[1]), None, np.ones(2), None, mode)
 
 
 def test_vjp_matches_jacobi_factors():
