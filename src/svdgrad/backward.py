@@ -137,93 +137,69 @@ class AuxMatrices:
 
 
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+# a spectrum whose largest value is above half its dtype's largest value may
+# overflow in sigma_j + sigma_i
+_HALF_MAX = {dt: np.finfo(dt).max / 2 for dt in _FLOATS}
 
 
 def _as_vector(s) -> np.ndarray:
-    """s as an array, refused unless it is a real vector: ValueError for any
-    other shape, TypeError for a complex one."""
+    """s as an array, refused unless it is a vector (else ValueError) in
+    float32 or float64 (else TypeError naming its dtype)."""
     s = np.asarray(s)
     if s.ndim != 1:
         raise ValueError(f"singular values must be a vector, got shape {s.shape}")
-    if np.iscomplexobj(s):
-        raise TypeError(f"singular values must be real, got {s.dtype}")
+    if s.dtype not in _FLOATS:
+        raise TypeError(f"singular values must be float32 or float64, got {s.dtype}")
     return s
 
 
-def _check_extremes(lo, hi) -> None:
-    """Refuse a spectrum whose smallest value is lo and largest hi unless
-    every value is finite and nonnegative. NaN fails both comparisons and
-    +inf the upper one, so a spectrum holding a non-finite value is
-    reported as such even when it also holds a negative one."""
-    if not (lo >= 0 and hi < np.inf):
-        if not hi < np.inf or lo == -np.inf:
+def _extremes(s: np.ndarray) -> tuple:
+    """The smallest and largest value of each spectrum of the (..., k) stack
+    s (inf and 0 when k = 0), refused unless every value is finite and
+    nonnegative: the first spectrum that fails raises the ValueError its own
+    call would give. NaN fails both comparisons and +inf the upper one, so a
+    spectrum holding a non-finite value is reported as such even when it
+    also holds a negative one."""
+    lo, hi = s.min(axis=-1, initial=np.inf), s.max(axis=-1, initial=0)
+    valid = (lo >= 0) & (hi < np.inf)
+    if np.count_nonzero(valid) < valid.size:
+        first = np.flatnonzero(~valid)[0]
+        if not np.ravel(hi)[first] < np.inf or np.ravel(lo)[first] == -np.inf:
             raise ValueError("singular values contain non-finite entries")
         raise ValueError("singular values must be nonnegative")
+    return lo, hi
 
 
-def _in_working_dtype(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The real (..., k) stack s in its working dtype, with the smallest and
-    largest value of each spectrum (0 and 0 when k = 0).
-
-    Every value must be finite and nonnegative (else ValueError), which one
-    min and one max reduction along the last axis check. In a stack the
-    first spectrum that fails raises, with the message its own call would
-    give. A float32 or float64 stack keeps its dtype and any other real one
-    (integers, float16, longdouble) runs in float64; a value that overflows
-    it when cast raises ValueError as well.
-    """
-    if s.size == 0:
-        lo = hi = s.dtype.type(0)
-    else:
-        lo, hi = s.min(axis=-1), s.max(axis=-1)
-        if s.ndim == 1:
-            _check_extremes(lo, hi)
-        else:
-            failing = np.flatnonzero(~((lo >= 0) & (hi < np.inf)))
-            if failing.size:
-                _check_extremes(lo.flat[failing[0]], hi.flat[failing[0]])
-    rdt = s.dtype if s.dtype in _FLOATS else np.dtype(np.float64)
-    if s.dtype != rdt:
-        # rounding is monotone, so the cast's extremes are the extremes' casts
-        with np.errstate(over="ignore"):
-            s, lo, hi = s.astype(rdt), lo.astype(rdt), hi.astype(rdt)
-        if not np.all(hi < np.inf):
-            raise ValueError(f"singular values overflow {rdt}")
-    return s, lo, hi
-
-
-def _spread(s: np.ndarray, hi) -> tuple[np.ndarray, np.ndarray]:
-    """The scale sigma_max = hi (1 for an all-zero spectrum) of each spectrum
-    of the (..., k) stack s and the differences diff[..., i, j] = sigma_j -
-    sigma_i. hi must broadcast against the (..., k, k) pairs: a scalar for
-    one spectrum, shaped (..., 1, 1) for a stack."""
-    # adding the zero test keeps hi's dtype, and every nonzero hi exactly
-    return hi + (hi == 0), s[..., None, :] - s[..., :, None]
-
-
-def _relative_gaps(s: np.ndarray, scale, diff: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Relative squared gaps and the equal-pair mask of each spectrum of s.
+def _classify(s: np.ndarray, t: float) -> tuple:
+    """(lo, scale, diff, gap, equal) of the float32 or float64 (..., k)
+    stack s, validated by `_extremes`: the part of the backward that does
+    not depend on the mode. lo and the scale sigma_max (1 for an all-zero
+    spectrum) have one entry per spectrum; diff[..., i, j] = sigma_j -
+    sigma_i.
 
     gap[..., i, j] = (sigma_j^2 - sigma_i^2) / sigma_max^2, formed as
     ((sigma_j - sigma_i) / sigma_max) * ((sigma_j + sigma_i) / sigma_max) so
     that it is exactly antisymmetric and a pair one ulp apart keeps a nonzero
     gap at any scale (scaling s first would round such a pair into a tie).
-    A pair is equal when |gap| < 1/t.
+    Where sigma_max is above half the dtype's largest value, the sum would
+    overflow and is formed as sigma_j / sigma_max + sigma_i / sigma_max. A
+    pair is equal when |gap| < 1/t. The arithmetic underflows on tiny
+    spectra, so callers run it under np.errstate.
     """
-    gap = (diff / scale) * ((s[..., None, :] + s[..., :, None]) / scale)
+    lo, hi = _extremes(s)
+    # adding the zero test keeps hi's dtype, and every nonzero hi exactly
+    scale = hi + (hi == 0)
+    pair_scale = scale[..., None, None]
+    diff = s[..., None, :] - s[..., :, None]
+    sums = (s[..., None, :] + s[..., :, None]) / pair_scale
+    big = hi > _HALF_MAX[s.dtype]
+    if np.count_nonzero(big):
+        rel = s / scale[..., None]
+        sums = np.where(big[..., None, None], rel[..., None, :] + rel[..., :, None], sums)
+    gap = (diff / pair_scale) * sums
     # comparison in float64 so that 1/t cannot underflow in a float32 run
     equal = np.abs(gap).astype(np.float64, copy=False) < 1.0 / float(t)
-    return gap, equal
-
-
-def _classify(s: np.ndarray, hi, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(scale, diff, gap, equal) of the (..., k) stack s, in its working
-    dtype and with largest values hi (shaped as `_spread` takes them): the
-    part of the backward that does not depend on the mode. Its arithmetic
-    underflows on tiny spectra and may overflow near the dtype's largest
-    value, so callers run it under np.errstate."""
-    scale, diff = _spread(s, hi)
-    return (scale, diff, *_relative_gaps(s, scale, diff, t))
+    return lo, scale, diff, gap, equal
 
 
 def classify_pairs(s, t: float) -> np.ndarray:
@@ -232,15 +208,15 @@ def classify_pairs(s, t: float) -> np.ndarray:
     A pair is equal when |sigma_j^2 - sigma_i^2| < sigma_max^2 / t
     (strictly), so the labels do not depend on the scale of the spectrum; an
     equal pair is EQUAL_ZERO only when both values are exactly zero. Diagonal
-    entries are labelled like any other equal pair. The spectrum is checked,
-    cast and classified as `build_aux` does it (a value beyond the working
-    dtype raises ValueError); t must be positive.
+    entries are labelled like any other equal pair. The spectrum is checked
+    and classified as `build_aux` does it: it must be a float32 or float64
+    vector; t must be positive.
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    s, _, hi = _in_working_dtype(_as_vector(s))
+    s = _as_vector(s)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        equal = _classify(s, hi, t)[3]
+        equal = _classify(s, t)[4]
     both_zero = (s[:, None] == 0) & (s[None, :] == 0)
     labels = np.full(equal.shape, UNEQUAL, dtype=np.int8)
     labels[equal] = EQUAL_NONZERO
@@ -275,39 +251,37 @@ def _form_fs(F_rel: np.ndarray, s_rel: np.ndarray, scale, clip_fs, equal) -> np.
 def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
     """Construct FS, T and s_pinv of one spectrum for one backward mode.
 
-    s is one spectrum, never a stack. s is validated by one min and one max
-    reduction, the checks and messages `classify_pairs` uses: a value that
-    is NaN or infinite raises ValueError "non-finite" (also beside a
-    negative value), a negative one "nonnegative", and anything but a vector
-    "vector". The same two values give sigma_max and whether any value is
-    exactly zero. A float32 or float64 spectrum keeps its dtype and any
-    other real one runs in float64 (the rule `classify_pairs` uses). So a
-    float32 benchmark faithfully reproduces float32 gap rounding. A value
-    beyond float64's range raises ValueError. FS = F_ij * sigma_j is formed
-    from the relative F (sigma_max^2 times F) with exact antisymmetry in
-    every mode and never passes through F alone, which overflows float32 on
-    spectra near 1e-18. In the safeguarded modes any entry of FS, T or
-    s_pinv that overflows is clamped; an overflowing relative F is clamped
-    before FS is formed from it, so that it cannot meet a zero sigma as
-    inf * 0.
+    s is one spectrum, never a stack: a float32 or float64 vector, in whose
+    dtype everything is computed, so a float32 benchmark faithfully
+    reproduces float32 gap rounding. Any other dtype raises TypeError
+    naming it, and anything but a vector ValueError "vector". s is
+    validated by one min and one max reduction, the checks and messages
+    `classify_pairs` uses: a value that is NaN or infinite raises
+    ValueError "non-finite" (also beside a negative value), a negative one
+    "nonnegative". The same two values give sigma_max and whether any value
+    is exactly zero. FS = F_ij * sigma_j is formed from the relative F
+    (sigma_max^2 times F) with exact antisymmetry in every mode and never
+    passes through F alone, which overflows float32 on spectra near 1e-18.
+    In the safeguarded modes any entry of FS, T or s_pinv that overflows is
+    clamped; an overflowing relative F is clamped before FS is formed from
+    it, so that it cannot meet a zero sigma as inf * 0.
 
     The pair classification (sigma_max, the differences, the relative gaps
     and the equal mask) does not depend on the mode. `svd_vjp` runs it once
     per stack and passes each spectrum's row as `pairs`, the tuple
-    (lo, scale, diff, gap, equal) of that row, with s already validated and
-    in its working dtype; this call then does only the mode's work. Without
-    `pairs` the spectrum is checked and classified here (taylor, which
-    ignores the classification, forms only sigma_max and the differences).
+    (lo, scale, diff, gap, equal) of that row, with s already validated;
+    this call then does only the mode's work. Without `pairs` the spectrum
+    is checked and classified here, in every mode.
 
     Every intermediate is k×k or smaller: the degree-K Taylor series is
     summed in place, and the pair masks of exact zeros are formed only when
     a value is zero. The returned FS and T are fresh k×k arrays and s_pinv a
-    fresh k-vector in the working dtype; a run that overflows FS forms it a
+    fresh k-vector in s's dtype; a run that overflows FS forms it a
     second time, and T is filled only in `inv` mode when a pair off the
     diagonal is classified equal. Nothing in `pairs` is written to.
     """
     if pairs is None:
-        s, lo, hi = _in_working_dtype(_as_vector(s))
+        s = _as_vector(s)
     rdt = s.dtype
     k = s.shape[0]
     t, clamp = _limits(mode.stability, rdt)
@@ -316,13 +290,7 @@ def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
     one = rdt.type(1)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        if pairs is None:
-            # the series ignores the equal-pair classification
-            if variant == "taylor":
-                pairs = (lo, *_spread(s, hi), None, None)
-            else:
-                pairs = (lo, *_classify(s, hi, t))
-        lo, scale, diff, gap, equal = pairs
+        lo, scale, diff, gap, equal = _classify(s, t) if pairs is None else pairs
         # the exact zeros, None when no value is zero
         zero = s == 0 if lo == 0 else None
         if variant == "taylor":
@@ -422,15 +390,14 @@ def _stacked_aux(s: np.ndarray, mode: GradMode) -> tuple[np.ndarray, np.ndarray,
         aux = build_aux(s, mode)
         return aux.FS, aux.T, aux.s_pinv
     k = s.shape[-1]
-    spectra, lo, hi = _in_working_dtype(s.reshape(-1, k))
+    spectra = s.reshape(-1, k)
     t = _limits(mode.stability, spectra.dtype)[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        scale, diff, gap, equal = _classify(spectra, hi[:, None, None], t)
+        pairs = _classify(spectra, t)
     FS = np.empty((len(spectra), k, k), dtype=spectra.dtype)
     T = np.empty_like(FS)
     s_pinv = np.empty((len(spectra), k), dtype=spectra.dtype)
-    # each row's scale a scalar, as build_aux forms it for a lone spectrum
-    for i, (si, *row) in enumerate(zip(spectra, lo, scale.ravel(), diff, gap, equal)):
+    for i, (si, *row) in enumerate(zip(spectra, *pairs)):
         aux = build_aux(si, mode, pairs=row)
         FS[i], T[i], s_pinv[i] = aux.FS, aux.T, aux.s_pinv
     return FS.reshape(*s.shape, k), T.reshape(*s.shape, k), s_pinv.reshape(s.shape)

@@ -46,7 +46,7 @@ def conj_transpose(A):
     return np.asarray(A).conj().T.copy()
 
 
-def build_aux_reference(s, mode, dtype=None):
+def build_aux_reference(s, mode):
     """(FS, T, s_pinv) of one float spectrum, formed step by step as
     `build_aux` did before its rewrite (less the F it no longer returns)."""
     s = np.asarray(s)
@@ -56,10 +56,9 @@ def build_aux_reference(s, mode, dtype=None):
         raise ValueError("singular values contain non-finite entries")
     if (s < 0).any():
         raise ValueError("singular values must be nonnegative")
-    rdt = np.dtype(dtype) if dtype is not None else s.dtype
+    rdt = s.dtype
     if rdt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise TypeError(f"dtype must be a real float type, got {rdt}")
-    s = s.astype(rdt, copy=False)
     k = s.shape[0]
     t, clamp = mode.stability.resolve(rdt)
     clamp = min(clamp, float(np.finfo(rdt).max))
