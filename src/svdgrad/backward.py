@@ -11,7 +11,9 @@ sigma_i * F_ij = -FS_ji, so `build_aux` forms FS directly from the relative F
 (sigma_max^2 * F) and never F itself: F alone overflows float32 on spectra
 near 1e-18 while the products stay of order 1/sigma. `build_aux` returns
 exactly what `svd_vjp` reads: FS, T and the pseudoinverse 1/sigma (0 at a
-zero sigma).
+zero sigma). On a stack of spectra the classification and the mode's relative
+F are formed in one vectorised pass (`_aux_terms`); `build_aux` then runs per
+spectrum for the safeguards that branch on that spectrum's values.
 
 Five modes differ only in how they regularize F (and whether T is used):
 
@@ -153,6 +155,13 @@ def _as_vector(s) -> np.ndarray:
     return s
 
 
+def _any(mask) -> bool:
+    """Whether any entry of the boolean array mask is set. The reductions
+    of a lone spectrum give NumPy scalars, which np.count_nonzero would
+    first convert to arrays."""
+    return bool(mask) if mask.ndim == 0 else np.count_nonzero(mask) > 0
+
+
 def _extremes(s: np.ndarray) -> tuple:
     """The smallest and largest value of each spectrum of the (..., k) stack
     s (inf and 0 when k = 0), refused unless every value is finite and
@@ -161,9 +170,9 @@ def _extremes(s: np.ndarray) -> tuple:
     spectrum holding a non-finite value is reported as such even when it
     also holds a negative one."""
     lo, hi = s.min(axis=-1, initial=np.inf), s.max(axis=-1, initial=0)
-    valid = (lo >= 0) & (hi < np.inf)
-    if np.count_nonzero(valid) < valid.size:
-        first = np.flatnonzero(~valid)[0]
+    invalid = ~((lo >= 0) & (hi < np.inf))
+    if _any(invalid):
+        first = np.flatnonzero(invalid)[0]
         if not np.ravel(hi)[first] < np.inf or np.ravel(lo)[first] == -np.inf:
             raise ValueError("singular values contain non-finite entries")
         raise ValueError("singular values must be nonnegative")
@@ -193,7 +202,7 @@ def _classify(s: np.ndarray, t: float) -> tuple:
     diff = s[..., None, :] - s[..., :, None]
     sums = (s[..., None, :] + s[..., :, None]) / pair_scale
     big = hi > _HALF_MAX[s.dtype]
-    if np.count_nonzero(big):
+    if _any(big):
         rel = s / scale[..., None]
         sums = np.where(big[..., None, None], rel[..., None, :] + rel[..., :, None], sums)
     gap = (diff / pair_scale) * sums
@@ -248,6 +257,39 @@ def _form_fs(F_rel: np.ndarray, s_rel: np.ndarray, scale, clip_fs, equal) -> np.
     return FS
 
 
+def _aux_terms(s: np.ndarray, mode: GradMode, t: float) -> tuple:
+    """The `pairs` rows of the float32 or float64 (..., k) stack s, for one
+    mode: the tuple (lo, scale, diff, equal, F_rel, s_rel, recip), formed
+    in one vectorised pass over the stack. lo, scale, diff and equal come
+    from `_classify`; F_rel is the mode's relative F (sigma_max^2 F),
+    s_rel = s / sigma_max and recip = 1/s, unclamped. This is all of the
+    mode's arithmetic that does not branch per spectrum; callers run it
+    under np.errstate, as for `_classify`.
+
+    tf, clip and inv take 1/gap with the classified-equal pairs zeroed.
+    exact takes 1/gap with the diagonal zeroed and, wherever a spectrum
+    holds a zero, the pairs of two exact zeros (the definition's zero
+    branch); every other degenerate pair divides unprotected. taylor takes
+    the degree-K series, which ignores the classification.
+    """
+    lo, scale, diff, gap, equal = _classify(s, t)
+    one = s.dtype.type(1)
+    if mode.variant == "taylor":
+        F_rel = _taylor_relative(s, scale, diff, mode.taylor_k)
+    else:
+        F_rel = one / gap
+        if mode.variant != "exact":
+            F_rel[equal] = 0
+        else:
+            if _any(lo == 0):
+                zero = s == 0
+                F_rel[zero[..., :, None] & zero[..., None, :]] = 0
+            k = s.shape[-1]
+            # F_rel is fresh and contiguous, so this is a view of its diagonals
+            F_rel.reshape(*F_rel.shape[:-2], k * k)[..., :: k + 1] = 0
+    return lo, scale, diff, equal, F_rel, s / scale[..., None], one / s
+
+
 def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
     """Construct FS, T and s_pinv of one spectrum for one backward mode.
 
@@ -266,12 +308,17 @@ def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
     clamped; an overflowing relative F is clamped before FS is formed from
     it, so that it cannot meet a zero sigma as inf * 0.
 
-    The pair classification (sigma_max, the differences, the relative gaps
-    and the equal mask) does not depend on the mode. `svd_vjp` runs it once
-    per stack and passes each spectrum's row as `pairs`, the tuple
-    (lo, scale, diff, gap, equal) of that row, with s already validated;
-    this call then does only the mode's work. Without `pairs` the spectrum
-    is checked and classified here, in every mode.
+    The pair classification and the mode's relative F, together with
+    s / sigma_max and 1/s, do not branch per spectrum. `svd_vjp` forms them
+    once per stack (`_aux_terms`) and passes each spectrum's row as
+    `pairs`: the tuple (lo, scale, diff, equal, F_rel, s_rel, recip) of
+    that spectrum's smallest value, sigma_max (1 for an all-zero spectrum),
+    the differences sigma_j - sigma_i, the equal mask, the mode's relative
+    F, s / sigma_max and the unclamped 1/s, with s already validated. This
+    call then does only what branches per spectrum: FS (with clip's values
+    on the equal pairs), the FS-overflow retry and its clamps, the clamp
+    of 1/sigma, the fixes at exact zeros and T's fill. Without `pairs` the
+    spectrum is checked, and its row formed, here through the same helper.
 
     Every intermediate is k×k or smaller: the degree-K Taylor series is
     summed in place, and the pair masks of exact zeros are formed only when
@@ -287,27 +334,14 @@ def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
     t, clamp = _limits(mode.stability, rdt)
     variant = mode.variant
     safe = variant != "exact"
-    one = rdt.type(1)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        lo, scale, diff, gap, equal = _classify(s, t) if pairs is None else pairs
+        if pairs is None:
+            pairs = _aux_terms(s, mode, t)
+        lo, scale, diff, equal, F_rel, s_rel, recip = pairs
         # the exact zeros, None when no value is zero
         zero = s == 0 if lo == 0 else None
-        if variant == "taylor":
-            F_rel = _taylor_relative(s, scale, diff, mode.taylor_k)
-        else:
-            F_rel = one / gap
-            if safe:
-                # tf, clip and inv divide only on unequal pairs
-                F_rel[equal] = 0
-            else:
-                # a pair of exact zeros takes the definition's zero branch;
-                # every other degenerate pair divides unprotected
-                if zero is not None:
-                    F_rel[zero[:, None] & zero[None, :]] = 0
-                np.fill_diagonal(F_rel, 0)
 
-        s_rel = s / scale
         # clip_value is a value of F itself, zero at an exact tie
         clip_fs = np.sign(diff) * rdt.type(mode.clip_value) * s if variant == "clip" else None
         FS = _form_fs(F_rel, s_rel, scale, clip_fs, equal)
@@ -319,9 +353,8 @@ def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
             FS = _form_fs(_clamp_nonfinite(F_rel, clamp), s_rel, scale, clip_fs, equal)
             FS = _clamp_nonfinite(FS, clamp)
 
-        recip = one / s
-        if safe:
-            np.minimum(recip, clamp, out=recip)
+        # a fresh vector: the row's 1/s is not written to
+        recip = np.minimum(recip, clamp) if safe else recip.copy()
         T = np.zeros((k, k), dtype=rdt)
         # only a classified-equal pair off the diagonal fills T; every
         # diagonal pair is classified equal
@@ -338,7 +371,8 @@ def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
 
 
 def _taylor_relative(s: np.ndarray, scale, diff: np.ndarray, K: int) -> np.ndarray:
-    """Truncated-series approximation of the relative F (sigma_max^2 * F).
+    """Truncated-series approximation of the relative F (sigma_max^2 * F)
+    of each spectrum of the (..., k) stack s.
 
     For sigma_hi > sigma_lo the exact 1/(sigma_lo^2 - sigma_hi^2) equals
     -(1/sigma_hi^2) * sum_{p>=0} (sigma_lo/sigma_hi)^(2p); the degree-K
@@ -347,8 +381,8 @@ def _taylor_relative(s: np.ndarray, scale, diff: np.ndarray, K: int) -> np.ndarr
     The sum runs in place in the order 1 + r + r^2 + ... + r^K, each power
     the previous one times r.
     """
-    hi = np.maximum(s[:, None], s[None, :])
-    ratio = np.minimum(s[:, None], s[None, :])
+    hi = np.maximum(s[..., :, None], s[..., None, :])
+    ratio = np.minimum(s[..., :, None], s[..., None, :])
     ratio /= hi
     np.square(ratio, out=ratio)
     series = ratio + 1
@@ -357,7 +391,7 @@ def _taylor_relative(s: np.ndarray, scale, diff: np.ndarray, K: int) -> np.ndarr
         term *= ratio
         series += term
     # divided by h^2, h = sigma_hi / sigma_max
-    hi /= scale
+    hi /= scale[..., None, None]
     hi *= hi
     series /= hi
     # a pair of equal values (two zeros included) takes the value 0; the
@@ -378,13 +412,15 @@ def _diag(v: np.ndarray) -> np.ndarray:
 def _stacked_aux(s: np.ndarray, mode: GradMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """FS, T and s_pinv of every spectrum of the (..., k) stack s.
 
-    Per stack: one vectorised pass validates every spectrum (the first one
-    that fails raises) and classifies its pairs (`_classify`). Per spectrum:
-    build_aux takes that spectrum's row and does only the mode's work, and
+    Per stack: one vectorised pass (`_aux_terms`) validates every spectrum
+    (the first one that fails raises), classifies its pairs and forms the
+    mode's relative F, s / sigma_max and 1/s. Per spectrum: build_aux takes
+    that spectrum's row and does only the work that branches per spectrum
+    (FS and its overflow retry, the clamps, the exact zeros, T's fill), and
     its arrays are written into preallocated (N, k, k) and (N, k) arrays.
     build_aux stays per spectrum for the benchmark tracer (see `svd_vjp`).
-    A lone spectrum goes to build_aux as it is: it classifies the spectrum
-    inline, which spares a lone matrix's backward the stack's copies.
+    A lone spectrum goes to build_aux as it is: it forms its row inline,
+    which spares a lone matrix's backward the stack's copies.
     """
     if s.ndim == 1:
         aux = build_aux(s, mode)
@@ -393,11 +429,11 @@ def _stacked_aux(s: np.ndarray, mode: GradMode) -> tuple[np.ndarray, np.ndarray,
     spectra = s.reshape(-1, k)
     t = _limits(mode.stability, spectra.dtype)[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        pairs = _classify(spectra, t)
+        rows = _aux_terms(spectra, mode, t)
     FS = np.empty((len(spectra), k, k), dtype=spectra.dtype)
     T = np.empty_like(FS)
     s_pinv = np.empty((len(spectra), k), dtype=spectra.dtype)
-    for i, (si, *row) in enumerate(zip(spectra, *pairs)):
+    for i, (si, *row) in enumerate(zip(spectra, *rows)):
         aux = build_aux(si, mode, pairs=row)
         FS[i], T[i], s_pinv[i] = aux.FS, aux.T, aux.s_pinv
     return FS.reshape(*s.shape, k), T.reshape(*s.shape, k), s_pinv.reshape(s.shape)
@@ -428,10 +464,12 @@ def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
     U's dtype and s in its real dtype (else TypeError), and so are Ubar,
     Vbar and sbar (else TypeError naming it); None is a zero cotangent. On
     a stack each matrix's gradient is bit-identical to its own 2-D call.
-    On a stack the spectra are validated, and their pairs classified, once
-    per stack; the first spectrum that fails raises its own 2-D call's
-    error. `build_aux` still runs once per spectrum for the mode's work:
-    the benchmark tracer's pair-count hook passes every s that reaches
+    On a stack the spectra are validated, their pairs classified and the
+    mode's relative F, s / sigma_max and 1/s formed once per stack; the
+    first spectrum that fails raises its own 2-D call's error. `build_aux`
+    still runs once per spectrum for the safeguards that branch per
+    spectrum (FS and its overflow retry, the clamps, the exact zeros, T's
+    fill): the benchmark tracer's pair-count hook passes every s that reaches
     `build_aux` to `classify_pairs` as one spectrum, and `classify_pairs`
     refuses a stack, so one call per stack waits for a tracer that counts a
     stack's pairs.

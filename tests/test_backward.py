@@ -259,8 +259,11 @@ def _oracle_spectra(rng):
 
 
 def test_aux_bytes_match_reference():
-    # build_aux forms FS, T and s_pinv in fewer passes than the reference;
+    # build_aux forms FS, T and s_pinv in fewer passes than the reference,
+    # alone and as a row of a stack whose relative F is formed in one pass;
     # every byte must agree
+    import svdgrad.backward as backward
+
     stabilities = [
         StabilityParams(),
         StabilityParams(t=100.0),
@@ -273,18 +276,34 @@ def test_aux_bytes_match_reference():
         modes += [GradMode.exact(stab), GradMode.tf(stab), GradMode.clip(stability=stab), GradMode.inv(stab)]
         modes += [GradMode.taylor(k, stab) for k in (1, 3, 9, 40)]
     rng = np.random.default_rng(2024)
+    # (length, dtype) -> [(spectrum, reference of each mode)]
+    groups = {}
     checked = 0
     for s in _oracle_spectra(rng):
         for s_dtype in (np.float32, np.float64):
             spectrum = s.astype(s_dtype)
-            for mode in modes:
+            refs = [build_aux_reference(spectrum, mode) for mode in modes]
+            groups.setdefault((len(s), s_dtype), []).append((spectrum, refs))
+            for mode, ref in zip(modes, refs):
                 aux = build_aux(spectrum, mode)
-                ref = build_aux_reference(spectrum, mode)
                 for name, got, want in zip(("FS", "T", "s_pinv"), (aux.FS, aux.T, aux.s_pinv), ref):
                     assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, mode, spectrum)
                     assert got.tobytes() == want.tobytes(), (name, mode, s_dtype, spectrum)
                 checked += 1
     assert checked == 60 * 2 * len(modes)
+    # the same spectra as stacks, one per length and dtype
+    stacked = 0
+    for group in groups.values():
+        stack = np.stack([spectrum for spectrum, _ in group])
+        for m, mode in enumerate(modes):
+            out = backward._stacked_aux(stack, mode)
+            for i, (spectrum, refs) in enumerate(group):
+                for name, got, want in zip(("FS", "T", "s_pinv"), (a[i] for a in out), refs[m]):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, mode, spectrum)
+                    assert got.tobytes() == want.tobytes(), (name, mode, spectrum.dtype, spectrum, "stacked")
+                stacked += 1
+    assert stacked == checked
+    assert max(len(group) for group in groups.values()) > 1
 
 
 @pytest.mark.parametrize("check", [lambda s: build_aux(s, GradMode.inv()), lambda s: classify_pairs(s, 1e30)],
@@ -584,27 +603,30 @@ def test_stacked_svd_vjp_matches_per_matrix(dtype, shape):
     assert g[0].tobytes() == svd_vjp(svd(A[0]), None, sbar[0], None, GradMode.inv()).tobytes()
 
 
+# spectra that take different build_aux branches: case-2 scale (1e-18) with
+# a tiny pair whose relative F overflows float32, so FS is formed a second
+# time; an exact tie, which fills T in inv mode; a zero tail; a separated
+# spectrum; and an all-zero one, whose sigma_max falls back to 1
+_BRANCH_SPECTRA = np.array([
+    np.array([1.0, 0.6, 2e-22, 1e-22]) * 1e-18,
+    [2.0, 1.5, 1.5, 0.5],
+    [3.0, 1.0, 0.0, 0.0],
+    [4.0, 3.0, 2.0, 1.0],
+    [0.0, 0.0, 0.0, 0.0],
+])
+
+
 def test_stacked_aux_across_branches_matches_per_matrix(monkeypatch):
-    # one stack whose spectra take different build_aux branches: case-2
-    # scale (1e-18) with a tiny pair whose relative F overflows float32, so
-    # FS is formed a second time; an exact tie, which fills T in inv mode; a
-    # zero tail; a separated spectrum; and an all-zero one, whose sigma_max
-    # falls back to 1. The stack is classified in one pass, each spectrum at
-    # its own scale; in float32 and in float64 each matrix's gradient is
-    # bit-identical to its own 2-D call
+    # one stack of the branch spectra is classified in one pass, each
+    # spectrum at its own scale; in float32 and in float64 each matrix's
+    # gradient is bit-identical to its own 2-D call
     import svdgrad.backward as backward
     from svdgrad.linalg import SvdFactors
 
     retries = []
     clamp = backward._clamp_nonfinite
     monkeypatch.setattr(backward, "_clamp_nonfinite", lambda x, c: retries.append(1) or clamp(x, c))
-    spectra = np.array([
-        np.array([1.0, 0.6, 2e-22, 1e-22]) * 1e-18,
-        [2.0, 1.5, 1.5, 0.5],
-        [3.0, 1.0, 0.0, 0.0],
-        [4.0, 3.0, 2.0, 1.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
+    spectra = _BRANCH_SPECTRA
     beyond = StabilityParams(t=1e45)
     # only the case-2 spectrum takes the retry, in float32 alone: in taylor
     # and with t beyond float32's range
@@ -630,6 +652,30 @@ def test_stacked_aux_across_branches_matches_per_matrix(monkeypatch):
             assert g.dtype == dtype
         assert retried == expected, dtype
         assert np.count_nonzero(build_aux(s[1], GradMode.inv()).T) == 2
+
+
+def test_pairs_row_is_read_only():
+    # the row svd_vjp hands each spectrum carries the relative F that the
+    # FS-overflow retry clamps and the 1/s that the safeguarded modes clamp:
+    # build_aux must read it, never write it, on every branch spectrum
+    import svdgrad.backward as backward
+
+    beyond = StabilityParams(t=1e45)
+    modes = ALL_MODES + [GradMode.clip(clip_value=1e30), GradMode.tf(beyond), GradMode.inv(beyond)]
+    for dtype in (np.float32, np.float64):
+        s = _BRANCH_SPECTRA.astype(dtype)
+        s.setflags(write=False)
+        for mode in modes:
+            t = mode.stability.resolve(dtype)[0]
+            with np.errstate(all="ignore"):
+                rows = backward._aux_terms(s, mode, t)
+            for field in rows:
+                field.setflags(write=False)
+            for i in range(len(s)):
+                aux = build_aux(s[i], mode, pairs=[field[i] for field in rows])
+                own = build_aux(s[i], mode)
+                for got, want in zip((aux.FS, aux.T, aux.s_pinv), (own.FS, own.T, own.s_pinv)):
+                    assert got.flags.writeable and got.tobytes() == want.tobytes(), (dtype, mode, i)
 
 
 @pytest.mark.parametrize("dtype,top", [(np.float32, 3e38), (np.float64, 1.7e308)])
