@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .backward import _VARIANTS, GradMode, StabilityParams
-from .experiments import _SOLVERS, UnrolledConfig, run_efficacy, train_unrolled
+from .experiments import _PRECISIONS, _SOLVERS, UnrolledConfig, _rng, run_efficacy, train_unrolled
 from .oracle import finite_difference
 from .svt import ThresholdSpec
 from .tape import Tape
@@ -68,7 +68,7 @@ class RunConfig:
             raise ValueError("checks must be >= 1")
         if not self.tolerance >= 0:  # also rejects nan
             raise ValueError("tolerance must be >= 0")
-        if self.seed < 0:  # gradcheck seeds Philox with it directly
+        if self.seed < 0:  # gradcheck keys its Philox streams with it
             raise ValueError("seed must be >= 0")
         for variant in (*self.modes, self.mode):
             self.grad_mode(variant)
@@ -247,7 +247,7 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
     failed = False
     print(f"gradcheck seed={cfg.seed} checks={cfg.checks} tolerance={cfg.tolerance:g}")
     for op_index, op in enumerate(ops):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed, op_index])))
+        rng = _rng(cfg.seed, op_index)
         worst_fd = 0.0
         worst_gap = 0.0
         for i in range(cfg.checks):
@@ -371,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n-unroll", type=int, dest="n_unroll")
     t.add_argument("--lr", type=float)
     t.add_argument("--inject-duplicates", type=float, dest="inject_duplicates")
-    t.add_argument("--precision", choices=("single", "double"))
+    t.add_argument("--precision", choices=tuple(_PRECISIONS))
     t.add_argument("--size", type=_size, help="matrix size, e.g. 20x20")
     return parser
 

@@ -94,44 +94,40 @@ def _haar(G: np.ndarray) -> np.ndarray:
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _scenario_parts(specs) -> tuple[np.ndarray, np.ndarray]:
-    """Double-precision matrix and its designed spectrum (generated order)
-    of one Scenario, or of a sequence of N scenarios sharing one size and
-    basis stacked as (N, m, n) and (N, k).
+def _scenario_parts(keys, size, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Double-precision matrices and their designed spectra (generated
+    order) of the N scenarios keyed by (case, seed) pairs, all of one size
+    and basis, stacked as (N, m, n) and (N, k). The caller has checked case,
+    size and basis as `Scenario` does.
 
     Each scenario draws from its own Philox stream, in the order one
     scenario alone would; the Haar QRs and the products run as stacks, each
     matrix bit-identical to generating it alone.
     """
-    one = isinstance(specs, Scenario)
-    if one:
-        specs = [specs]
-    size, basis = specs[0].size, specs[0].basis
-    if any((spec.size, spec.basis) != (size, basis) for spec in specs):
-        raise ValueError("stacked scenarios must share one size and basis")
     m, n = size
     k = min(m, n)
-    s = np.empty((len(specs), k))
+    s = np.empty((len(keys), k))
     draws = []
-    for i, spec in enumerate(specs):
-        rng = _rng(spec.seed)
-        scale = _CASE_SCALES[spec.case]
+    for i, (case, seed) in enumerate(keys):
+        rng = _rng(seed)
+        scale = _CASE_SCALES[case]
         sigma0 = abs(rng.standard_normal()) * scale
         s[i, :2] = sigma0, sigma0 + sigma0 * 1e-15
         s[i, 2:] = np.abs(rng.standard_normal(k - 2)) * scale
         if basis == "rotated":
             draws.append((rng.standard_normal((m, m)), rng.standard_normal((n, n))))
-    A = np.zeros((len(specs), m, n), dtype=np.float64)
+    A = np.zeros((len(keys), m, n), dtype=np.float64)
     A[:, np.arange(k), np.arange(k)] = s
     if basis == "rotated":
         left, right = (np.stack(side) for side in zip(*draws))
         A = _haar(left) @ A @ _haar(right).swapaxes(-1, -2)
-    return (A[0], s[0]) if one else (A, s)
+    return A, s
 
 
 def generate_scenario(spec: Scenario) -> np.ndarray:
-    """Double-precision benchmark matrix for one scenario."""
-    return _scenario_parts(spec)[0]
+    """Double-precision benchmark matrix for one scenario: the one-key
+    stack of `_scenario_parts`."""
+    return _scenario_parts([(spec.case, spec.seed)], spec.size, spec.basis)[0][0]
 
 
 def _workflow_tape(workflow: int) -> tuple[Tape, int]:
@@ -249,12 +245,11 @@ def _efficacy_chunk(tape: Tape, loss: int, workflow: int, keys, size, basis: str
     attempts = np.zeros(len(keys), dtype=int)
     pending = np.arange(len(keys))
     while pending.size:
-        specs = []
+        draws = []
         for i in pending:
             master, trial, case = keys[i]
-            specs.append(Scenario(case=case, seed=(master, case, workflow, trial, int(attempts[i])),
-                                  size=size, basis=basis))
-        A, s = _scenario_parts(specs)
+            draws.append((case, (master, case, workflow, trial, int(attempts[i]))))
+        A, s = _scenario_parts(draws, size, basis)
         valid = np.ones(len(pending), dtype=bool)
         if workflow == 2:
             # hard_tail(2) cuts the spectrum between the third- and
@@ -313,10 +308,11 @@ def run_efficacy(
     tape, as consecutive stacks of at most _EFFICACY_CHUNK trials: one
     Tape.backward per mode and stack, plus one per regeneration round of the
     reference. Each (case, workflow) cell's per-trial errors are sliced back
-    out and added in (seed, trial) order, so the report is bit-identical to
-    scoring the trials one at a time, and bit-reproducible for a fixed
-    configuration. A repeated seed, case, workflow or mode variant is
-    refused, like every other bad setting, before any trial runs.
+    out and added in (seed, trial) order by one cumulative sum, so the
+    report is bit-identical to scoring the trials one at a time and adding
+    them in a loop, and bit-reproducible for a fixed configuration. A
+    repeated seed, case, workflow or mode variant is refused, like every
+    other bad setting, before any trial runs.
     """
     modes = _normalize_modes(modes)
     if n_trials < 1:
@@ -348,12 +344,9 @@ def run_efficacy(
         rows = slice(c * per_cell, (c + 1) * per_cell)
         for workflow in workflows:
             sumsq, attempts = scored[workflow]
-            sums = [0.0] * len(modes)
-            means = [0.0] * len(modes)
-            for i in range(len(modes)):
-                for trial_sumsq in sumsq[i, rows].tolist():
-                    sums[i] += trial_sumsq
-                    means[i] += trial_sumsq / (size[0] * size[1])
+            # cumsum adds in (seed, trial) order; np.sum would add pairwise
+            sums = np.cumsum(sumsq[:, rows], axis=-1)[..., -1].tolist()
+            means = np.cumsum(sumsq[:, rows] / (size[0] * size[1]), axis=-1)[..., -1].tolist()
             invalid = int(attempts[rows].sum())
             for i, mode in enumerate(modes):
                 t, clamp = mode.stability.resolve(np.float32)
@@ -407,6 +400,8 @@ _SOLVERS = {
     "admm": ({"tau": (("lambda", 1), ("mu", -1)), "eta": (("eta", 1),)}, ("L0",)),
     "pgd": ({"tau": (("lambda", 1), ("rho", 1)), "rho": (("rho", 1),)}, ()),
 }
+# precision name -> the dtype the trainer's tape runs in
+_PRECISIONS = {"single": np.float32, "double": np.float64}
 
 
 @dataclass(frozen=True)
@@ -448,8 +443,8 @@ class UnrolledConfig:
             raise ValueError("algorithm must be " + " or ".join(map(repr, _SOLVERS)))
         if not 0 <= self.inject_rate <= 1:
             raise ValueError("inject_rate must be in [0, 1]")
-        if self.precision not in ("single", "double"):
-            raise ValueError("precision must be 'single' or 'double'")
+        if self.precision not in _PRECISIONS:
+            raise ValueError("precision must be " + " or ".join(map(repr, _PRECISIONS)))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -616,15 +611,11 @@ class TrainingLog:
         return [l["step"] for l in self.lines if l.get("grad_finite") is False]
 
 
-def _dtype_of(config: UnrolledConfig):
-    return np.float32 if config.precision == "single" else np.float64
-
-
 def _run_bindings(config: UnrolledConfig, positive: dict[str, float], sample) -> dict:
     """Bindings of the run's tape, the solver plus a `target` input, for one
     (Y, mask, X_true) sample or a stack of them, in the config's precision."""
     Y, mask, X_true = sample
-    dt = _dtype_of(config)
+    dt = _PRECISIONS[config.precision]
     bindings = _solver_bindings(config, positive, Y.astype(dt, copy=False), mask)
     bindings["target"] = X_true.astype(dt, copy=False)
     return bindings
@@ -633,21 +624,21 @@ def _run_bindings(config: UnrolledConfig, positive: dict[str, float], sample) ->
 def _val_mse(config: UnrolledConfig, solver: tuple[Tape, int], val, positive: dict[str, float],
              reuse=None) -> tuple[float, list]:
     """Held-out completion MSE from one forward of the run's (tape, output
-    node) over `val`, the held-out (Y, mask, X_true) stacked; the per-sample
-    MSEs are summed in stack order. Returns the MSE and the forward's values.
+    node) over `val`, the held-out (Y, mask, X_true) stacked. Each sample's
+    MSE is taken in float64 as its own mean, and one cumulative sum adds
+    them in stack order, as a per-sample loop would. Returns the MSE and the
+    forward's values.
 
     `reuse`, the values of an earlier held-out forward, goes to
     `Tape.forward`: an SVD input that repeats from it is not decomposed
     again. Both solvers' first SVT acts on P_Omega(Y) alone, so it repeats
     at every step."""
     tape, out = solver
-    total = 0.0
     with np.errstate(**_QUIET):
         values = tape.forward(_run_bindings(config, positive, val), reuse)
         X = values[out]
-        for X_i, X_true in zip(X, val[2]):
-            total += float(np.mean((X_i.astype(np.float64) - X_true) ** 2))
-    return total / len(X), values
+        mse = np.mean((X.astype(np.float64) - val[2]) ** 2, axis=(-2, -1))
+    return float(np.cumsum(mse)[-1]) / len(X), values
 
 
 def _halt(log: TrainingLog, line: dict, diagnostic: str) -> None:

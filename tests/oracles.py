@@ -30,10 +30,10 @@ from svdgrad import (
 )
 from svdgrad.experiments import (
     _CASE_SCALES,
+    _PRECISIONS,
     CellStats,
     EfficacyReport,
     Scenario,
-    _dtype_of,
     _normalize_modes,
     _rng,
     _workflow_tape,
@@ -231,7 +231,7 @@ def finite_difference_loop(loss, at, h=1e-6):
 
 def val_mse_per_sample(config, val_set, positive):
     """Held-out MSE with one solver tape built and run per validation sample."""
-    dt = _dtype_of(config)
+    dt = _PRECISIONS[config.precision]
     total = 0.0
     for Y, mask, X_true in val_set:
         X = unrolled_forward(Y.astype(dt), mask, config, positive)
