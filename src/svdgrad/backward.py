@@ -11,9 +11,9 @@ sigma_i * F_ij = -FS_ji, so `build_aux` forms FS directly from the relative F
 (sigma_max^2 * F) and never F itself: F alone overflows float32 on spectra
 near 1e-18 while the products stay of order 1/sigma. `build_aux` returns
 exactly what `svd_vjp` reads: FS, T and the pseudoinverse 1/sigma (0 at a
-zero sigma). On a stack of spectra the classification and the mode's relative
-F are formed in one vectorised pass (`_aux_terms`); `build_aux` then runs per
-spectrum for the safeguards that branch on that spectrum's values.
+zero sigma). On a stack of spectra the classification, FS, 1/sigma and
+their clamps are formed in one vectorised pass (`_aux_terms`); `build_aux`
+then runs per spectrum for the work that branches on that spectrum's values.
 
 Five modes differ only in how they regularize F (and whether T is used):
 
@@ -72,8 +72,9 @@ class StabilityParams:
     clamp: float | None = None
 
     def __post_init__(self):
-        if self.t is not None and not self.t > 0:
-            raise ValueError("t must be positive")
+        # at t = inf not even a diagonal pair is equal (0 < 1/inf is false)
+        if self.t is not None and not 0 < self.t < np.inf:
+            raise ValueError("t must be positive and finite")
         if self.clamp is not None and not self.clamp > 0:
             raise ValueError("clamp must be positive")
 
@@ -219,10 +220,10 @@ def classify_pairs(s, t: float) -> np.ndarray:
     equal pair is EQUAL_ZERO only when both values are exactly zero. Diagonal
     entries are labelled like any other equal pair. The spectrum is checked
     and classified as `build_aux` does it: it must be a float32 or float64
-    vector; t must be positive.
+    vector; t must be positive and finite.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError("t must be positive and finite")
     s = _as_vector(s)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         equal = _classify(s, t)[4]
@@ -236,7 +237,7 @@ def classify_pairs(s, t: float) -> np.ndarray:
 def _clamp_nonfinite(x: np.ndarray, clamp: float) -> np.ndarray:
     """x with each +-inf replaced by +-clamp; x itself when all finite."""
     finite = np.isfinite(x)
-    if finite.all():
+    if np.count_nonzero(finite) == x.size:
         return x
     return np.where(finite, x, np.copysign(clamp, x))
 
@@ -247,38 +248,36 @@ def _limits(stability: StabilityParams, rdt: np.dtype) -> tuple[float, float]:
     return stability.resolve(rdt)
 
 
-def _form_fs(F_rel: np.ndarray, s_rel: np.ndarray, scale, clip_fs, equal) -> np.ndarray:
-    """FS_ij = F_rel_ij * (sigma_j / sigma_max) / sigma_max, with clip's
-    values put in on the equal pairs."""
-    FS = F_rel * s_rel
-    FS /= scale
-    if clip_fs is not None:
-        np.copyto(FS, clip_fs, where=equal)
-    return FS
-
-
-def _aux_terms(s: np.ndarray, mode: GradMode, t: float) -> tuple:
+def _aux_terms(s: np.ndarray, mode: GradMode) -> tuple:
     """The `pairs` rows of the float32 or float64 (..., k) stack s, for one
-    mode: the tuple (lo, scale, diff, equal, F_rel, s_rel, recip), formed
-    in one vectorised pass over the stack. lo, scale, diff and equal come
-    from `_classify`; F_rel is the mode's relative F (sigma_max^2 F),
-    s_rel = s / sigma_max and recip = 1/s, unclamped. This is all of the
-    mode's arithmetic that does not branch per spectrum; callers run it
-    under np.errstate, as for `_classify`.
+    mode: the tuple (lo, equal, FS, recip), formed in one vectorised pass
+    over the stack. lo (each spectrum's smallest value) and the equal mask
+    come from `_classify`; FS_ij = F_ij * sigma_j, with clip's values on the
+    equal pairs, and recip = 1/s. This is all of the mode's arithmetic that
+    does not branch per spectrum; callers run it under np.errstate, as for
+    `_classify`.
 
-    tf, clip and inv take 1/gap with the classified-equal pairs zeroed.
-    exact takes 1/gap with the diagonal zeroed and, wherever a spectrum
-    holds a zero, the pairs of two exact zeros (the definition's zero
-    branch); every other degenerate pair divides unprotected. taylor takes
-    the degree-K series, which ignores the classification.
+    FS is formed from the mode's relative F (sigma_max^2 F) as
+    F_rel_ij * (sigma_j / sigma_max) / sigma_max. tf, clip and inv take
+    1/gap with the classified-equal pairs zeroed. exact takes 1/gap with
+    the diagonal zeroed and, wherever a spectrum holds a zero, the pairs of
+    two exact zeros (the definition's zero branch); every other degenerate
+    pair divides unprotected. taylor takes the degree-K series, which
+    ignores the classification. The safeguarded modes clamp every +-inf of
+    the relative F, of FS and of 1/s at the clamp; the relative F overflows
+    where 1/gap exceeds the range (t above it, or the series'
+    1/(sigma_hi/sigma_max)^2), and is clamped before FS is formed so that
+    it cannot meet a zero sigma as inf * 0. exact clamps nothing.
     """
+    t, clamp = _limits(mode.stability, s.dtype)
     lo, scale, diff, gap, equal = _classify(s, t)
-    one = s.dtype.type(1)
+    dt = s.dtype.type
+    safe = mode.variant != "exact"
     if mode.variant == "taylor":
         F_rel = _taylor_relative(s, scale, diff, mode.taylor_k)
     else:
-        F_rel = one / gap
-        if mode.variant != "exact":
+        F_rel = dt(1) / gap
+        if safe:
             F_rel[equal] = 0
         else:
             if _any(lo == 0):
@@ -287,7 +286,21 @@ def _aux_terms(s: np.ndarray, mode: GradMode, t: float) -> tuple:
             k = s.shape[-1]
             # F_rel is fresh and contiguous, so this is a view of its diagonals
             F_rel.reshape(*F_rel.shape[:-2], k * k)[..., :: k + 1] = 0
-    return lo, scale, diff, equal, F_rel, s / scale[..., None], one / s
+    recip = dt(1) / s
+    if safe:
+        F_rel = _clamp_nonfinite(F_rel, clamp)
+        recip = np.minimum(recip, clamp)
+    # F_rel is fresh, clamped or not, so FS is formed in it
+    FS = F_rel
+    pair_scale = scale[..., None, None]
+    FS *= s[..., None, :] / pair_scale
+    FS /= pair_scale
+    if mode.variant == "clip":
+        # clip_value is a value of F itself, zero at an exact tie
+        np.copyto(FS, np.sign(diff) * dt(mode.clip_value) * s[..., None, :], where=equal)
+    if safe:
+        FS = _clamp_nonfinite(FS, clamp)
+    return lo, equal, FS, recip
 
 
 def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
@@ -308,66 +321,43 @@ def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
     clamped; an overflowing relative F is clamped before FS is formed from
     it, so that it cannot meet a zero sigma as inf * 0.
 
-    The pair classification and the mode's relative F, together with
-    s / sigma_max and 1/s, do not branch per spectrum. `svd_vjp` forms them
-    once per stack (`_aux_terms`) and passes each spectrum's row as
-    `pairs`: the tuple (lo, scale, diff, equal, F_rel, s_rel, recip) of
-    that spectrum's smallest value, sigma_max (1 for an all-zero spectrum),
-    the differences sigma_j - sigma_i, the equal mask, the mode's relative
-    F, s / sigma_max and the unclamped 1/s, with s already validated. This
-    call then does only what branches per spectrum: FS (with clip's values
-    on the equal pairs), the FS-overflow retry and its clamps, the clamp
-    of 1/sigma, the fixes at exact zeros and T's fill. Without `pairs` the
-    spectrum is checked, and its row formed, here through the same helper.
+    The pair classification, FS and 1/s, with their clamps, do not branch
+    per spectrum. `svd_vjp` forms them once per stack (`_aux_terms`) and
+    passes each spectrum's row as `pairs`: the tuple (lo, equal, FS, recip)
+    of that spectrum's smallest value, the equal mask, its FS and its
+    1/s (clamped in the safeguarded modes), with s already validated. This
+    call then does only what branches per spectrum: the exact zeros, T's
+    fill and s_pinv's zeros. Without `pairs` the spectrum is checked, and
+    its row formed, here through the same helper.
 
     Every intermediate is k×k or smaller: the degree-K Taylor series is
     summed in place, and the pair masks of exact zeros are formed only when
     a value is zero. The returned FS and T are fresh k×k arrays and s_pinv a
-    fresh k-vector in s's dtype; a run that overflows FS forms it a
-    second time, and T is filled only in `inv` mode when a pair off the
-    diagonal is classified equal. Nothing in `pairs` is written to.
+    fresh k-vector in s's dtype; T is filled only in `inv` mode when a pair
+    off the diagonal is classified equal. Nothing in `pairs` is written to.
     """
-    if pairs is None:
+    fresh = pairs is None
+    if fresh:
         s = _as_vector(s)
-    rdt = s.dtype
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            pairs = _aux_terms(s, mode)
+    lo, equal, FS, recip = pairs
     k = s.shape[0]
-    t, clamp = _limits(mode.stability, rdt)
-    variant = mode.variant
-    safe = variant != "exact"
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        if pairs is None:
-            pairs = _aux_terms(s, mode, t)
-        lo, scale, diff, equal, F_rel, s_rel, recip = pairs
-        # the exact zeros, None when no value is zero
-        zero = s == 0 if lo == 0 else None
-
-        # clip_value is a value of F itself, zero at an exact tie
-        clip_fs = np.sign(diff) * rdt.type(mode.clip_value) * s if variant == "clip" else None
-        FS = _form_fs(F_rel, s_rel, scale, clip_fs, equal)
-        if safe and np.count_nonzero(np.isfinite(FS)) < FS.size:
-            # F_rel overflows where 1/gap exceeds the range (t above it, or
-            # the series' 1/(sigma_hi/sigma_max)^2), and every such entry
-            # leaves inf, or NaN against a zero sigma, in FS. Then F_rel is
-            # clamped before FS is formed again, and FS is clamped.
-            FS = _form_fs(_clamp_nonfinite(F_rel, clamp), s_rel, scale, clip_fs, equal)
-            FS = _clamp_nonfinite(FS, clamp)
-
-        # a fresh vector: the row's 1/s is not written to
-        recip = np.minimum(recip, clamp) if safe else recip.copy()
-        T = np.zeros((k, k), dtype=rdt)
-        # only a classified-equal pair off the diagonal fills T; every
-        # diagonal pair is classified equal
-        if variant == "inv" and np.count_nonzero(equal) > k:
-            # each such pair, unless both values are zero
-            fill = equal.copy() if zero is None else equal & ~(zero[:, None] & zero[None, :])
-            np.fill_diagonal(fill, False)
-            np.copyto(T, recip, where=fill)
-        s_pinv = recip
-        if zero is not None:
-            s_pinv[zero] = 0
-
-    return AuxMatrices(FS=FS, T=T, s_pinv=s_pinv)
+    # the exact zeros, None when no value is zero
+    zero = s == 0 if lo == 0 else None
+    T = np.zeros((k, k), dtype=s.dtype)
+    # only a classified-equal pair off the diagonal fills T; every diagonal
+    # pair is classified equal
+    if mode.variant == "inv" and np.count_nonzero(equal) > k:
+        # each such pair, unless both values are zero
+        fill = equal.copy() if zero is None else equal & ~(zero[:, None] & zero[None, :])
+        np.fill_diagonal(fill, False)
+        np.copyto(T, recip, where=fill)
+    # a row formed here is this call's own; one passed in is copied
+    s_pinv = recip if fresh else recip.copy()
+    if zero is not None:
+        s_pinv[zero] = 0
+    return AuxMatrices(FS=FS if fresh else FS.copy(), T=T, s_pinv=s_pinv)
 
 
 def _taylor_relative(s: np.ndarray, scale, diff: np.ndarray, K: int) -> np.ndarray:
@@ -413,29 +403,27 @@ def _stacked_aux(s: np.ndarray, mode: GradMode) -> tuple[np.ndarray, np.ndarray,
     """FS, T and s_pinv of every spectrum of the (..., k) stack s.
 
     Per stack: one vectorised pass (`_aux_terms`) validates every spectrum
-    (the first one that fails raises), classifies its pairs and forms the
-    mode's relative F, s / sigma_max and 1/s. Per spectrum: build_aux takes
-    that spectrum's row and does only the work that branches per spectrum
-    (FS and its overflow retry, the clamps, the exact zeros, T's fill), and
-    its arrays are written into preallocated (N, k, k) and (N, k) arrays.
-    build_aux stays per spectrum for the benchmark tracer (see `svd_vjp`).
-    A lone spectrum goes to build_aux as it is: it forms its row inline,
-    which spares a lone matrix's backward the stack's copies.
+    (the first one that fails raises), classifies its pairs and forms FS
+    and 1/s with their clamps; its FS is the stack's. Per spectrum:
+    build_aux takes that spectrum's row and does only the work that
+    branches per spectrum (the exact zeros, T's fill), and its T and s_pinv
+    are written into preallocated (N, k, k) and (N, k) arrays. build_aux
+    stays per spectrum for the benchmark tracer (see `svd_vjp`). A lone
+    spectrum goes to build_aux as it is: it forms its row inline, which
+    spares a lone matrix's backward the stack's copies.
     """
     if s.ndim == 1:
         aux = build_aux(s, mode)
         return aux.FS, aux.T, aux.s_pinv
     k = s.shape[-1]
     spectra = s.reshape(-1, k)
-    t = _limits(mode.stability, spectra.dtype)[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        rows = _aux_terms(spectra, mode, t)
-    FS = np.empty((len(spectra), k, k), dtype=spectra.dtype)
-    T = np.empty_like(FS)
+        lo, equal, FS, recip = _aux_terms(spectra, mode)
+    T = np.empty((len(spectra), k, k), dtype=spectra.dtype)
     s_pinv = np.empty((len(spectra), k), dtype=spectra.dtype)
-    for i, (si, *row) in enumerate(zip(spectra, *rows)):
+    for i, (si, *row) in enumerate(zip(spectra, lo, equal, FS, recip)):
         aux = build_aux(si, mode, pairs=row)
-        FS[i], T[i], s_pinv[i] = aux.FS, aux.T, aux.s_pinv
+        T[i], s_pinv[i] = aux.T, aux.s_pinv
     return FS.reshape(*s.shape, k), T.reshape(*s.shape, k), s_pinv.reshape(s.shape)
 
 
@@ -464,15 +452,14 @@ def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
     U's dtype and s in its real dtype (else TypeError), and so are Ubar,
     Vbar and sbar (else TypeError naming it); None is a zero cotangent. On
     a stack each matrix's gradient is bit-identical to its own 2-D call.
-    On a stack the spectra are validated, their pairs classified and the
-    mode's relative F, s / sigma_max and 1/s formed once per stack; the
-    first spectrum that fails raises its own 2-D call's error. `build_aux`
-    still runs once per spectrum for the safeguards that branch per
-    spectrum (FS and its overflow retry, the clamps, the exact zeros, T's
-    fill): the benchmark tracer's pair-count hook passes every s that reaches
-    `build_aux` to `classify_pairs` as one spectrum, and `classify_pairs`
-    refuses a stack, so one call per stack waits for a tracer that counts a
-    stack's pairs.
+    On a stack the spectra are validated, their pairs classified and FS
+    and 1/s formed and clamped once per stack; the first spectrum that
+    fails raises its own 2-D call's error. `build_aux` still runs once per
+    spectrum for the work that branches per spectrum (the exact zeros,
+    T's fill): the benchmark tracer's pair-count hook passes every s that
+    reaches `build_aux` to `classify_pairs` as one spectrum, and
+    `classify_pairs` refuses a stack, so one call per stack waits for a
+    tracer that counts a stack's pairs.
     """
     U, s, V = ensure_matrix(factors.U, "U"), factors.s, ensure_matrix(factors.V, "V")
     *stack, m, k = U.shape

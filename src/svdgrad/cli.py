@@ -1,7 +1,8 @@
 """Command-line entry point: gradcheck, efficacy benchmark, unrolled training.
 
 Configuration comes from defaults, an optional JSON config file, and explicit
-flags, in increasing precedence. Unknown config keys are rejected. Exit
+flags, in increasing precedence. Unknown config keys are rejected, and so
+is a config value that is not of its setting's declared type. Exit
 codes: 0 success, 1 tolerance/assertion failure, 2 usage or config error.
 Reports embed the resolved configuration so outputs are self-describing.
 """
@@ -12,12 +13,22 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+import types
+import typing
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .backward import _VARIANTS, GradMode, StabilityParams
-from .experiments import _PRECISIONS, _SOLVERS, UnrolledConfig, _rng, run_efficacy, train_unrolled
+from .experiments import (
+    _PRECISIONS,
+    _SOLVERS,
+    UnrolledConfig,
+    _json_safe,
+    _rng,
+    run_efficacy,
+    train_unrolled,
+)
 from .oracle import finite_difference
 from .svt import ThresholdSpec
 from .tape import Tape
@@ -106,7 +117,24 @@ class RunConfig:
         return d
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_CONFIG_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether the JSON value fits the type hint of a RunConfig field: true
+    and false are no numbers, an integer is also a float, a list fits a
+    tuple when each entry fits the tuple's first argument (the library
+    checks the length), and null fits only an optional setting."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_json_fits(value, arg) for arg in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        entry = typing.get_args(hint)[0]
+        return isinstance(value, list) and all(_json_fits(v, entry) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def _load_config_file(path: str) -> dict:
@@ -119,12 +147,15 @@ def _load_config_file(path: str) -> dict:
         raise SystemExit(f"error: config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise SystemExit(f"error: config {path} must be a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    unknown = sorted(set(raw) - set(_CONFIG_TYPES))
     if unknown:
         raise SystemExit(f"error: unknown config keys: {', '.join(unknown)}")
-    for key in ("modes", "cases", "workflows", "seeds", "size"):
-        if key in raw and raw[key] is not None:
-            raw[key] = tuple(raw[key])
+    for key, value in raw.items():
+        if not _json_fits(value, _CONFIG_TYPES[key]):
+            declared = RunConfig.__annotations__[key]
+            raise SystemExit(f"error: config {path}: {key} must be {declared}, got {json.dumps(value)}")
+        if isinstance(value, list):
+            raw[key] = tuple(value)
     return raw
 
 
@@ -233,27 +264,26 @@ def _gradcheck_case(op: str, rng: np.random.Generator, cfg: RunConfig, complex_:
             # c binds one perturbed value per matrix of the output stack
             return tape.forward({"A": A, **extra, "c": cs[:, 0]})[loss]
 
-        fd_c = finite_difference(loss_c, c)
-        g_c = grads_inv.by_name("c")
-        fd_err = max(fd_err, abs(float(fd_c[0]) - g_c) / max(abs(float(fd_c[0])), 1e-30))
+        fd_c = float(finite_difference(loss_c, c)[0])
+        c_err = abs(fd_c - grads_inv.by_name("c")) / max(abs(fd_c), 1e-30)
+        # np.maximum, unlike max, keeps a NaN from either side
+        fd_err = float(np.maximum(fd_err, c_err))
     return fd_err, mode_gap
 
 
 def cmd_gradcheck(cfg: RunConfig) -> int:
     """FD and double-precision cross-checks over a random suite; exit 1 on
-    any worst-case relative error above the tolerance."""
+    any worst-case relative error above the tolerance or not finite."""
     ops = ("sum_singular_values", "svt_mse", "svt", "chain")
     results = []
     failed = False
     print(f"gradcheck seed={cfg.seed} checks={cfg.checks} tolerance={cfg.tolerance:g}")
     for op_index, op in enumerate(ops):
         rng = _rng(cfg.seed, op_index)
-        worst_fd = 0.0
-        worst_gap = 0.0
-        for i in range(cfg.checks):
-            fd_err, mode_gap = _gradcheck_case(op, rng, cfg, complex_=(i % 2 == 1))
-            worst_fd = max(worst_fd, fd_err)
-            worst_gap = max(worst_gap, mode_gap)
+        cases = [_gradcheck_case(op, rng, cfg, complex_=(i % 2 == 1)) for i in range(cfg.checks)]
+        fd_errs, gaps = zip(*cases)
+        # np.max, unlike max, carries a NaN through, so it fails the group
+        worst_fd, worst_gap = float(np.max(fd_errs)), float(np.max(gaps))
         ok = worst_fd <= cfg.tolerance
         failed = failed or not ok
         results.append({"op": op, "worst_fd_rel_err": worst_fd, "exact_inv_gap": worst_gap, "ok": ok})
@@ -266,7 +296,7 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
     if cfg.output:
         _write_text(
             cfg.output,
-            json.dumps({"config": cfg.resolved(), "results": results}, sort_keys=True) + "\n",
+            json.dumps(_json_safe({"config": cfg.resolved(), "results": results}), sort_keys=True) + "\n",
         )
     return 1 if failed else 0
 

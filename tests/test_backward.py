@@ -226,9 +226,9 @@ def test_spectrum_in_another_dtype_is_refused(dtype):
 
 
 def test_classify_pairs_refuses_a_threshold_that_is_not_positive():
-    # t = 0 used to divide by zero, and t = -1 or nan labelled even the
+    # t = 0 used to divide by zero, and t = -1, nan or inf labelled even the
     # diagonal UNEQUAL
-    for t in (0.0, -1.0, float("nan")):
+    for t in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="t must be positive"):
             classify_pairs(np.array([2.0, 1.0]), t)
 
@@ -333,8 +333,9 @@ def test_mode_constructor_validation():
         GradMode.clip(clip_value=0.0)
     with pytest.raises(ValueError):
         GradMode.taylor(k=0)
-    with pytest.raises(ValueError):
-        StabilityParams(t=-1.0)
+    for t in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            StabilityParams(t=t)
 
 
 # -- svd_vjp ------------------------------------------------------------------
@@ -604,8 +605,8 @@ def test_stacked_svd_vjp_matches_per_matrix(dtype, shape):
 
 
 # spectra that take different build_aux branches: case-2 scale (1e-18) with
-# a tiny pair whose relative F overflows float32, so FS is formed a second
-# time; an exact tie, which fills T in inv mode; a zero tail; a separated
+# a tiny pair whose relative F overflows float32, so it is clamped before FS
+# is formed; an exact tie, which fills T in inv mode; a zero tail; a separated
 # spectrum; and an all-zero one, whose sigma_max falls back to 1
 _BRANCH_SPECTRA = np.array([
     np.array([1.0, 0.6, 2e-22, 1e-22]) * 1e-18,
@@ -623,13 +624,22 @@ def test_stacked_aux_across_branches_matches_per_matrix(monkeypatch):
     import svdgrad.backward as backward
     from svdgrad.linalg import SvdFactors
 
-    retries = []
+    # a clamp call that replaces an entry; the calls that find every entry
+    # finite are not counted
+    clamped = []
     clamp = backward._clamp_nonfinite
-    monkeypatch.setattr(backward, "_clamp_nonfinite", lambda x, c: retries.append(1) or clamp(x, c))
+
+    def recording(x, c):
+        out = clamp(x, c)
+        if out is not x:
+            clamped.append(1)
+        return out
+
+    monkeypatch.setattr(backward, "_clamp_nonfinite", recording)
     spectra = _BRANCH_SPECTRA
     beyond = StabilityParams(t=1e45)
-    # only the case-2 spectrum takes the retry, in float32 alone: in taylor
-    # and with t beyond float32's range
+    # only the case-2 spectrum overflows, in float32 alone: in taylor and
+    # with t beyond float32's range
     for dtype, expected in ((np.float32, {("taylor", 0), ("tf", 0), ("inv", 0)}), (np.float64, set())):
         s = spectra.astype(dtype)
         rng = np.random.default_rng(61)
@@ -639,25 +649,25 @@ def test_stacked_aux_across_branches_matches_per_matrix(monkeypatch):
         Ubar = _random(rng, (N, m, k), dtype)
         Vbar = _random(rng, (N, n, k), dtype)
         sbar = _random(rng, (N, k), dtype)
-        retried = set()
+        overflowed = set()
         for mode in ALL_MODES + [GradMode.tf(beyond), GradMode.inv(beyond)]:
             with np.errstate(all="ignore"):
                 g = svd_vjp(SvdFactors(U=U, s=s, V=V), Ubar, sbar, Vbar, mode)
                 for i in range(N):
-                    retries.clear()
+                    clamped.clear()
                     own = svd_vjp(SvdFactors(U=U[i], s=s[i], V=V[i]), Ubar[i], sbar[i], Vbar[i], mode)
                     assert g[i].tobytes() == own.tobytes(), (dtype, mode, i)
-                    if retries:
-                        retried.add((mode.variant, i))
+                    if clamped:
+                        overflowed.add((mode.variant, i))
             assert g.dtype == dtype
-        assert retried == expected, dtype
+        assert overflowed == expected, dtype
         assert np.count_nonzero(build_aux(s[1], GradMode.inv()).T) == 2
 
 
 def test_pairs_row_is_read_only():
-    # the row svd_vjp hands each spectrum carries the relative F that the
-    # FS-overflow retry clamps and the 1/s that the safeguarded modes clamp:
-    # build_aux must read it, never write it, on every branch spectrum
+    # the row svd_vjp hands each spectrum carries the stack's FS and 1/s,
+    # which the spectrum's arrays are taken from: build_aux must read it,
+    # never write it, on every branch spectrum
     import svdgrad.backward as backward
 
     beyond = StabilityParams(t=1e45)
@@ -666,9 +676,9 @@ def test_pairs_row_is_read_only():
         s = _BRANCH_SPECTRA.astype(dtype)
         s.setflags(write=False)
         for mode in modes:
-            t = mode.stability.resolve(dtype)[0]
             with np.errstate(all="ignore"):
-                rows = backward._aux_terms(s, mode, t)
+                rows = backward._aux_terms(s, mode)
+            assert len(rows) == 4
             for field in rows:
                 field.setflags(write=False)
             for i in range(len(s)):

@@ -174,6 +174,27 @@ def test_main_returns_argparse_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_gradcheck_nan_error_fails_its_group(monkeypatch, capsys):
+    # max(0.0, nan) is 0.0, so a fold with Python's max let a NaN error pass
+    case = cli._gradcheck_case
+    seen = []
+
+    def nan_twice(op, *args, **kwargs):
+        fd_err, mode_gap = case(op, *args, **kwargs)
+        if op == "svt_mse":
+            seen.append(op)
+            if len(seen) <= 2:
+                return float("nan"), mode_gap
+        return fd_err, mode_gap
+
+    monkeypatch.setattr(cli, "_gradcheck_case", nan_twice)
+    rc = main(["gradcheck", "--checks", "3", "--seed", "3407"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "op=svt_mse worst_fd_rel_err=nan" in out and "gradcheck: FAIL" in out
+    assert out.count("FAIL") == 2
+
+
 def test_gradcheck_impossible_tolerance_exits_one(capsys):
     # 1e-18 is below central-difference truncation error, so every op
     # must be reported as a violation
@@ -314,6 +335,46 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "tirals" in err
 
 
+@pytest.mark.parametrize("command,config", [
+    ("efficacy", {"size": 10}),
+    ("efficacy", {"cases": 1}),
+    ("efficacy", {"seeds": 5}),
+    ("train", {"size": 10}),
+    ("efficacy", {"trials": "3"}),
+    ("efficacy", {"trials": 1.5}),
+    ("gradcheck", {"checks": 1.5}),
+    ("gradcheck", {"checks": True}),
+    ("gradcheck", {"seed": 1.5}),
+    ("efficacy", {"seeds": [2.7]}),
+    ("efficacy", {"modes": "inv"}),
+    ("efficacy", {"modes": None}),
+    ("gradcheck", {"t": "1e30"}),
+    ("gradcheck", {"tolerance": False}),
+    ("train", {"lr": [0.1]}),
+])
+def test_config_value_of_the_wrong_type_exits_two(command, config, tmp_path, capsys):
+    # a value is checked against its setting's declared type where the file
+    # is read: no traceback, no silent truncation by int()
+    key = next(iter(config))
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(config))
+    rc = main([command, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{key} must be" in err and "Traceback" not in err
+
+
+def test_config_values_of_the_declared_types_are_taken(tmp_path, capsys):
+    # an int is a float setting's value too, and an optional setting takes null
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"t": 100, "clamp": None, "tolerance": 1, "seeds": None, "checks": 1}))
+    path = tmp_path / "report.json"
+    assert main(["gradcheck", "--config", str(cfg), "-o", str(path)]) == 0
+    capsys.readouterr()
+    config = json.loads(path.read_text())["config"]
+    assert config["t"] == 100 and config["tolerance"] == 1 and config["checks"] == 1
+
+
 def test_malformed_config_exits_two(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
@@ -356,6 +417,7 @@ def test_missing_config_exits_two(tmp_path, capsys):
     (["efficacy", "--trials", "2", "--workflows", "3,3"], "workflows must not repeat"),
     (["efficacy", "--trials", "2", "--modes", "tf,inv,tf"], "modes must not repeat"),
     (["efficacy", "--trials", "2", "--seeds", "1,1"], "seeds must not repeat"),
+    (["gradcheck", "--t", "inf"], "t must be positive and finite"),
 ])
 def test_invalid_values_exit_two(argv, needle, capsys):
     rc = main(argv)
