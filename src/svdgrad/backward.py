@@ -13,7 +13,8 @@ near 1e-18 while the products stay of order 1/sigma. `build_aux` returns
 exactly what `svd_vjp` reads: FS, T and the pseudoinverse 1/sigma (0 at a
 zero sigma). On a stack of spectra the classification, FS, 1/sigma and
 their clamps are formed in one vectorised pass (`_aux_terms`); `build_aux`
-then runs per spectrum for the work that branches on that spectrum's values.
+then runs per spectrum for the work that branches on that spectrum's values,
+writing that spectrum's rows of the stack's T and 1/sigma in place.
 
 Five modes differ only in how they regularize F (and whether T is used):
 
@@ -65,13 +66,17 @@ class StabilityParams:
 
     A pair is equal when |sigma_j^2 - sigma_i^2| < sigma_max^2 / t, so t is a
     relative threshold. Defaults resolve to t = 1e30, clamp = float32 max in
-    single precision and t = 1e300, clamp = float64 max in double.
+    single precision and t = 1e300, clamp = float64 max in double. A bool t
+    or clamp raises TypeError.
     """
 
     t: float | None = None
     clamp: float | None = None
 
     def __post_init__(self):
+        for name in ("t", "clamp"):
+            if isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a number, not bool")
         # at t = inf not even a diagonal pair is equal (0 < 1/inf is false)
         if self.t is not None and not 0 < self.t < np.inf:
             raise ValueError("t must be positive and finite")
@@ -90,7 +95,8 @@ class StabilityParams:
 
 @dataclass(frozen=True)
 class GradMode:
-    """Backward-mode selector plus its parameters."""
+    """Backward-mode selector plus its parameters. A bool clip_value, or a
+    taylor_k that is not an integer, raises TypeError."""
 
     variant: str
     clip_value: float = 1e16
@@ -100,6 +106,10 @@ class GradMode:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {_VARIANTS}")
+        if isinstance(self.clip_value, bool):
+            raise TypeError("clip_value must be a number, not bool")
+        if isinstance(self.taylor_k, bool) or not isinstance(self.taylor_k, (int, np.integer)):
+            raise TypeError(f"taylor_k must be an integer, got {self.taylor_k!r}")
         if not self.clip_value > 0:
             raise ValueError("clip_value must be positive")
         if self.taylor_k < 1:
@@ -249,13 +259,14 @@ def _limits(stability: StabilityParams, rdt: np.dtype) -> tuple[float, float]:
 
 
 def _aux_terms(s: np.ndarray, mode: GradMode) -> tuple:
-    """The `pairs` rows of the float32 or float64 (..., k) stack s, for one
-    mode: the tuple (lo, equal, FS, recip), formed in one vectorised pass
-    over the stack. lo (each spectrum's smallest value) and the equal mask
-    come from `_classify`; FS_ij = F_ij * sigma_j, with clip's values on the
-    equal pairs, and recip = 1/s. This is all of the mode's arithmetic that
-    does not branch per spectrum; callers run it under np.errstate, as for
-    `_classify`.
+    """The first four fields of the `pairs` rows of the float32 or float64
+    (..., k) stack s, for one mode: the tuple (lo, equal, FS, recip), formed
+    in one vectorised pass over the stack. lo (each spectrum's smallest
+    value) and the equal mask come from `_classify`; FS_ij = F_ij * sigma_j,
+    with clip's values on the equal pairs, and recip = 1/s, a fresh array
+    that `build_aux` turns into s_pinv in place. This is all of the mode's
+    arithmetic that does not branch per spectrum; callers run it under
+    np.errstate, as for `_classify`.
 
     FS is formed from the mode's relative F (sigma_max^2 F) as
     F_rel_ij * (sigma_j / sigma_max) / sigma_max. tf, clip and inv take
@@ -323,41 +334,40 @@ def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
 
     The pair classification, FS and 1/s, with their clamps, do not branch
     per spectrum. `svd_vjp` forms them once per stack (`_aux_terms`) and
-    passes each spectrum's row as `pairs`: the tuple (lo, equal, FS, recip)
-    of that spectrum's smallest value, the equal mask, its FS and its
-    1/s (clamped in the safeguarded modes), with s already validated. This
-    call then does only what branches per spectrum: the exact zeros, T's
-    fill and s_pinv's zeros. Without `pairs` the spectrum is checked, and
-    its row formed, here through the same helper.
+    passes each spectrum's row as `pairs`: the tuple (lo, equal, FS,
+    s_pinv, T) of that spectrum's smallest value, the equal mask, its FS,
+    its 1/s (clamped in the safeguarded modes) and its zeroed k×k T, with s
+    already validated. This call then does only what branches per
+    spectrum, in place in the row: it fills T's equal pairs and zeros
+    s_pinv at the exact zeros. lo, equal and FS are never written, and the
+    returned arrays are the row's FS, T and s_pinv, not copies. Without
+    `pairs` the spectrum is checked, and its row formed, here through the
+    same helper.
 
     Every intermediate is k×k or smaller: the degree-K Taylor series is
     summed in place, and the pair masks of exact zeros are formed only when
-    a value is zero. The returned FS and T are fresh k×k arrays and s_pinv a
-    fresh k-vector in s's dtype; T is filled only in `inv` mode when a pair
-    off the diagonal is classified equal. Nothing in `pairs` is written to.
+    a value is zero. FS and T are k×k and s_pinv a k-vector in s's dtype;
+    T is filled only in `inv` mode when a pair off the diagonal is
+    classified equal.
     """
-    fresh = pairs is None
-    if fresh:
+    if pairs is None:
         s = _as_vector(s)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            pairs = _aux_terms(s, mode)
-    lo, equal, FS, recip = pairs
+            pairs = *_aux_terms(s, mode), np.zeros((s.shape[0],) * 2, dtype=s.dtype)
+    lo, equal, FS, s_pinv, T = pairs
     k = s.shape[0]
     # the exact zeros, None when no value is zero
     zero = s == 0 if lo == 0 else None
-    T = np.zeros((k, k), dtype=s.dtype)
     # only a classified-equal pair off the diagonal fills T; every diagonal
-    # pair is classified equal
+    # pair is classified equal. T takes 1/s before its zeros are set
     if mode.variant == "inv" and np.count_nonzero(equal) > k:
         # each such pair, unless both values are zero
         fill = equal.copy() if zero is None else equal & ~(zero[:, None] & zero[None, :])
         np.fill_diagonal(fill, False)
-        np.copyto(T, recip, where=fill)
-    # a row formed here is this call's own; one passed in is copied
-    s_pinv = recip if fresh else recip.copy()
+        np.copyto(T, s_pinv, where=fill)
     if zero is not None:
         s_pinv[zero] = 0
-    return AuxMatrices(FS=FS if fresh else FS.copy(), T=T, s_pinv=s_pinv)
+    return AuxMatrices(FS=FS, T=T, s_pinv=s_pinv)
 
 
 def _taylor_relative(s: np.ndarray, scale, diff: np.ndarray, K: int) -> np.ndarray:
@@ -404,13 +414,12 @@ def _stacked_aux(s: np.ndarray, mode: GradMode) -> tuple[np.ndarray, np.ndarray,
 
     Per stack: one vectorised pass (`_aux_terms`) validates every spectrum
     (the first one that fails raises), classifies its pairs and forms FS
-    and 1/s with their clamps; its FS is the stack's. Per spectrum:
-    build_aux takes that spectrum's row and does only the work that
-    branches per spectrum (the exact zeros, T's fill), and its T and s_pinv
-    are written into preallocated (N, k, k) and (N, k) arrays. build_aux
-    stays per spectrum for the benchmark tracer (see `svd_vjp`). A lone
-    spectrum goes to build_aux as it is: it forms its row inline, which
-    spares a lone matrix's backward the stack's copies.
+    and 1/s with their clamps; its FS is the stack's, its fresh 1/s the
+    stack's s_pinv, and T is allocated once, as zeros. Per spectrum:
+    build_aux takes that spectrum's row of these and fills its T and
+    s_pinv in place (the exact zeros, T's fill). build_aux stays per
+    spectrum for the benchmark tracer (see `svd_vjp`). A lone spectrum goes
+    to build_aux as it is: it forms its row inline.
     """
     if s.ndim == 1:
         aux = build_aux(s, mode)
@@ -418,12 +427,10 @@ def _stacked_aux(s: np.ndarray, mode: GradMode) -> tuple[np.ndarray, np.ndarray,
     k = s.shape[-1]
     spectra = s.reshape(-1, k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        lo, equal, FS, recip = _aux_terms(spectra, mode)
-    T = np.empty((len(spectra), k, k), dtype=spectra.dtype)
-    s_pinv = np.empty((len(spectra), k), dtype=spectra.dtype)
-    for i, (si, *row) in enumerate(zip(spectra, lo, equal, FS, recip)):
-        aux = build_aux(si, mode, pairs=row)
-        T[i], s_pinv[i] = aux.T, aux.s_pinv
+        lo, equal, FS, s_pinv = _aux_terms(spectra, mode)
+    T = np.zeros((len(spectra), k, k), dtype=spectra.dtype)
+    for si, *row in zip(spectra, lo, equal, FS, s_pinv, T):
+        build_aux(si, mode, pairs=row)
     return FS.reshape(*s.shape, k), T.reshape(*s.shape, k), s_pinv.reshape(s.shape)
 
 
@@ -454,10 +461,12 @@ def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
     a stack each matrix's gradient is bit-identical to its own 2-D call.
     On a stack the spectra are validated, their pairs classified and FS
     and 1/s formed and clamped once per stack; the first spectrum that
-    fails raises its own 2-D call's error. `build_aux` still runs once per
-    spectrum for the work that branches per spectrum (the exact zeros,
-    T's fill): the benchmark tracer's pair-count hook passes every s that
-    reaches `build_aux` to `classify_pairs` as one spectrum, and
+    fails raises its own 2-D call's error. The stack's T is allocated once
+    and its 1/s becomes the stack's s_pinv. `build_aux` still runs once per
+    spectrum, for the work that branches per spectrum (the exact zeros,
+    T's fill), and fills that spectrum's rows of both in place: the
+    benchmark tracer's pair-count hook passes every s that reaches
+    `build_aux` to `classify_pairs` as one spectrum, and
     `classify_pairs` refuses a stack, so one call per stack waits for a
     tracer that counts a stack's pairs.
     """

@@ -44,7 +44,9 @@ class RunConfig:
     to (UnrolledConfig, run_efficacy, GradMode), so one a command does not
     read is not checked under that command: `"trials": 0` in a train config
     file passes. Checked here is only what no library object checks, plus
-    one rule of the CLI's own: `train` refuses a zero `lr`.
+    one rule of the CLI's own: `train` refuses a zero `lr`. Every field's
+    value must fit its declared type (`_fits`, the rule a config file is
+    read by), else TypeError naming the field.
     """
 
     command: str = ""
@@ -73,6 +75,10 @@ class RunConfig:
     tolerance: float = 1e-5
 
     def __post_init__(self):
+        for key, hint in _CONFIG_TYPES.items():
+            value = getattr(self, key)
+            if not _fits(value, hint):
+                raise TypeError(f"{key} must be {self.__annotations__[key]}, got {value!r}")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
         if self.checks < 1:
@@ -120,16 +126,17 @@ class RunConfig:
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
 
 
-def _json_fits(value, hint) -> bool:
-    """Whether the JSON value fits the type hint of a RunConfig field: true
-    and false are no numbers, an integer is also a float, a list fits a
-    tuple when each entry fits the tuple's first argument (the library
-    checks the length), and null fits only an optional setting."""
+def _fits(value, hint) -> bool:
+    """Whether the value fits the type hint of a RunConfig field: True and
+    False are no numbers, an integer is also a float, a tuple fits a tuple
+    hint when each entry fits the hint's first argument (the library checks
+    the length), and None fits only an optional setting. A config file's
+    lists are taken as tuples."""
     if typing.get_origin(hint) is types.UnionType:
-        return any(_json_fits(value, arg) for arg in typing.get_args(hint))
+        return any(_fits(value, arg) for arg in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:
         entry = typing.get_args(hint)[0]
-        return isinstance(value, list) and all(_json_fits(v, entry) for v in value)
+        return isinstance(value, tuple) and all(_fits(v, entry) for v in value)
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
@@ -151,11 +158,11 @@ def _load_config_file(path: str) -> dict:
     if unknown:
         raise SystemExit(f"error: unknown config keys: {', '.join(unknown)}")
     for key, value in raw.items():
-        if not _json_fits(value, _CONFIG_TYPES[key]):
-            declared = RunConfig.__annotations__[key]
-            raise SystemExit(f"error: config {path}: {key} must be {declared}, got {json.dumps(value)}")
         if isinstance(value, list):
             raw[key] = tuple(value)
+        if not _fits(raw[key], _CONFIG_TYPES[key]):
+            declared = RunConfig.__annotations__[key]
+            raise SystemExit(f"error: config {path}: {key} must be {declared}, got {json.dumps(value)}")
     return raw
 
 

@@ -50,14 +50,28 @@ _EFFICACY_CHUNK = 256
 
 
 def _rng(*entropy) -> np.random.Generator:
-    """Counter-style generator: a Philox stream keyed by an entropy tuple."""
-    flat = []
+    """Counter-style generator: a Philox stream keyed by an entropy tuple.
+
+    Each entry is an int or a tuple/list of ints, flattened one level. The
+    stream is the one `SeedSequence(list_of_ints)` gives: the entropy is
+    handed over as the uint32 words NumPy would make of that list (each int
+    its little-endian 32-bit words, 0 the one word 0), built here in one
+    array instead of one small array per int. A negative int raises
+    ValueError, as NumPy does.
+    """
+    words = []
     for e in entropy:
-        if isinstance(e, (tuple, list)):
-            flat.extend(int(x) for x in e)
-        else:
-            flat.append(int(e))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(flat)))
+        for x in e if isinstance(e, (tuple, list)) else (e,):
+            x = int(x)
+            if x < 0:
+                raise ValueError("expected non-negative integer")
+            words.append(x & 0xFFFFFFFF)
+            x >>= 32
+            while x:
+                words.append(x & 0xFFFFFFFF)
+                x >>= 32
+    entropy = np.array(words, dtype=np.uint32)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 @dataclass(frozen=True)
@@ -100,26 +114,28 @@ def _scenario_parts(keys, size, basis: str) -> tuple[np.ndarray, np.ndarray]:
     and basis, stacked as (N, m, n) and (N, k). The caller has checked case,
     size and basis as `Scenario` does.
 
-    Each scenario draws from its own Philox stream, in the order one
-    scenario alone would; the Haar QRs and the products run as stacks, each
+    Each scenario draws from its own Philox stream, in one call that fills
+    its row of one (N, k - 1 [+ m*m + n*n]) buffer: sigma_0, the k - 2
+    further values and, for "rotated", the two Gaussian factors, the values
+    and order of drawing them in four calls. The spectra, the diagonal
+    embedding, the Haar QRs and the products then run once per stack, each
     matrix bit-identical to generating it alone.
     """
     m, n = size
     k = min(m, n)
+    draws = np.empty((len(keys), k - 1 + (m * m + n * n if basis == "rotated" else 0)))
+    for (_, seed), row in zip(keys, draws):
+        _rng(seed).standard_normal(out=row)
+    scale = np.array([_CASE_SCALES[case] for case, _ in keys])
     s = np.empty((len(keys), k))
-    draws = []
-    for i, (case, seed) in enumerate(keys):
-        rng = _rng(seed)
-        scale = _CASE_SCALES[case]
-        sigma0 = abs(rng.standard_normal()) * scale
-        s[i, :2] = sigma0, sigma0 + sigma0 * 1e-15
-        s[i, 2:] = np.abs(rng.standard_normal(k - 2)) * scale
-        if basis == "rotated":
-            draws.append((rng.standard_normal((m, m)), rng.standard_normal((n, n))))
+    s[:, 0] = np.abs(draws[:, 0]) * scale
+    s[:, 1] = s[:, 0] + s[:, 0] * 1e-15
+    s[:, 2:] = np.abs(draws[:, 1:k - 1]) * scale[:, None]
     A = np.zeros((len(keys), m, n), dtype=np.float64)
     A[:, np.arange(k), np.arange(k)] = s
     if basis == "rotated":
-        left, right = (np.stack(side) for side in zip(*draws))
+        left = draws[:, k - 1:k - 1 + m * m].reshape(-1, m, m)
+        right = draws[:, k - 1 + m * m:].reshape(-1, n, n)
         A = _haar(left) @ A @ _haar(right).swapaxes(-1, -2)
     return A, s
 

@@ -338,6 +338,21 @@ def test_mode_constructor_validation():
             StabilityParams(t=t)
 
 
+def test_mode_settings_refuse_values_of_another_type():
+    # True is no threshold, clamp or clip value, and a Taylor degree is an
+    # integer; an int or a NumPy integer degree is taken
+    for kwargs in ({"t": True}, {"clamp": False}):
+        with pytest.raises(TypeError, match=f"{next(iter(kwargs))} must be a number"):
+            StabilityParams(**kwargs)
+    with pytest.raises(TypeError, match="clip_value"):
+        GradMode("clip", clip_value=True)
+    for k in (True, 2.5, 9.0, "9"):
+        with pytest.raises(TypeError, match="taylor_k must be an integer"):
+            GradMode("taylor", taylor_k=k)
+    assert GradMode("taylor", taylor_k=np.int64(3)).taylor_k == 3
+    assert GradMode.clip(clip_value=5).clip_value == 5
+
+
 # -- svd_vjp ------------------------------------------------------------------
 
 
@@ -664,10 +679,12 @@ def test_stacked_aux_across_branches_matches_per_matrix(monkeypatch):
         assert np.count_nonzero(build_aux(s[1], GradMode.inv()).T) == 2
 
 
-def test_pairs_row_is_read_only():
-    # the row svd_vjp hands each spectrum carries the stack's FS and 1/s,
-    # which the spectrum's arrays are taken from: build_aux must read it,
-    # never write it, on every branch spectrum
+def test_pairs_row_fills_T_and_s_pinv_in_place():
+    # the row svd_vjp hands each spectrum carries the stack's FS, 1/s and
+    # zeroed T: build_aux reads lo, equal and FS, never writes them, and
+    # fills that spectrum's T and s_pinv rows in place. On every branch
+    # spectrum the result is the row itself and byte-equal to the lone call
+    # and to the reference construction
     import svdgrad.backward as backward
 
     beyond = StabilityParams(t=1e45)
@@ -677,15 +694,23 @@ def test_pairs_row_is_read_only():
         s.setflags(write=False)
         for mode in modes:
             with np.errstate(all="ignore"):
-                rows = backward._aux_terms(s, mode)
-            assert len(rows) == 4
-            for field in rows:
+                lo, equal, FS, recip = backward._aux_terms(s, mode)
+            T = np.zeros((*s.shape, s.shape[-1]), dtype=dtype)
+            read = (lo, equal, FS)
+            before = [field.tobytes() for field in read]
+            for field in read:
                 field.setflags(write=False)
             for i in range(len(s)):
-                aux = build_aux(s[i], mode, pairs=[field[i] for field in rows])
+                aux = build_aux(s[i], mode, pairs=(lo[i], equal[i], FS[i], recip[i], T[i]))
+                assert np.shares_memory(aux.FS, FS[i]) and np.shares_memory(aux.T, T[i])
+                assert np.shares_memory(aux.s_pinv, recip[i])
                 own = build_aux(s[i], mode)
-                for got, want in zip((aux.FS, aux.T, aux.s_pinv), (own.FS, own.T, own.s_pinv)):
-                    assert got.flags.writeable and got.tobytes() == want.tobytes(), (dtype, mode, i)
+                ref = build_aux_reference(s[i], mode)
+                for got, lone, want in zip((FS[i], T[i], recip[i]), (own.FS, own.T, own.s_pinv), ref):
+                    assert got.tobytes() == lone.tobytes() == want.tobytes(), (dtype, mode, i)
+            assert [field.tobytes() for field in read] == before
+        # the tie fills T and the zero tail zeros s_pinv, in the rows
+        assert np.count_nonzero(T[1]) == 2 and (recip[2, 2:] == 0).all()
 
 
 @pytest.mark.parametrize("dtype,top", [(np.float32, 3e38), (np.float64, 1.7e308)])

@@ -110,6 +110,23 @@ def test_gradcheck_case_matches_reference(op, monkeypatch):
 
 
 @pytest.mark.parametrize("complex_", [False, True])
+def test_gradcheck_chain_keeps_a_nan_parameter_error(complex_, monkeypatch):
+    # a NaN finite difference of the chain group's c makes the check's
+    # error NaN, in the program and in the reference alike
+    def nan_for_c(loss_fn, at, **kwargs):
+        grad = finite_difference(loss_fn, at, **kwargs)
+        return np.full_like(grad, np.nan) if at.size == 1 else grad
+
+    results = []
+    for module, case in ((cli, cli._gradcheck_case), (oracles, oracles.gradcheck_case_reference)):
+        monkeypatch.setattr(module, "finite_difference", nan_for_c)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([3, _GRADCHECK_OPS.index("chain")])))
+        results.append(case("chain", rng, cli.RunConfig(command="gradcheck"), complex_))
+    assert np.isnan(results[0][0])
+    np.testing.assert_array_equal(results[0], results[1])
+
+
+@pytest.mark.parametrize("complex_", [False, True])
 def test_gradcheck_svt_redraw_matches_reference(complex_, monkeypatch):
     # the first draw is made diagonal, so the svt output has exact zeros
     # off the diagonal, at the L1 kinks: both versions redraw once and agree
@@ -362,6 +379,24 @@ def test_config_value_of_the_wrong_type_exits_two(command, config, tmp_path, cap
     err = capsys.readouterr().err
     assert rc == 2
     assert f"{key} must be" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"checks": True},
+    {"trials": 1.5},
+    {"t": True},
+    {"t": "1e30"},
+    {"seed": None},
+    {"seeds": [1, 2]},
+    {"size": (10.0, 10)},
+    {"modes": "inv"},
+])
+def test_settings_built_in_python_are_type_checked(kwargs):
+    # the rule a config file is read by, applied when the settings are built:
+    # a tuple setting takes a tuple, and the error names the field
+    key = next(iter(kwargs))
+    with pytest.raises(TypeError, match=f"^{key} must be "):
+        cli.RunConfig(command="gradcheck", **kwargs)
 
 
 def test_config_values_of_the_declared_types_are_taken(tmp_path, capsys):

@@ -215,6 +215,35 @@ def test_chunked_efficacy_matches_one_stack(monkeypatch):
     assert chunks == 3 * ([3] * 13 + [1])
 
 
+@pytest.mark.parametrize("entropy", [
+    (0,),
+    (2**32 - 1,),
+    (2**32,),
+    (2**64 + 5,),
+    (2**96, 0),
+    (np.int64(7), np.uint64(2**63)),
+    ((3407, 1, 2, 17, 0),),
+    (3407, (0, 2**32), 5),
+])
+def test_rng_draws_what_numpy_draws_from_the_list_of_ints(entropy):
+    # _rng hands SeedSequence the uint32 words NumPy makes of the flattened
+    # list of ints; the stream must be the one that list gives
+    flat = [int(x) for e in entropy for x in (e if isinstance(e, tuple) else (e,))]
+    want = np.random.Generator(np.random.Philox(np.random.SeedSequence(flat)))
+    got = experiments._rng(*entropy)
+    assert got.standard_normal(7).tobytes() == want.standard_normal(7).tobytes()
+    assert got.bit_generator.random_raw(3).tobytes() == want.bit_generator.random_raw(3).tobytes()
+
+
+def test_rng_refuses_a_negative_entry_before_making_a_stream(monkeypatch):
+    made = []
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *args: made.append(args))
+    for entropy in ((-1,), (3, (0, -2)), (np.int64(-5),)):
+        with pytest.raises(ValueError, match="non-negative"):
+            experiments._rng(*entropy)
+    assert made == []
+
+
 def test_batched_scenarios_match_one_at_a_time():
     # the one-key generate_scenario is pinned too, for int and tuple seeds
     for basis, size in (("rotated", (10, 10)), ("rotated", (6, 4)), ("identity", (5, 7))):
