@@ -11,7 +11,16 @@ double-precision gradient oracles, a gradient-efficacy benchmark, and
 unrolled ADMM / proximal-gradient completion demos.
 """
 
-from .backward import AuxMatrices, GradMode, StabilityParams, build_aux, classify_pairs, svd_vjp
+from .backward import (
+    AuxMatrices,
+    GradMode,
+    StabilityParams,
+    SvdPullback,
+    build_aux,
+    classify_pairs,
+    svd_pullback,
+    svd_vjp,
+)
 from .experiments import (
     CellStats,
     EfficacyReport,
@@ -43,6 +52,7 @@ __all__ = [
     "Scenario",
     "StabilityParams",
     "SvdFactors",
+    "SvdPullback",
     "SvtCache",
     "Tape",
     "ThresholdSpec",
@@ -59,6 +69,7 @@ __all__ = [
     "reference_gradient",
     "run_efficacy",
     "svd",
+    "svd_pullback",
     "svd_vjp",
     "svt_vjp",
     "train_unrolled",

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +49,10 @@ __all__ = [
     "AuxMatrices",
     "GradMode",
     "StabilityParams",
+    "SvdPullback",
     "build_aux",
     "classify_pairs",
+    "svd_pullback",
     "svd_vjp",
 ]
 
@@ -150,6 +153,13 @@ class AuxMatrices:
 
 
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+# the classification and the mode's arithmetic divide by zero, overflow and
+# underflow by design on degenerate spectra; the results are then clamped
+# or propagated as the mode says
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore", "under": "ignore"}
+# the products and sums of svd_vjp divide nothing, but a non-finite FS or
+# cotangent makes them overflow or go invalid, as exact propagates it
+_ARITHMETIC = {"invalid": "ignore", "over": "ignore", "under": "ignore"}
 # a spectrum whose largest value is above half its dtype's largest value may
 # overflow in sigma_j + sigma_i
 _HALF_MAX = {dt: np.finfo(dt).max / 2 for dt in _FLOATS}
@@ -235,7 +245,7 @@ def classify_pairs(s, t: float) -> np.ndarray:
     if not 0 < t < np.inf:
         raise ValueError("t must be positive and finite")
     s = _as_vector(s)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+    with np.errstate(**_QUIET):
         equal = _classify(s, t)[4]
     both_zero = (s[:, None] == 0) & (s[None, :] == 0)
     labels = np.full(equal.shape, UNEQUAL, dtype=np.int8)
@@ -258,11 +268,15 @@ def _limits(stability: StabilityParams, rdt: np.dtype) -> tuple[float, float]:
     return stability.resolve(rdt)
 
 
-def _aux_terms(s: np.ndarray, mode: GradMode) -> tuple:
+def _aux_terms(s: np.ndarray, mode: GradMode, classes: dict | None = None) -> tuple:
     """The first four fields of the `pairs` rows of the float32 or float64
     (..., k) stack s, for one mode: the tuple (lo, equal, FS, recip), formed
     in one vectorised pass over the stack. lo (each spectrum's smallest
-    value) and the equal mask come from `_classify`; FS_ij = F_ij * sigma_j,
+    value) and the equal mask come from `_classify(s, t)` at the mode's
+    resolved t. `classes` maps a resolved t to that classification of s: a
+    t it holds is not classified again, and a new one is added, so modes
+    whose t resolves alike share one (this call only reads it);
+    FS_ij = F_ij * sigma_j,
     with clip's values on the equal pairs, and recip = 1/s, a fresh array
     that `build_aux` turns into s_pinv in place. This is all of the mode's
     arithmetic that does not branch per spectrum; callers run it under
@@ -281,7 +295,10 @@ def _aux_terms(s: np.ndarray, mode: GradMode) -> tuple:
     it cannot meet a zero sigma as inf * 0. exact clamps nothing.
     """
     t, clamp = _limits(mode.stability, s.dtype)
-    lo, scale, diff, gap, equal = _classify(s, t)
+    classes = {} if classes is None else classes
+    if t not in classes:
+        classes[t] = _classify(s, t)
+    lo, scale, diff, gap, equal = classes[t]
     dt = s.dtype.type
     safe = mode.variant != "exact"
     if mode.variant == "taylor":
@@ -352,7 +369,7 @@ def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
     """
     if pairs is None:
         s = _as_vector(s)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        with np.errstate(**_QUIET):
             pairs = *_aux_terms(s, mode), np.zeros((s.shape[0],) * 2, dtype=s.dtype)
     lo, equal, FS, s_pinv, T = pairs
     k = s.shape[0]
@@ -409,67 +426,74 @@ def _diag(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stacked_aux(s: np.ndarray, mode: GradMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stacked_aux(s: np.ndarray, mode: GradMode, classes: dict | None = None) -> tuple:
     """FS, T and s_pinv of every spectrum of the (..., k) stack s.
 
     Per stack: one vectorised pass (`_aux_terms`) validates every spectrum
-    (the first one that fails raises), classifies its pairs and forms FS
-    and 1/s with their clamps; its FS is the stack's, its fresh 1/s the
-    stack's s_pinv, and T is allocated once, as zeros. Per spectrum:
-    build_aux takes that spectrum's row of these and fills its T and
-    s_pinv in place (the exact zeros, T's fill). build_aux stays per
-    spectrum for the benchmark tracer (see `svd_vjp`). A lone spectrum goes
-    to build_aux as it is: it forms its row inline.
+    (the first one that fails raises), classifies its pairs, or takes their
+    classification from `classes` (see there), and forms FS and 1/s with
+    their clamps; its FS is the stack's, its fresh 1/s the stack's s_pinv,
+    and T is allocated once, as zeros. Per spectrum: build_aux takes that
+    spectrum's row of these and fills its T and s_pinv in place (the exact
+    zeros, T's fill). build_aux stays per spectrum for the benchmark tracer
+    (see `svd_vjp`). A lone spectrum is its own row.
     """
-    if s.ndim == 1:
-        aux = build_aux(s, mode)
-        return aux.FS, aux.T, aux.s_pinv
     k = s.shape[-1]
-    spectra = s.reshape(-1, k)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        lo, equal, FS, s_pinv = _aux_terms(spectra, mode)
-    T = np.zeros((len(spectra), k, k), dtype=spectra.dtype)
+    spectra = s if s.ndim == 1 else s.reshape(-1, k)
+    with np.errstate(**_QUIET):
+        lo, equal, FS, s_pinv = _aux_terms(spectra, mode, classes)
+    T = np.zeros((*spectra.shape, k), dtype=s.dtype)
+    if s.ndim == 1:
+        build_aux(s, mode, pairs=(lo, equal, FS, s_pinv, T))
+        return FS, T, s_pinv
     for si, *row in zip(spectra, lo, equal, FS, s_pinv, T):
         build_aux(si, mode, pairs=row)
     return FS.reshape(*s.shape, k), T.reshape(*s.shape, k), s_pinv.reshape(s.shape)
 
 
-def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
-    """Pull factor cotangents (Ubar, sbar, Vbar) back to the input matrix.
+class SvdPullback(NamedTuple):
+    """The part of `svd_vjp` that no mode changes, for one set of factors
+    and cotangents; `svd_pullback` forms it.
 
-    Computed as
-
-      Abar = U [ (F o [U^H Ubar - Ubar^H U]) S + T o (U^H Ubar)
-                 + diag(sbar) + S (F o [V^H Vbar - Vbar^H V]) ] V^H
-             + (I - U U^H) Ubar diag(s_pinv) V^H
-             + U diag(s_pinv) Vbar^H (I - V V^H)
-
-    under the convention dL = Re tr(Abar^H dA). For complex input the
-    per-column phase freedom (u_j, v_j) -> (e^{i t} u_j, e^{i t} v_j) adds
-
-      + U diag( i (Im diag(U^H Ubar) - Im diag(V^H Vbar)) / 2 * s_pinv ) V^H,
-
-    exact whenever the loss is invariant to that phase choice (any loss that
-    reads the factors only through a reconstruction). Mode `exact` may return
-    non-finite entries (propagated, never masked); every other mode returns
-    finite output for finite input.
-
-    The factors give the input's shape and dtype: U (..., m, k), s (..., k)
-    and V (..., n, k) share their leading axes (else ValueError); V is in
-    U's dtype and s in its real dtype (else TypeError), and so are Ubar,
-    Vbar and sbar (else TypeError naming it); None is a zero cotangent. On
-    a stack each matrix's gradient is bit-identical to its own 2-D call.
-    On a stack the spectra are validated, their pairs classified and FS
-    and 1/s formed and clamped once per stack; the first spectrum that
-    fails raises its own 2-D call's error. The stack's T is allocated once
-    and its 1/s becomes the stack's s_pinv. `build_aux` still runs once per
-    spectrum, for the work that branches per spectrum (the exact zeros,
-    T's fill), and fills that spectrum's rows of both in place: the
-    benchmark tracer's pair-count hook passes every s that reaches
-    `build_aux` to `classify_pairs` as one spectrum, and
-    `classify_pairs` refuses a stack, so one call per stack waits for a
-    tracer that counts a stack's pairs.
+    With P = U^H Ubar and Q = V^H Vbar it holds U, s, Vh = V^H, P, the
+    brackets br_u = P - P^H and br_v = Q - Q^H, sbar_diag = diag(sbar) in
+    U's dtype, the projection residuals res_u = Ubar - U P and res_vh =
+    (Vbar - V Q)^H, and for complex input the gauge vector
+    (Im diag P - Im diag Q) / 2 (None for real input). The pair
+    classification depends on t as well: `classes` maps each resolved t
+    that an `svd_vjp` call has asked for to the spectra's classification,
+    formed by the first such call.
     """
+
+    U: np.ndarray
+    s: np.ndarray
+    Vh: np.ndarray
+    P: np.ndarray
+    br_u: np.ndarray
+    br_v: np.ndarray
+    sbar_diag: np.ndarray
+    res_u: np.ndarray
+    res_vh: np.ndarray
+    gauge: np.ndarray | None
+    classes: dict
+
+
+def svd_pullback(factors, Ubar, sbar, Vbar) -> SvdPullback:
+    """Check factors and cotangents as `svd_vjp` states, and form the terms
+    of its result that no mode changes (`SvdPullback`).
+
+    One pullback serves every mode's `svd_vjp` call on these factors and
+    cotangents: pass it as `pullback=`. Every mode's gradient is then
+    bit-identical to its call without the keyword, which forms the pullback
+    itself through the same helper (`_pullback`), inside the np.errstate it
+    runs the rest of its arithmetic in.
+    """
+    with np.errstate(**_ARITHMETIC):
+        return _pullback(factors, Ubar, sbar, Vbar)
+
+
+def _pullback(factors, Ubar, sbar, Vbar) -> SvdPullback:
+    """`svd_pullback`, for a caller that runs it under np.errstate."""
     U, s, V = ensure_matrix(factors.U, "U"), factors.s, ensure_matrix(factors.V, "V")
     *stack, m, k = U.shape
     n = V.shape[-2]
@@ -495,27 +519,93 @@ def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode) -> np.ndarray:
         if bar.dtype != dtype:
             raise TypeError(f"cotangent {name} is {bar.dtype}, not the factors' {dtype}")
 
-    FS, T, s_pinv_r = _stacked_aux(s, mode)
-    FS = FS.astype(U.dtype, copy=False)
-    T = T.astype(U.dtype, copy=False)
-    s_pinv = s_pinv_r.astype(U.dtype, copy=False)[..., None, :]
+    P = _ct(U) @ Ubar                         # U^H Ubar
+    Q = _ct(V) @ Vbar                         # V^H Vbar
+    gauge = None
+    if np.iscomplexobj(U):
+        diag_p = np.diagonal(P, axis1=-2, axis2=-1)
+        diag_q = np.diagonal(Q, axis1=-2, axis2=-1)
+        gauge = 0.5 * (np.imag(diag_p) - np.imag(diag_q))
+    return SvdPullback(
+        U=U,
+        s=s,
+        Vh=_ct(V),
+        P=P,
+        br_u=P - _ct(P),
+        br_v=Q - _ct(Q),
+        sbar_diag=_diag(sbar).astype(U.dtype),
+        res_u=Ubar - U @ P,
+        res_vh=_ct(Vbar - V @ Q),
+        gauge=gauge,
+        classes={},
+    )
 
-    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        P = _ct(U) @ Ubar                         # U^H Ubar
-        Q = _ct(V) @ Vbar                         # V^H Vbar
-        br_u = P - _ct(P)
-        br_v = Q - _ct(Q)
-        core = FS * br_u                          # (F o br_u) S
-        core = core + T * P
-        core = core + _diag(sbar).astype(U.dtype)
-        core = core - FS.swapaxes(-1, -2) * br_v  # S (F o br_v)
-        if np.iscomplexobj(U):
-            diag_p = np.diagonal(P, axis1=-2, axis2=-1)
-            diag_q = np.diagonal(Q, axis1=-2, axis2=-1)
-            gauge = 0.5 * (np.imag(diag_p) - np.imag(diag_q))
-            core = core + 1j * _diag(gauge * s_pinv_r).astype(U.dtype)
-        Vh = _ct(V)
-        Abar = U @ core @ Vh
-        Abar = Abar + ((Ubar - U @ P) * s_pinv) @ Vh
-        Abar = Abar + (U * s_pinv) @ _ct(Vbar - V @ Q)
+
+def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode, *, pullback: SvdPullback | None = None) -> np.ndarray:
+    """Pull factor cotangents (Ubar, sbar, Vbar) back to the input matrix.
+
+    Computed as
+
+      Abar = U [ (F o [U^H Ubar - Ubar^H U]) S + T o (U^H Ubar)
+                 + diag(sbar) + S (F o [V^H Vbar - Vbar^H V]) ] V^H
+             + (I - U U^H) Ubar diag(s_pinv) V^H
+             + U diag(s_pinv) Vbar^H (I - V V^H)
+
+    under the convention dL = Re tr(Abar^H dA). For complex input the
+    per-column phase freedom (u_j, v_j) -> (e^{i t} u_j, e^{i t} v_j) adds
+
+      + U diag( i (Im diag(U^H Ubar) - Im diag(V^H Vbar)) / 2 * s_pinv ) V^H,
+
+    exact whenever the loss is invariant to that phase choice (any loss that
+    reads the factors only through a reconstruction). Mode `exact` may return
+    non-finite entries (propagated, never masked); every other mode returns
+    finite output for finite input.
+
+    The factors give the input's shape and dtype: U (..., m, k), s (..., k)
+    and V (..., n, k) share their leading axes (else ValueError); V is in
+    U's dtype and s in its real dtype (else TypeError), and so are Ubar,
+    Vbar and sbar (else TypeError naming it); None is a zero cotangent. On
+    a stack each matrix's gradient is bit-identical to its own 2-D call.
+
+    Everything above except F, T and s_pinv is the same in every mode: the
+    checks, U^H Ubar, V^H Vbar, both brackets, diag(sbar), both projection
+    residuals and the gauge vector (`svd_pullback`), and the pair
+    classification, which depends only on the spectra and t. `pullback`,
+    when given, must be `svd_pullback` of these factors and cotangents,
+    which are then not read again; several modes' calls can share one, and
+    it classifies the pairs once per distinct t. Without it the call forms
+    its own through the helper `svd_pullback` runs, within the np.errstate
+    of its own arithmetic.
+
+    The call takes one GradMode (else TypeError) and returns one array, so
+    that the benchmark tracer can read each mode's variant and result off
+    its own call. On a stack the spectra are validated, their pairs
+    classified and FS and 1/s formed and clamped once per stack; the first
+    spectrum that fails raises its own 2-D call's error. The stack's T is
+    allocated once and its 1/s becomes the stack's s_pinv. `build_aux`
+    still runs once per spectrum, for the work that branches per spectrum
+    (the exact zeros, T's fill), and fills that spectrum's rows of both in
+    place: the benchmark tracer's pair-count hook passes every s that
+    reaches `build_aux` to `classify_pairs` as one spectrum, and
+    `classify_pairs` refuses a stack, so one call per stack waits for a
+    tracer that counts a stack's pairs.
+    """
+    if not isinstance(mode, GradMode):
+        raise TypeError(f"svd_vjp takes one GradMode, got {mode!r}")
+    with np.errstate(**_ARITHMETIC):
+        pb = _pullback(factors, Ubar, sbar, Vbar) if pullback is None else pullback
+        FS, T, s_pinv_r = _stacked_aux(pb.s, mode, pb.classes)
+        dtype = pb.U.dtype
+        FS = FS.astype(dtype, copy=False)
+        T = T.astype(dtype, copy=False)
+        s_pinv = s_pinv_r.astype(dtype, copy=False)[..., None, :]
+        core = FS * pb.br_u                          # (F o br_u) S
+        core = core + T * pb.P
+        core = core + pb.sbar_diag
+        core = core - FS.swapaxes(-1, -2) * pb.br_v  # S (F o br_v)
+        if pb.gauge is not None:
+            core = core + 1j * _diag(pb.gauge * s_pinv_r).astype(dtype)
+        Abar = pb.U @ core @ pb.Vh
+        Abar = Abar + (pb.res_u * s_pinv) @ pb.Vh
+        Abar = Abar + (pb.U * s_pinv) @ pb.res_vh
     return Abar

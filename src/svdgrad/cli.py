@@ -46,7 +46,9 @@ class RunConfig:
     file passes. Checked here is only what no library object checks, plus
     one rule of the CLI's own: `train` refuses a zero `lr`. Every field's
     value must fit its declared type (`_fits`, the rule a config file is
-    read by), else TypeError naming the field.
+    read by), else TypeError naming the field. A NumPy integer or float
+    (`np.bool_` is neither) is taken as the Python int or float of its
+    value, and stored as that, so `resolved()` stays JSON.
     """
 
     command: str = ""
@@ -77,8 +79,10 @@ class RunConfig:
     def __post_init__(self):
         for key, hint in _CONFIG_TYPES.items():
             value = getattr(self, key)
-            if not _fits(value, hint):
+            python = _python_scalars(value)
+            if not _fits(python, hint):
                 raise TypeError(f"{key} must be {self.__annotations__[key]}, got {value!r}")
+            setattr(self, key, python)
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
         if self.checks < 1:
@@ -124,6 +128,18 @@ class RunConfig:
 
 
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _python_scalars(value):
+    """value with each NumPy integer or float, also in a tuple, as the
+    Python int or float of its value; anything else as it is."""
+    if isinstance(value, tuple):
+        return tuple(_python_scalars(v) for v in value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
 
 
 def _fits(value, hint) -> bool:
@@ -223,9 +239,10 @@ def _svt_point(rng: np.random.Generator, n: int, complex_: bool, A, svals):
 def _gradcheck_case(op: str, rng: np.random.Generator, cfg: RunConfig, complex_: bool):
     """One FD-vs-analytic check; returns (fd rel err, exact-vs-inv rel gap).
 
-    Each distinct forward runs once: the point forward, whose values both
-    backward passes reuse, one stacked forward for the FD of A, and in the
-    chain group one more for the FD of its parameter c."""
+    Each distinct forward runs once: the point forward, whose values one
+    backward under both modes (exact and inv) reuses, one stacked forward
+    for the FD of A, and in the chain group one more for the FD of its
+    parameter c."""
     n = int(rng.integers(4, 8))
     A, svals = _separated_matrix(rng, n, complex_)
     extra: dict[str, np.ndarray] = {}
@@ -258,9 +275,8 @@ def _gradcheck_case(op: str, rng: np.random.Generator, cfg: RunConfig, complex_:
         return tape.forward({"A": stack, **extra})[loss]
 
     fd = finite_difference(loss_fn, A)
-    g_exact = tape.backward(values, loss, cfg.grad_mode("exact")).by_name("A")
-    grads_inv = tape.backward(values, loss, cfg.grad_mode("inv"))
-    g_inv = grads_inv.by_name("A")
+    grads_exact, grads_inv = tape.backward(values, loss, [cfg.grad_mode("exact"), cfg.grad_mode("inv")])
+    g_exact, g_inv = grads_exact.by_name("A"), grads_inv.by_name("A")
     ref = max(float(np.linalg.norm(fd)), 1e-30)
     fd_err = float(np.linalg.norm(g_inv - fd)) / ref
     mode_gap = float(np.linalg.norm(g_inv - g_exact)) / max(float(np.linalg.norm(g_exact)), 1e-30)

@@ -8,8 +8,8 @@ and 1e-18 (case 2). Workflows: 1 reconstruct + L1, 2 hard-threshold the two
 trailing values + L1, 3 soft-threshold chosen so the two trailing values
 vanish + L1. All modes share one cached forward per trial; only backward
 differs. Each workflow runs as one stack over all its cases: one float32
-forward and one backward per mode serve all of its trials, and each cell's
-rows are sliced back out of it.
+forward and one backward under all the modes serve all of its trials, and
+each cell's rows are sliced back out of it.
 
 The completion demos unroll ADMM / proximal gradient descent over the tape
 with per-iteration learnable positive scalars and train them with Adam.
@@ -252,7 +252,10 @@ def _efficacy_chunk(tape: Tape, loss: int, workflow: int, keys, size, basis: str
 
     A trial whose reference is invalid is regenerated with an incremented
     sub-seed; each round generates, cut-tests and references only the
-    trials still invalid, each as one stack.
+    trials still invalid, each as one stack. The scored trials then take
+    one single-precision forward and one backward under all the modes,
+    which forms the L1 and factor cotangents, the SVD pullback and each
+    distinct t's pair classification once for every mode.
     """
     m, n = size
     A64 = np.empty((len(keys), m, n))
@@ -299,8 +302,8 @@ def _efficacy_chunk(tape: Tape, loss: int, workflow: int, keys, size, basis: str
             )
     values32 = tape.forward({"A": A64.astype(np.float32), "tau": _workflow_tau(svals)})
     sumsq = np.empty((len(modes), len(keys)))
-    for j, mode in enumerate(modes):
-        diff = tape.backward(values32, loss, mode).by_name("A").astype(np.float64) - Aref
+    for j, grads in enumerate(tape.backward(values32, loss, modes)):
+        diff = grads.by_name("A").astype(np.float64) - Aref
         sumsq[j] = np.sum(diff * diff, axis=(-2, -1))
     return sumsq, attempts
 
@@ -322,13 +325,14 @@ def run_efficacy(
     in single precision, and accumulates each mode's squared gradient error.
     Each workflow runs its len(cases) * len(seeds) * n_trials trials on one
     tape, as consecutive stacks of at most _EFFICACY_CHUNK trials: one
-    Tape.backward per mode and stack, plus one per regeneration round of the
-    reference. Each (case, workflow) cell's per-trial errors are sliced back
-    out and added in (seed, trial) order by one cumulative sum, so the
-    report is bit-identical to scoring the trials one at a time and adding
-    them in a loop, and bit-reproducible for a fixed configuration. A
-    repeated seed, case, workflow or mode variant is refused, like every
-    other bad setting, before any trial runs.
+    Tape.backward per stack, under all the modes at once, plus one per
+    regeneration round of the reference. Each (case, workflow) cell's
+    per-trial errors are sliced back out and added in (seed, trial) order
+    by one cumulative sum, so the report is bit-identical to scoring the
+    trials one at a time and adding them in a loop, and bit-reproducible
+    for a fixed configuration. A repeated seed, case, workflow or mode
+    variant is refused, like every other bad setting, before any trial
+    runs.
     """
     modes = _normalize_modes(modes)
     if n_trials < 1:

@@ -14,11 +14,12 @@ like the stack, and the backward returns one taubar per matrix.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import GradMode, svd_vjp
+from .backward import GradMode, svd_pullback, svd_vjp
 from .linalg import NonFiniteError, SvdFactors, _ct, ensure_matrix, svd
 
 __all__ = ["SvtCache", "ThresholdSpec", "svt", "svt_vjp", "threshold"]
@@ -135,7 +136,7 @@ def _kept_sums(x: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return sums.astype(np.float64).reshape(stack)
 
 
-def svt_vjp(Bbar, cached: SvtCache, mode: GradMode) -> tuple[np.ndarray, float | np.ndarray]:
+def svt_vjp(Bbar, cached: SvtCache, mode: GradMode | Sequence[GradMode]):
     """Pull the thresholded-matrix cotangent back to (Abar, taubar).
 
     The factor cotangents follow the chain rule through B = U diag(s_hat) V^H:
@@ -147,6 +148,12 @@ def svt_vjp(Bbar, cached: SvtCache, mode: GradMode) -> tuple[np.ndarray, float |
     in U's dtype (else TypeError). On a stack Abar is each matrix's own
     gradient, bit for bit, and taubar is a float64 array with one value per
     matrix; for one matrix it is a float.
+
+    `mode` may also be a sequence of modes. The result is then a list with
+    one (Abar, taubar) per mode, in order, each bit-identical to that mode's
+    own call. Only Abar depends on the mode: the factor cotangents, taubar
+    (one object, shared by every pair) and the SVD pullback (`svd_pullback`)
+    are formed once, and `svd_vjp` runs once per mode on that pullback.
     """
     Bbar = ensure_matrix(Bbar, "Bbar")
     factors, s_hat, spec = cached.factors, cached.s_hat, cached.spec
@@ -164,5 +171,8 @@ def svt_vjp(Bbar, cached: SvtCache, mode: GradMode) -> tuple[np.ndarray, float |
     kept = kept_mask(s, spec)
     sbar = np.where(kept, sbar_pre, np.asarray(0, dtype=s.dtype))
     taubar = -_kept_sums(sbar_pre, kept) if spec.kind == "soft" else np.zeros(U.shape[:-2])
-    Abar = svd_vjp(factors, Ubar, sbar, Vbar, mode)
-    return Abar, float(taubar) if U.ndim == 2 else taubar
+    taubar = float(taubar) if U.ndim == 2 else taubar
+    if isinstance(mode, GradMode):
+        return svd_vjp(factors, Ubar, sbar, Vbar, mode), taubar
+    pullback = svd_pullback(factors, Ubar, sbar, Vbar)
+    return [(svd_vjp(factors, Ubar, sbar, Vbar, m, pullback=pullback), taubar) for m in mode]

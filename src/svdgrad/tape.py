@@ -6,6 +6,18 @@ accumulates cotangents in reverse order. The SVD backward mode is pluggable
 per `backward` call, so one cached forward can be differentiated under
 several modes — the paired design the gradient benchmarks rely on.
 
+One `backward` call can also take several modes and walk the tape once.
+Only the SVD-backed nodes (svt and sum_singular_values) depend on the mode,
+so until the walk passes one of them every cotangent is every mode's, and
+each VJP runs once. An SVD-backed node whose cotangent all the modes share
+forms its mode-free pullback (`svd_pullback`: the factor products, both
+brackets and both projection residuals) once and classifies its pairs once
+per distinct t, then runs `svd_vjp` once per mode. From there on each mode
+keeps its own cotangent and runs each VJP on it; where such a cotangent
+meets a shared one the sum is formed mode by mode. Each mode's GradientSet
+is bit-identical to that mode's own call. A cotangent no mode changes is
+one object in every set, so the sets are to be read, not written.
+
 Complex convention throughout: dL = Re tr(cot^H dX) for a real scalar loss.
 A parameter is a real scalar, or one real value per matrix of a stack.
 
@@ -28,11 +40,12 @@ parameter bound to an array shaped like the stack gets one value per matrix.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import GradMode, svd_vjp
+from .backward import GradMode, svd_pullback, svd_vjp
 from .linalg import SvdFactors, _ct, ensure_matrix, real_dtype_of, svd as _svd
 from .svt import SvtCache, ThresholdSpec, svt as _svt, svt_vjp, threshold as _threshold
 
@@ -171,13 +184,28 @@ class Tape:
             values[node.idx] = _OPS[node.op][0](args, node, values.saved, reuse)
         return values
 
-    def backward(self, values: _Values, loss: int, mode: GradMode) -> GradientSet:
+    def backward(self, values: _Values, loss: int, mode: GradMode | Sequence[GradMode]):
         """Reverse accumulation from `loss` (a real scalar node) down to leaves.
 
         A stacked loss is seeded with ones, and each cotangent is summed down
-        to its parent's shape (see the module docstring)."""
+        to its parent's shape (see the module docstring).
+
+        Given one GradMode, returns one GradientSet. Given a non-empty
+        sequence of them, walks the tape once and returns one GradientSet
+        per mode, in order, each bit-identical to that mode's own call (see
+        the module docstring); anything else raises TypeError, an empty
+        sequence ValueError."""
         if not self.is_scalar(loss):
             raise ValueError("loss node must evaluate to a real scalar")
+        modes = None
+        if not isinstance(mode, GradMode):
+            if isinstance(mode, str) or not isinstance(mode, Sequence) or not all(
+                isinstance(m, GradMode) for m in mode
+            ):
+                raise TypeError(f"mode must be a GradMode or a sequence of them, got {mode!r}")
+            modes = tuple(mode)
+            if not modes:
+                raise ValueError("backward needs at least one mode")
         stacked = np.ndim(values[loss]) > 0
         cot: dict[int, object] = {loss: np.ones(np.shape(values[loss])) if stacked else 1.0}
         for node in reversed(self.nodes):
@@ -185,13 +213,26 @@ class Tape:
             if g is None or not node.parents:
                 continue
             args = [values[p] for p in node.parents]
-            parent_cots = _OPS[node.op][1](g, args, node, values.saved.get(node.idx), mode)
+            if type(g) is not _PerMode:
+                parent_cots = _OPS[node.op][1](g, args, node, values.saved.get(node.idx), mode)
+            else:
+                # each mode pulls its own cotangent back, in its own mode
+                vjp, state = _OPS[node.op][1], values.saved.get(node.idx)
+                outs = [vjp(gm, args, node, state, m) for gm, m in zip(g, modes)]
+                parent_cots = [None if gs[0] is None else _PerMode(gs) for gs in zip(*outs)]
             for p, gp in zip(node.parents, parent_cots):
                 if gp is not None:
                     if stacked:
                         gp = _sum_to(gp, values[p])
-                    cot[p] = gp if p not in cot else cot[p] + gp
-        return GradientSet(cotangents=cot, names=dict(self.names))
+                    if p in cot:
+                        gp = cot[p] + gp if modes is None else _add(cot[p], gp)
+                    cot[p] = gp
+        if modes is None:
+            return GradientSet(cotangents=cot, names=dict(self.names))
+        return [
+            GradientSet({idx: g[j] if type(g) is _PerMode else g for idx, g in cot.items()}, dict(self.names))
+            for j in range(len(modes))
+        ]
 
 
 class _Values(list):
@@ -209,7 +250,9 @@ class _Values(list):
 # is its binding); an SVD-backed op also stores its SVD state in
 # saved[node.idx], and may take it from `reuse`, an earlier forward's values.
 # vjp(g, args, node, state, mode) gets that state back and returns one
-# cotangent per parent, None for no contribution.
+# cotangent per parent, None for no contribution. In a backward under several
+# modes, a VJP whose g is every mode's gets the sequence of modes: an
+# SVD-backed one then returns a _PerMode cotangent, the others ignore it.
 
 
 _SCALAR_OPS = ("parameter_scalar", "l1_loss", "mse_loss", "sum_singular_values")
@@ -219,10 +262,27 @@ def _all_finite(g) -> bool:
     return bool(np.isfinite(np.asarray(g)).all())
 
 
+class _PerMode(tuple):
+    """A cotangent that differs by mode in a backward under several modes:
+    one entry per mode, in order. Any other cotangent is every mode's."""
+
+
+def _add(a, b):
+    """a + b, mode by mode when either differs by mode."""
+    if type(a) is not _PerMode and type(b) is not _PerMode:
+        return a + b
+    n = len(a) if type(a) is _PerMode else len(b)
+    a, b = (g if type(g) is _PerMode else (g,) * n for g in (a, b))
+    return _PerMode(x + y for x, y in zip(a, b))
+
+
 def _sum_to(g, like):
     """g summed over the axes it broadcast along against `like`, a parent's
     value: the leading stack axes `like` lacks, and its axes of length 1. A
-    float parent gets a float."""
+    float parent gets a float; a cotangent that differs by mode is summed
+    mode by mode."""
+    if type(g) is _PerMode:
+        return _PerMode(_sum_to(x, like) for x in g)
     shape = np.shape(like)
     if np.shape(g) == shape:
         return g
@@ -282,7 +342,12 @@ def _svt_forward(args, node, saved, reuse):
 
 
 def _svt_vjp(g, args, node, cache, mode):
-    Abar, taubar = svt_vjp(g, cache, mode)
+    if isinstance(mode, GradMode):
+        Abar, taubar = svt_vjp(g, cache, mode)
+    else:
+        pairs = svt_vjp(g, cache, mode)
+        # taubar does not depend on the mode: every pair holds the same one
+        Abar, taubar = _PerMode(a for a, _ in pairs), pairs[0][1]
     return (Abar, taubar)[: len(node.parents)]
 
 
@@ -319,7 +384,10 @@ def _sum_singular_values_forward(args, node, saved, reuse):
 def _sum_singular_values_vjp(g, args, node, factors, mode):
     s = factors.s
     sbar = np.broadcast_to(np.asarray(g, dtype=s.dtype)[..., None], s.shape)
-    return (svd_vjp(factors, None, sbar, None, mode),)
+    if isinstance(mode, GradMode):
+        return (svd_vjp(factors, None, sbar, None, mode),)
+    pullback = svd_pullback(factors, None, sbar, None)
+    return (_PerMode(svd_vjp(factors, None, sbar, None, m, pullback=pullback) for m in mode),)
 
 
 _OPS = {

@@ -9,6 +9,7 @@ from svdgrad import (
     build_aux,
     classify_pairs,
     svd,
+    svd_pullback,
     svd_vjp,
 )
 from svdgrad.backward import EQUAL_NONZERO, EQUAL_ZERO, UNEQUAL
@@ -776,3 +777,26 @@ def test_vjp_matches_jacobi_factors():
     g1 = svd_vjp(f, None, sbar, None, GradMode.inv())
     g2 = svd_vjp(fj, None, sbar, None, GradMode.inv())
     assert np.linalg.norm(g1 - g2) <= 1e-10 * np.linalg.norm(g1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+def test_svd_vjp_on_a_shared_pullback_matches_its_own_call(dtype):
+    # one pullback serves every mode, whatever its t; a tied pair and a zero
+    # take the modes' branches
+    from svdgrad.linalg import SvdFactors, real_dtype_of
+
+    rng = np.random.default_rng(91)
+    rdt = real_dtype_of(np.dtype(dtype))
+    U = np.linalg.qr(_random(rng, (3, 6, 4), dtype))[0]
+    V = np.linalg.qr(_random(rng, (3, 5, 4), dtype))[0]
+    s = np.array([[3.0, 2.0, 2.0, 0.0], [4.0, 1.5, 1.0, 0.5], [1.0, 1.0, 1e-3, 0.0]], dtype=rdt)
+    factors = SvdFactors(U=U, s=s, V=V)
+    Ubar, Vbar, sbar = _random(rng, U.shape, dtype), _random(rng, V.shape, dtype), _random(rng, s.shape, rdt)
+    pullback = svd_pullback(factors, Ubar, sbar, Vbar)
+    for mode in ALL_MODES + [GradMode.inv(StabilityParams(t=1e6)), GradMode.tf(StabilityParams(t=1e6))]:
+        with np.errstate(all="ignore"):
+            shared = svd_vjp(factors, Ubar, sbar, Vbar, mode, pullback=pullback)
+            own = svd_vjp(factors, Ubar, sbar, Vbar, mode)
+        assert shared.dtype == own.dtype and shared.tobytes() == own.tobytes(), mode
+    with pytest.raises(TypeError, match="one GradMode"):
+        svd_vjp(factors, Ubar, sbar, Vbar, SAFE_MODES)

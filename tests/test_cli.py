@@ -43,19 +43,19 @@ def test_gradcheck_healthy_run_exits_zero(capsys):
 
 
 def test_gradcheck_backward_calls(monkeypatch, capsys):
-    # two per check (exact and inv); the chain group reads the parameter
-    # gradient from the inv pass instead of running a third backward
+    # one per check, under exact and inv together; the chain group reads the
+    # parameter gradient from the inv set instead of running another backward
     calls = []
     backward = Tape.backward
 
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return backward(self, *args, **kwargs)
+    def counting(self, values, loss, mode):
+        calls.append([m.variant for m in mode])
+        return backward(self, values, loss, mode)
 
     monkeypatch.setattr(Tape, "backward", counting)
     assert main(["gradcheck", "--checks", "1", "--seed", "5"]) == 0
     capsys.readouterr()
-    assert len(calls) == 8
+    assert calls == [["exact", "inv"]] * 4
 
 
 def test_gradcheck_forward_calls(monkeypatch, capsys):
@@ -397,6 +397,24 @@ def test_settings_built_in_python_are_type_checked(kwargs):
     key = next(iter(kwargs))
     with pytest.raises(TypeError, match=f"^{key} must be "):
         cli.RunConfig(command="gradcheck", **kwargs)
+
+
+def test_numpy_scalars_built_in_python_are_taken_as_python_values():
+    # a NumPy integer or float is stored as the Python number of its value,
+    # so the resolved configuration still serialises to JSON
+    cfg = cli.RunConfig(command="efficacy", seed=np.int64(3), seeds=(np.int32(1), 2), trials=np.uint8(4),
+                        t=np.float32(1e6), clamp=np.int16(7), tolerance=np.float64(1e-4), size=(np.int64(8), 9))
+    resolved = cfg.resolved()
+    assert json.loads(json.dumps(resolved)) == resolved
+    assert (cfg.seed, cfg.seeds, cfg.trials, cfg.t, cfg.clamp, cfg.size) == (3, (1, 2), 4, 1e6, 7, (8, 9))
+    for key in ("seed", "trials", "t", "clamp", "tolerance"):
+        assert type(getattr(cfg, key)) in (int, float), key
+    assert type(cfg.seeds[0]) is int and type(cfg.size[0]) is int and type(cfg.t) is float
+    # a NumPy float is still no int, and np.bool_ is no number
+    for kwargs in ({"seed": np.float64(3.0)}, {"checks": np.bool_(True)}, {"t": np.bool_(True)}):
+        key = next(iter(kwargs))
+        with pytest.raises(TypeError, match=f"^{key} must be "):
+            cli.RunConfig(command="gradcheck", **kwargs)
 
 
 def test_config_values_of_the_declared_types_are_taken(tmp_path, capsys):

@@ -257,7 +257,9 @@ def test_batched_scenarios_match_one_at_a_time():
             assert generate_scenario(spec).tobytes() == A_i.tobytes()
 
 
-def test_run_efficacy_one_backward_per_workflow_mode_and_reference_round(monkeypatch):
+def test_run_efficacy_one_backward_per_stack_and_reference_round(monkeypatch):
+    # each workflow's stack is scored by one backward under all its modes;
+    # every reference round adds one exact backward
     backward, references = [], []
     original_backward, original_reference = Tape.backward, experiments.reference_gradient
 
@@ -279,7 +281,10 @@ def test_run_efficacy_one_backward_per_workflow_mode_and_reference_round(monkeyp
     assert references[0] == 2 * 20
     assert 6 * 20 < sum(references) <= 6 * 20 + invalid
     assert len(references) < sum(references)
-    assert len(backward) == 3 * len(_MODES) + len(references)
+    assert len(backward) == 3 + len(references)
+    paired = [mode for mode in backward if not isinstance(mode, GradMode)]
+    assert [[m.variant for m in modes] for modes in paired] == [list(_MODES)] * 3
+    assert all(mode.variant == "exact" for mode in backward if isinstance(mode, GradMode))
 
 
 def test_report_cell_lookup():

@@ -254,3 +254,20 @@ def test_soft_spec_takes_one_tau_per_matrix():
         ThresholdSpec.soft([0.5, -1.0])
     with pytest.raises(ValueError):
         ThresholdSpec.soft([0.5, np.inf])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.complex128])
+def test_svt_vjp_under_several_modes_matches_each_own_call(dtype):
+    rng = np.random.default_rng(92)
+    A = _random(rng, (3, 5, 4), dtype)
+    B, factors, s_hat = svt(A, ThresholdSpec.soft(np.array([0.2, 0.4, 0.6])))
+    cache = SvtCache(factors, s_hat, ThresholdSpec.soft(np.array([0.2, 0.4, 0.6])))
+    Bbar = _random(rng, B.shape, dtype)
+    modes = [GradMode.exact(), GradMode.tf(), GradMode.clip(), GradMode.taylor(), GradMode.inv()]
+    pairs = svt_vjp(Bbar, cache, modes)
+    assert len(pairs) == len(modes)
+    for mode, (Abar, taubar) in zip(modes, pairs):
+        own_Abar, own_taubar = svt_vjp(Bbar, cache, mode)
+        assert Abar.tobytes() == own_Abar.tobytes() and taubar.tobytes() == own_taubar.tobytes()
+        # taubar does not depend on the mode: one array for every pair
+        assert taubar is pairs[0][1]

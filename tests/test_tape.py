@@ -1,11 +1,13 @@
 """Reverse-mode tape: forward semantics, VJP rules, graph invariants."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from svdgrad import GradMode, SvtCache, Tape, ThresholdSpec
+from svdgrad import GradMode, StabilityParams, SvtCache, Tape, ThresholdSpec, build_admm_tape, run_efficacy
+from svdgrad.cli import main
 from svdgrad.linalg import NonFiniteError
 
 from oracles import finite_difference_loop, soft_threshold_loss_straightline
@@ -463,3 +465,149 @@ def test_forward_reuse_must_come_from_this_tape():
     prior = longer.forward({"A": np.eye(3), "tau": 0.1})
     with pytest.raises(ValueError, match="reuse holds"):
         t.forward({"A": np.eye(3)}, prior)
+
+
+# -- one backward under several modes -----------------------------------------
+
+# every variant, and two with a t of their own
+_PAIRED_MODES = [GradMode.exact(), GradMode.tf(), GradMode.clip(), GradMode.taylor(), GradMode.inv(),
+                 GradMode.inv(StabilityParams(t=1e6)), GradMode.clip(stability=StabilityParams(t=1e6))]
+
+
+def _assert_same_gradients(got, want):
+    """The same cotangents, node by node: type, dtype, shape and bytes."""
+    assert got.names == want.names and got.cotangents.keys() == want.cotangents.keys()
+    for idx, w in want.cotangents.items():
+        g = got.cotangents[idx]
+        assert type(g) is type(w), idx
+        g, w = np.asarray(g), np.asarray(w)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes(), idx
+
+
+def _paired(tape, values, loss, modes):
+    """The backward under all of modes, checked against each mode's own."""
+    paired = tape.backward(values, loss, modes)
+    assert isinstance(paired, list) and len(paired) == len(modes)
+    for mode, grads in zip(modes, paired):
+        _assert_same_gradients(grads, tape.backward(values, loss, mode))
+    return paired
+
+
+def _check_paired_backwards(monkeypatch):
+    """Tape.backward, patched to check every call under several modes
+    against the lone calls; returns the list of the checked calls' tapes."""
+    checked = []
+    original = Tape.backward
+
+    def checking(self, values, loss, mode):
+        out = original(self, values, loss, mode)
+        if not isinstance(mode, GradMode):
+            for m, grads in zip(mode, out):
+                _assert_same_gradients(grads, original(self, values, loss, m))
+            checked.append((self, values))
+        return out
+
+    monkeypatch.setattr(Tape, "backward", checking)
+    return checked
+
+
+@pytest.mark.parametrize("basis", ["rotated", "identity"])
+def test_paired_backward_on_the_efficacy_workflow_stacks(monkeypatch, basis):
+    checked = _check_paired_backwards(monkeypatch)
+    modes = [GradMode.tf(), GradMode.clip(stability=StabilityParams(t=1e6)), GradMode.taylor(), GradMode.inv()]
+    report = run_efficacy(3, modes, seeds=(7,), basis=basis)
+    assert np.isfinite([c.mse_sum for c in report.cells]).all()
+    # one stack per workflow, of both cases' trials
+    assert len(checked) == 3
+    assert all(values[tape.names["A"]].shape == (6, 10, 10) for tape, values in checked)
+
+
+def test_paired_backward_on_the_gradcheck_tapes(monkeypatch, capsys):
+    checked = _check_paired_backwards(monkeypatch)
+    assert main(["gradcheck", "--checks", "2", "--seed", "5"]) == 0
+    capsys.readouterr()
+    # the four op groups, each on a real and on a complex128 matrix
+    dtypes = [values[tape.names["A"]].dtype for tape, values in checked]
+    assert dtypes == [np.dtype(np.float64), np.dtype(np.complex128)] * 4
+
+
+def test_paired_backward_where_cotangents_split_and_meet():
+    # past the second svt each mode has its own cotangent; the first svt and
+    # L_1 take a per-mode cotangent and one that all modes share
+    rng = np.random.default_rng(83)
+    tape, x = build_admm_tape(2)
+    loss = tape.mse_loss(x, tape.input("target"))
+    Y = rng.standard_normal((3, 6, 5)).astype(np.float32)
+    mask = (rng.random(Y.shape) < 0.6).astype(np.float32)
+    binds = {"Y": Y, "mask": mask, "unobserved": 1 - mask, "L0": np.zeros_like(Y),
+             "target": rng.standard_normal((6, 5)).astype(np.float32),
+             "tau_1": 0.4, "eta_1": 0.8, "tau_2": 0.3, "eta_2": 0.5}
+    paired = _paired(tape, tape.forward(binds), loss, _PAIRED_MODES)
+    # tau_2's cotangent comes before any mode-dependent node: one object
+    assert all(p.by_name("tau_2") is paired[0].by_name("tau_2") for p in paired)
+    assert len({p.by_name("tau_1") for p in paired}) > 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.complex128])
+def test_paired_backward_through_two_svd_nodes(dtype):
+    rng = np.random.default_rng(84)
+    t = Tape()
+    a = t.input("A")
+    loss = t.add(t.sum_singular_values(a), t.l1_loss(t.svt(a, tau_param=t.parameter_scalar("tau"))))
+    A = _random(rng, (4, 6, 5), dtype)
+    values = t.forward({"A": A, "tau": np.array([0.1, 0.2, 0.3, 0.4])})
+    _paired(t, values, loss, _PAIRED_MODES)
+    # a one-mode list gives a list of one set
+    (one,) = _paired(t, values, loss, [GradMode.inv()])
+    _assert_same_gradients(one, t.backward(values, loss, (GradMode.inv(),))[0])
+
+
+def _count_everywhere(monkeypatch, name, record):
+    """Wrap svdgrad.backward's `name` at every svdgrad module attribute bound
+    to it, as the benchmark tracer does; each call appends its arguments."""
+    import svdgrad.backward as backward
+
+    original = getattr(backward, name)
+
+    def counting(*args, **kwargs):
+        record.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if modname == "svdgrad" or modname.startswith("svdgrad."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+
+
+def test_paired_backward_shares_the_pullback_and_classification(monkeypatch):
+    calls = {name: [] for name in ("build_aux", "svd_vjp", "svd_pullback", "_classify")}
+    for name, record in calls.items():
+        _count_everywhere(monkeypatch, name, record)
+    rng = np.random.default_rng(85)
+    t = Tape()
+    a = t.input("A")
+    loss = t.add(t.sum_singular_values(a), t.l1_loss(t.svt(a, ThresholdSpec.hard_tail(1))))
+    A = rng.standard_normal((5, 6, 4)).astype(np.float32)
+    t.backward(t.forward({"A": A}), loss, _PAIRED_MODES)
+    # per SVD node: one pullback, one classification per distinct t (the
+    # float32 default and 1e6), one svd_vjp per mode with that mode, and one
+    # build_aux per spectrum and mode
+    assert len(calls["svd_pullback"]) == 2
+    assert sorted(args[1] for args, _ in calls["_classify"]) == [1e6, 1e6, 1e30, 1e30]
+    modes = [args[4] for args, _ in calls["svd_vjp"]]
+    assert modes == _PAIRED_MODES * 2
+    assert all(set(kwargs) == {"pullback"} for _, kwargs in calls["svd_vjp"])
+    assert len(calls["build_aux"]) == 2 * len(_PAIRED_MODES) * 5
+    assert all(args[0].shape == (4,) and isinstance(args[1], GradMode) for args, _ in calls["build_aux"])
+
+
+def test_backward_refuses_what_is_not_a_mode():
+    t = Tape()
+    loss = t.sum_singular_values(t.input("A"))
+    values = t.forward({"A": np.eye(3)})
+    with pytest.raises(ValueError, match="at least one mode"):
+        t.backward(values, loss, [])
+    for bad in ("inv", [GradMode.inv(), "tf"], None):
+        with pytest.raises(TypeError, match="GradMode"):
+            t.backward(values, loss, bad)
