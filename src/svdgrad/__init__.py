@@ -15,10 +15,8 @@ from .backward import (
     AuxMatrices,
     GradMode,
     StabilityParams,
-    SvdPullback,
     build_aux,
     classify_pairs,
-    svd_pullback,
     svd_vjp,
 )
 from .experiments import (
@@ -52,7 +50,6 @@ __all__ = [
     "Scenario",
     "StabilityParams",
     "SvdFactors",
-    "SvdPullback",
     "SvtCache",
     "Tape",
     "ThresholdSpec",
@@ -69,7 +66,6 @@ __all__ = [
     "reference_gradient",
     "run_efficacy",
     "svd",
-    "svd_pullback",
     "svd_vjp",
     "svt_vjp",
     "train_unrolled",

@@ -35,6 +35,7 @@ a spectrum near 1e-18 equal in single precision.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,10 +50,8 @@ __all__ = [
     "AuxMatrices",
     "GradMode",
     "StabilityParams",
-    "SvdPullback",
     "build_aux",
     "classify_pairs",
-    "svd_pullback",
     "svd_vjp",
 ]
 
@@ -137,6 +136,19 @@ class GradMode:
     @classmethod
     def inv(cls, stability: StabilityParams | None = None) -> "GradMode":
         return cls("inv", stability=stability or StabilityParams())
+
+
+def _as_modes(mode) -> tuple[GradMode, ...]:
+    """A backward's `mode` argument as a tuple of modes: a lone GradMode is a
+    one-mode tuple. Anything but a GradMode or a sequence of them raises
+    TypeError, an empty sequence ValueError."""
+    if isinstance(mode, GradMode):
+        return (mode,)
+    if isinstance(mode, str) or not isinstance(mode, Sequence) or not all(isinstance(m, GradMode) for m in mode):
+        raise TypeError(f"mode must be a GradMode or a sequence of them, got {mode!r}")
+    if not mode:
+        raise ValueError("backward needs at least one mode")
+    return tuple(mode)
 
 
 @dataclass(frozen=True)
@@ -240,8 +252,10 @@ def classify_pairs(s, t: float) -> np.ndarray:
     equal pair is EQUAL_ZERO only when both values are exactly zero. Diagonal
     entries are labelled like any other equal pair. The spectrum is checked
     and classified as `build_aux` does it: it must be a float32 or float64
-    vector; t must be positive and finite.
+    vector; t must be positive and finite, and a bool t raises TypeError.
     """
+    if isinstance(t, bool):
+        raise TypeError("t must be a number, not bool")
     if not 0 < t < np.inf:
         raise ValueError("t must be positive and finite")
     s = _as_vector(s)
@@ -453,7 +467,7 @@ def _stacked_aux(s: np.ndarray, mode: GradMode, classes: dict | None = None) -> 
 
 class SvdPullback(NamedTuple):
     """The part of `svd_vjp` that no mode changes, for one set of factors
-    and cotangents; `svd_pullback` forms it.
+    and cotangents; `_pullback` forms it.
 
     With P = U^H Ubar and Q = V^H Vbar it holds U, s, Vh = V^H, P, the
     brackets br_u = P - P^H and br_v = Q - Q^H, sbar_diag = diag(sbar) in
@@ -478,22 +492,9 @@ class SvdPullback(NamedTuple):
     classes: dict
 
 
-def svd_pullback(factors, Ubar, sbar, Vbar) -> SvdPullback:
-    """Check factors and cotangents as `svd_vjp` states, and form the terms
-    of its result that no mode changes (`SvdPullback`).
-
-    One pullback serves every mode's `svd_vjp` call on these factors and
-    cotangents: pass it as `pullback=`. Every mode's gradient is then
-    bit-identical to its call without the keyword, which forms the pullback
-    itself through the same helper (`_pullback`), inside the np.errstate it
-    runs the rest of its arithmetic in.
-    """
-    with np.errstate(**_ARITHMETIC):
-        return _pullback(factors, Ubar, sbar, Vbar)
-
-
 def _pullback(factors, Ubar, sbar, Vbar) -> SvdPullback:
-    """`svd_pullback`, for a caller that runs it under np.errstate."""
+    """Check factors and cotangents as `svd_vjp` states, and form the terms
+    of its result that no mode changes; callers run it under np.errstate."""
     U, s, V = ensure_matrix(factors.U, "U"), factors.s, ensure_matrix(factors.V, "V")
     *stack, m, k = U.shape
     n = V.shape[-2]
@@ -567,15 +568,11 @@ def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode, *, pullback: SvdPullback 
     Vbar and sbar (else TypeError naming it); None is a zero cotangent. On
     a stack each matrix's gradient is bit-identical to its own 2-D call.
 
-    Everything above except F, T and s_pinv is the same in every mode: the
-    checks, U^H Ubar, V^H Vbar, both brackets, diag(sbar), both projection
-    residuals and the gauge vector (`svd_pullback`), and the pair
-    classification, which depends only on the spectra and t. `pullback`,
-    when given, must be `svd_pullback` of these factors and cotangents,
-    which are then not read again; several modes' calls can share one, and
-    it classifies the pairs once per distinct t. Without it the call forms
-    its own through the helper `svd_pullback` runs, within the np.errstate
-    of its own arithmetic.
+    Everything above except F, T and s_pinv is the same in every mode
+    (`SvdPullback`), and so is the pair classification at a given t.
+    `pullback`, when given, holds those terms for these factors and
+    cotangents, which are then not read again; `_svd_vjps` shares one among
+    several modes' calls. Without it the call forms its own.
 
     The call takes one GradMode (else TypeError) and returns one array, so
     that the benchmark tracer can read each mode's variant and result off
@@ -609,3 +606,18 @@ def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode, *, pullback: SvdPullback 
         Abar = Abar + (pb.res_u * s_pinv) @ pb.Vh
         Abar = Abar + (pb.U * s_pinv) @ pb.res_vh
     return Abar
+
+
+def _svd_vjps(factors, Ubar, sbar, Vbar, modes: tuple) -> list:
+    """`svd_vjp` of these factors and cotangents under each of modes, in
+    order, each bit-identical to that mode's own call.
+
+    This is where the modes of one backward share an SVD node: the checks
+    and the terms no mode changes (`SvdPullback`: U^H Ubar, V^H Vbar, both
+    brackets, both projection residuals, the gauge vector) are formed once,
+    the pairs are classified once per distinct t, and `svd_vjp` runs once
+    per mode on them, so that the benchmark tracer sees one call per mode.
+    """
+    with np.errstate(**_ARITHMETIC):
+        pullback = _pullback(factors, Ubar, sbar, Vbar)
+    return [svd_vjp(factors, Ubar, sbar, Vbar, m, pullback=pullback) for m in modes]

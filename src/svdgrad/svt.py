@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import GradMode, svd_pullback, svd_vjp
+from .backward import GradMode, _as_modes, _svd_vjps
 from .linalg import NonFiniteError, SvdFactors, _ct, ensure_matrix, svd
 
 __all__ = ["SvtCache", "ThresholdSpec", "svt", "svt_vjp", "threshold"]
@@ -149,12 +149,14 @@ def svt_vjp(Bbar, cached: SvtCache, mode: GradMode | Sequence[GradMode]):
     gradient, bit for bit, and taubar is a float64 array with one value per
     matrix; for one matrix it is a float.
 
-    `mode` may also be a sequence of modes. The result is then a list with
-    one (Abar, taubar) per mode, in order, each bit-identical to that mode's
-    own call. Only Abar depends on the mode: the factor cotangents, taubar
-    (one object, shared by every pair) and the SVD pullback (`svd_pullback`)
-    are formed once, and `svd_vjp` runs once per mode on that pullback.
+    `mode` may also be a non-empty sequence of modes. The result is then a
+    list with one (Abar, taubar) per mode, in order, each bit-identical to
+    that mode's own call; anything else raises TypeError, an empty sequence
+    ValueError, before any work. Only Abar depends on the mode: the factor
+    cotangents and taubar (one object, shared by every pair) are formed
+    once, and the modes share the SVD node as `_svd_vjps` says.
     """
+    modes = _as_modes(mode)
     Bbar = ensure_matrix(Bbar, "Bbar")
     factors, s_hat, spec = cached.factors, cached.s_hat, cached.spec
     U, s, V = factors.U, factors.s, factors.V
@@ -172,7 +174,5 @@ def svt_vjp(Bbar, cached: SvtCache, mode: GradMode | Sequence[GradMode]):
     sbar = np.where(kept, sbar_pre, np.asarray(0, dtype=s.dtype))
     taubar = -_kept_sums(sbar_pre, kept) if spec.kind == "soft" else np.zeros(U.shape[:-2])
     taubar = float(taubar) if U.ndim == 2 else taubar
-    if isinstance(mode, GradMode):
-        return svd_vjp(factors, Ubar, sbar, Vbar, mode), taubar
-    pullback = svd_pullback(factors, Ubar, sbar, Vbar)
-    return [(svd_vjp(factors, Ubar, sbar, Vbar, m, pullback=pullback), taubar) for m in mode]
+    pairs = [(Abar, taubar) for Abar in _svd_vjps(factors, Ubar, sbar, Vbar, modes)]
+    return pairs[0] if isinstance(mode, GradMode) else pairs

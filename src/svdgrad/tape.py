@@ -6,17 +6,16 @@ accumulates cotangents in reverse order. The SVD backward mode is pluggable
 per `backward` call, so one cached forward can be differentiated under
 several modes — the paired design the gradient benchmarks rely on.
 
-One `backward` call can also take several modes and walk the tape once.
-Only the SVD-backed nodes (svt and sum_singular_values) depend on the mode,
-so until the walk passes one of them every cotangent is every mode's, and
-each VJP runs once. An SVD-backed node whose cotangent all the modes share
-forms its mode-free pullback (`svd_pullback`: the factor products, both
-brackets and both projection residuals) once and classifies its pairs once
-per distinct t, then runs `svd_vjp` once per mode. From there on each mode
-keeps its own cotangent and runs each VJP on it; where such a cotangent
-meets a shared one the sum is formed mode by mode. Each mode's GradientSet
-is bit-identical to that mode's own call. A cotangent no mode changes is
-one object in every set, so the sets are to be read, not written.
+One `backward` call can also take several modes and walk the tape once; a
+lone mode is a walk under one mode. Only the SVD-backed nodes (svt and
+sum_singular_values) depend on the mode, so until the walk passes one of
+them every cotangent is every mode's, and each VJP runs once. An SVD-backed
+node whose cotangent all the modes share is pulled back under every mode at
+once (`backward._svd_vjps` shares the node's work among them). From there
+on each mode keeps its own cotangent and runs each VJP on it; where such a
+cotangent meets a shared one the sum is formed mode by mode. Each mode's
+GradientSet is bit-identical to that mode's own call. A cotangent no mode
+changes is one object in every set, so the sets are to be read, not written.
 
 Complex convention throughout: dL = Re tr(cot^H dX) for a real scalar loss.
 A parameter is a real scalar, or one real value per matrix of a stack.
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import GradMode, svd_pullback, svd_vjp
+from .backward import GradMode, _as_modes, _svd_vjps
 from .linalg import SvdFactors, _ct, ensure_matrix, real_dtype_of, svd as _svd
 from .svt import SvtCache, ThresholdSpec, svt as _svt, svt_vjp, threshold as _threshold
 
@@ -197,15 +196,7 @@ class Tape:
         sequence ValueError."""
         if not self.is_scalar(loss):
             raise ValueError("loss node must evaluate to a real scalar")
-        modes = None
-        if not isinstance(mode, GradMode):
-            if isinstance(mode, str) or not isinstance(mode, Sequence) or not all(
-                isinstance(m, GradMode) for m in mode
-            ):
-                raise TypeError(f"mode must be a GradMode or a sequence of them, got {mode!r}")
-            modes = tuple(mode)
-            if not modes:
-                raise ValueError("backward needs at least one mode")
+        modes = _as_modes(mode)
         stacked = np.ndim(values[loss]) > 0
         cot: dict[int, object] = {loss: np.ones(np.shape(values[loss])) if stacked else 1.0}
         for node in reversed(self.nodes):
@@ -213,26 +204,23 @@ class Tape:
             if g is None or not node.parents:
                 continue
             args = [values[p] for p in node.parents]
+            vjp, state = _OPS[node.op][1], values.saved.get(node.idx)
             if type(g) is not _PerMode:
-                parent_cots = _OPS[node.op][1](g, args, node, values.saved.get(node.idx), mode)
+                parent_cots = vjp(g, args, node, state, modes)
             else:
                 # each mode pulls its own cotangent back, in its own mode
-                vjp, state = _OPS[node.op][1], values.saved.get(node.idx)
-                outs = [vjp(gm, args, node, state, m) for gm, m in zip(g, modes)]
+                outs = [vjp(gm, args, node, state, (m,)) for gm, m in zip(g, modes)]
                 parent_cots = [None if gs[0] is None else _PerMode(gs) for gs in zip(*outs)]
             for p, gp in zip(node.parents, parent_cots):
                 if gp is not None:
                     if stacked:
                         gp = _sum_to(gp, values[p])
-                    if p in cot:
-                        gp = cot[p] + gp if modes is None else _add(cot[p], gp)
-                    cot[p] = gp
-        if modes is None:
-            return GradientSet(cotangents=cot, names=dict(self.names))
-        return [
+                    cot[p] = cot[p] + gp if p in cot else gp
+        sets = [
             GradientSet({idx: g[j] if type(g) is _PerMode else g for idx, g in cot.items()}, dict(self.names))
             for j in range(len(modes))
         ]
+        return sets[0] if isinstance(mode, GradMode) else sets
 
 
 class _Values(list):
@@ -249,10 +237,10 @@ class _Values(list):
 # value, an array or a float, from its parents' values (a leaf's one argument
 # is its binding); an SVD-backed op also stores its SVD state in
 # saved[node.idx], and may take it from `reuse`, an earlier forward's values.
-# vjp(g, args, node, state, mode) gets that state back and returns one
-# cotangent per parent, None for no contribution. In a backward under several
-# modes, a VJP whose g is every mode's gets the sequence of modes: an
-# SVD-backed one then returns a _PerMode cotangent, the others ignore it.
+# vjp(g, args, node, state, modes) gets that state back and returns one
+# cotangent per parent, None for no contribution. modes is the tuple of modes
+# g is pulled back in: an SVD-backed VJP returns a _PerMode cotangent when it
+# holds two or more, and the others ignore it.
 
 
 _SCALAR_OPS = ("parameter_scalar", "l1_loss", "mse_loss", "sum_singular_values")
@@ -264,16 +252,23 @@ def _all_finite(g) -> bool:
 
 class _PerMode(tuple):
     """A cotangent that differs by mode in a backward under several modes:
-    one entry per mode, in order. Any other cotangent is every mode's."""
+    one entry per mode, in order. Any other cotangent is every mode's, and
+    a sum with one is formed mode by mode."""
+
+    __array_ufunc__ = None  # so that array + _PerMode defers to __radd__
+
+    def __add__(self, other):
+        other = other if type(other) is _PerMode else (other,) * len(self)
+        return _PerMode(x + y for x, y in zip(self, other))
+
+    def __radd__(self, other):
+        return _PerMode(other + y for y in self)
 
 
-def _add(a, b):
-    """a + b, mode by mode when either differs by mode."""
-    if type(a) is not _PerMode and type(b) is not _PerMode:
-        return a + b
-    n = len(a) if type(a) is _PerMode else len(b)
-    a, b = (g if type(g) is _PerMode else (g,) * n for g in (a, b))
-    return _PerMode(x + y for x, y in zip(a, b))
+def _by_mode(cots: list):
+    """The cotangents an SVD-backed VJP formed, one per mode: the lone one
+    under one mode, else a _PerMode."""
+    return cots[0] if len(cots) == 1 else _PerMode(cots)
 
 
 def _sum_to(g, like):
@@ -341,14 +336,10 @@ def _svt_forward(args, node, saved, reuse):
     return B
 
 
-def _svt_vjp(g, args, node, cache, mode):
-    if isinstance(mode, GradMode):
-        Abar, taubar = svt_vjp(g, cache, mode)
-    else:
-        pairs = svt_vjp(g, cache, mode)
-        # taubar does not depend on the mode: every pair holds the same one
-        Abar, taubar = _PerMode(a for a, _ in pairs), pairs[0][1]
-    return (Abar, taubar)[: len(node.parents)]
+def _svt_vjp(g, args, node, cache, modes):
+    pairs = svt_vjp(g, cache, modes)
+    # taubar does not depend on the mode: every pair holds the same one
+    return (_by_mode([a for a, _ in pairs]), pairs[0][1])[: len(node.parents)]
 
 
 def _per_matrix(loss):
@@ -381,13 +372,10 @@ def _sum_singular_values_forward(args, node, saved, reuse):
     return _per_matrix(factors.s.sum(axis=-1))
 
 
-def _sum_singular_values_vjp(g, args, node, factors, mode):
+def _sum_singular_values_vjp(g, args, node, factors, modes):
     s = factors.s
     sbar = np.broadcast_to(np.asarray(g, dtype=s.dtype)[..., None], s.shape)
-    if isinstance(mode, GradMode):
-        return (svd_vjp(factors, None, sbar, None, mode),)
-    pullback = svd_pullback(factors, None, sbar, None)
-    return (_PerMode(svd_vjp(factors, None, sbar, None, m, pullback=pullback) for m in mode),)
+    return (_by_mode(_svd_vjps(factors, None, sbar, None, modes)),)
 
 
 _OPS = {

@@ -9,10 +9,9 @@ from svdgrad import (
     build_aux,
     classify_pairs,
     svd,
-    svd_pullback,
     svd_vjp,
 )
-from svdgrad.backward import EQUAL_NONZERO, EQUAL_ZERO, UNEQUAL
+from svdgrad.backward import EQUAL_NONZERO, EQUAL_ZERO, UNEQUAL, _svd_vjps
 from svdgrad.svt import ThresholdSpec, svt
 
 from oracles import build_aux_reference, finite_difference_loop, jacobi_svd
@@ -345,6 +344,8 @@ def test_mode_settings_refuse_values_of_another_type():
     for kwargs in ({"t": True}, {"clamp": False}):
         with pytest.raises(TypeError, match=f"{next(iter(kwargs))} must be a number"):
             StabilityParams(**kwargs)
+    with pytest.raises(TypeError, match="t must be a number"):
+        classify_pairs(np.array([2.0, 1.0]), True)
     with pytest.raises(TypeError, match="clip_value"):
         GradMode("clip", clip_value=True)
     for k in (True, 2.5, 9.0, "9"):
@@ -792,11 +793,13 @@ def test_svd_vjp_on_a_shared_pullback_matches_its_own_call(dtype):
     s = np.array([[3.0, 2.0, 2.0, 0.0], [4.0, 1.5, 1.0, 0.5], [1.0, 1.0, 1e-3, 0.0]], dtype=rdt)
     factors = SvdFactors(U=U, s=s, V=V)
     Ubar, Vbar, sbar = _random(rng, U.shape, dtype), _random(rng, V.shape, dtype), _random(rng, s.shape, rdt)
-    pullback = svd_pullback(factors, Ubar, sbar, Vbar)
-    for mode in ALL_MODES + [GradMode.inv(StabilityParams(t=1e6)), GradMode.tf(StabilityParams(t=1e6))]:
+    modes = ALL_MODES + [GradMode.inv(StabilityParams(t=1e6)), GradMode.tf(StabilityParams(t=1e6))]
+    with np.errstate(all="ignore"):
+        shared = _svd_vjps(factors, Ubar, sbar, Vbar, tuple(modes))
+    assert len(shared) == len(modes)
+    for mode, got in zip(modes, shared):
         with np.errstate(all="ignore"):
-            shared = svd_vjp(factors, Ubar, sbar, Vbar, mode, pullback=pullback)
             own = svd_vjp(factors, Ubar, sbar, Vbar, mode)
-        assert shared.dtype == own.dtype and shared.tobytes() == own.tobytes(), mode
+        assert got.dtype == own.dtype and got.tobytes() == own.tobytes(), mode
     with pytest.raises(TypeError, match="one GradMode"):
         svd_vjp(factors, Ubar, sbar, Vbar, SAFE_MODES)

@@ -271,3 +271,14 @@ def test_svt_vjp_under_several_modes_matches_each_own_call(dtype):
         assert Abar.tobytes() == own_Abar.tobytes() and taubar.tobytes() == own_taubar.tobytes()
         # taubar does not depend on the mode: one array for every pair
         assert taubar is pairs[0][1]
+
+
+def test_svt_vjp_refuses_what_is_not_a_mode():
+    # refused up front, as Tape.backward refuses them
+    B, factors, s_hat = svt(np.eye(3), ThresholdSpec.soft(0.1))
+    cache = SvtCache(factors, s_hat, ThresholdSpec.soft(0.1))
+    with pytest.raises(ValueError, match="at least one mode"):
+        svt_vjp(np.ones_like(B), cache, [])
+    for bad in ("inv", None):
+        with pytest.raises(TypeError, match="GradMode"):
+            svt_vjp(np.ones_like(B), cache, bad)

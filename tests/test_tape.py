@@ -581,7 +581,7 @@ def _count_everywhere(monkeypatch, name, record):
 
 
 def test_paired_backward_shares_the_pullback_and_classification(monkeypatch):
-    calls = {name: [] for name in ("build_aux", "svd_vjp", "svd_pullback", "_classify")}
+    calls = {name: [] for name in ("build_aux", "svd_vjp", "_pullback", "_classify")}
     for name, record in calls.items():
         _count_everywhere(monkeypatch, name, record)
     rng = np.random.default_rng(85)
@@ -589,17 +589,23 @@ def test_paired_backward_shares_the_pullback_and_classification(monkeypatch):
     a = t.input("A")
     loss = t.add(t.sum_singular_values(a), t.l1_loss(t.svt(a, ThresholdSpec.hard_tail(1))))
     A = rng.standard_normal((5, 6, 4)).astype(np.float32)
-    t.backward(t.forward({"A": A}), loss, _PAIRED_MODES)
-    # per SVD node: one pullback, one classification per distinct t (the
-    # float32 default and 1e6), one svd_vjp per mode with that mode, and one
-    # build_aux per spectrum and mode
-    assert len(calls["svd_pullback"]) == 2
-    assert sorted(args[1] for args, _ in calls["_classify"]) == [1e6, 1e6, 1e30, 1e30]
-    modes = [args[4] for args, _ in calls["svd_vjp"]]
-    assert modes == _PAIRED_MODES * 2
-    assert all(set(kwargs) == {"pullback"} for _, kwargs in calls["svd_vjp"])
-    assert len(calls["build_aux"]) == 2 * len(_PAIRED_MODES) * 5
-    assert all(args[0].shape == (4,) and isinstance(args[1], GradMode) for args, _ in calls["build_aux"])
+    values = t.forward({"A": A})
+    # every mode, with the float32 default t and 1e6; a lone mode takes the
+    # same path with the default t
+    for mode, ts in ((_PAIRED_MODES, [1e6, 1e30]), (GradMode.inv(), [1e30])):
+        for record in calls.values():
+            record.clear()
+        t.backward(values, loss, mode)
+        # per SVD node: one pullback, one classification per distinct t, one
+        # svd_vjp per mode with that mode and the shared pullback, and one
+        # build_aux per spectrum and mode
+        modes = [mode] if isinstance(mode, GradMode) else mode
+        assert len(calls["_pullback"]) == 2
+        assert sorted(args[1] for args, _ in calls["_classify"]) == sorted(ts * 2)
+        assert [args[4] for args, _ in calls["svd_vjp"]] == modes * 2
+        assert all(set(kwargs) == {"pullback"} for _, kwargs in calls["svd_vjp"])
+        assert len(calls["build_aux"]) == 2 * len(modes) * 5
+        assert all(args[0].shape == (4,) and isinstance(args[1], GradMode) for args, _ in calls["build_aux"])
 
 
 def test_backward_refuses_what_is_not_a_mode():
