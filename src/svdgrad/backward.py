@@ -11,10 +11,11 @@ sigma_i * F_ij = -FS_ji, so `build_aux` forms FS directly from the relative F
 (sigma_max^2 * F) and never F itself: F alone overflows float32 on spectra
 near 1e-18 while the products stay of order 1/sigma. `build_aux` returns
 exactly what `svd_vjp` reads: FS, T and the pseudoinverse 1/sigma (0 at a
-zero sigma). On a stack of spectra the classification, FS, 1/sigma and
-their clamps are formed in one vectorised pass (`_aux_terms`); `build_aux`
-then runs per spectrum for the work that branches on that spectrum's values,
-writing that spectrum's rows of the stack's T and 1/sigma in place.
+zero sigma). On a stack of spectra the classification, FS, 1/sigma, their
+clamps and the fixes at ties and zeros (T's fill, the zeros of 1/sigma) are
+formed in one vectorised pass (`_aux_terms`), the one a lone spectrum takes
+too; `build_aux` then only hands each spectrum its row of the stack's FS, T
+and 1/sigma.
 
 Five modes differ only in how they regularize F (and whether T is used):
 
@@ -144,6 +145,9 @@ def _as_modes(mode) -> tuple[GradMode, ...]:
     TypeError, an empty sequence ValueError."""
     if isinstance(mode, GradMode):
         return (mode,)
+    # the tuple a backward hands its VJPs
+    if type(mode) is tuple and mode and all(isinstance(m, GradMode) for m in mode):
+        return mode
     if isinstance(mode, str) or not isinstance(mode, Sequence) or not all(isinstance(m, GradMode) for m in mode):
         raise TypeError(f"mode must be a GradMode or a sequence of them, got {mode!r}")
     if not mode:
@@ -151,8 +155,7 @@ def _as_modes(mode) -> tuple[GradMode, ...]:
     return tuple(mode)
 
 
-@dataclass(frozen=True)
-class AuxMatrices:
+class AuxMatrices(NamedTuple):
     """FS, T (real k×k) and the singular-value pseudoinverse vector.
 
     FS_ij = F_ij * sigma_j; since F is antisymmetric, sigma_i * F_ij = -FS_ji.
@@ -283,17 +286,13 @@ def _limits(stability: StabilityParams, rdt: np.dtype) -> tuple[float, float]:
 
 
 def _aux_terms(s: np.ndarray, mode: GradMode, classes: dict | None = None) -> tuple:
-    """The first four fields of the `pairs` rows of the float32 or float64
-    (..., k) stack s, for one mode: the tuple (lo, equal, FS, recip), formed
-    in one vectorised pass over the stack. lo (each spectrum's smallest
-    value) and the equal mask come from `_classify(s, t)` at the mode's
-    resolved t. `classes` maps a resolved t to that classification of s: a
-    t it holds is not classified again, and a new one is added, so modes
-    whose t resolves alike share one (this call only reads it);
-    FS_ij = F_ij * sigma_j,
-    with clip's values on the equal pairs, and recip = 1/s, a fresh array
-    that `build_aux` turns into s_pinv in place. This is all of the mode's
-    arithmetic that does not branch per spectrum; callers run it under
+    """FS, T and s_pinv of the float32 or float64 (..., k) stack s, or of
+    one spectrum, for one mode: the arrays `build_aux` returns, formed in
+    one vectorised pass over the stack. The pairs are classified, and s
+    validated, by `_classify(s, t)` at the mode's resolved t. `classes`
+    maps a resolved t to that classification of s: a t it holds is not
+    classified again, and a new one is added, so modes whose t resolves
+    alike share one (this call only reads it). Callers run it under
     np.errstate, as for `_classify`.
 
     FS is formed from the mode's relative F (sigma_max^2 F) as
@@ -307,6 +306,15 @@ def _aux_terms(s: np.ndarray, mode: GradMode, classes: dict | None = None) -> tu
     where 1/gap exceeds the range (t above it, or the series'
     1/(sigma_hi/sigma_max)^2), and is clamped before FS is formed so that
     it cannot meet a zero sigma as inf * 0. exact clamps nothing.
+
+    Then the fixes at ties and zeros, in this order. In `inv` mode T takes
+    the clamped 1/s, T_ij = 1/sigma_j, on every pair off the diagonal that
+    is classified equal, unless both values are exactly zero (one masked
+    copy; T is zero elsewhere). s_pinv is 1/s, clamped, with 0 at each
+    exact zero (one masked assignment). Every diagonal pair is classified
+    equal, so T is filled only when the stack holds more equal pairs than
+    diagonal entries, and the zero masks are formed only when a value is
+    zero.
     """
     t, clamp = _limits(mode.stability, s.dtype)
     classes = {} if classes is None else classes
@@ -314,7 +322,10 @@ def _aux_terms(s: np.ndarray, mode: GradMode, classes: dict | None = None) -> tu
         classes[t] = _classify(s, t)
     lo, scale, diff, gap, equal = classes[t]
     dt = s.dtype.type
+    k = s.shape[-1]
     safe = mode.variant != "exact"
+    # the exact zeros, None when no value is zero
+    zero = s == 0 if _any(lo == 0) else None
     if mode.variant == "taylor":
         F_rel = _taylor_relative(s, scale, diff, mode.taylor_k)
     else:
@@ -322,16 +333,14 @@ def _aux_terms(s: np.ndarray, mode: GradMode, classes: dict | None = None) -> tu
         if safe:
             F_rel[equal] = 0
         else:
-            if _any(lo == 0):
-                zero = s == 0
+            if zero is not None:
                 F_rel[zero[..., :, None] & zero[..., None, :]] = 0
-            k = s.shape[-1]
             # F_rel is fresh and contiguous, so this is a view of its diagonals
             F_rel.reshape(*F_rel.shape[:-2], k * k)[..., :: k + 1] = 0
-    recip = dt(1) / s
+    s_pinv = dt(1) / s
     if safe:
         F_rel = _clamp_nonfinite(F_rel, clamp)
-        recip = np.minimum(recip, clamp)
+        s_pinv = np.minimum(s_pinv, clamp)
     # F_rel is fresh, clamped or not, so FS is formed in it
     FS = F_rel
     pair_scale = scale[..., None, None]
@@ -342,7 +351,16 @@ def _aux_terms(s: np.ndarray, mode: GradMode, classes: dict | None = None) -> tu
         np.copyto(FS, np.sign(diff) * dt(mode.clip_value) * s[..., None, :], where=equal)
     if safe:
         FS = _clamp_nonfinite(FS, clamp)
-    return lo, equal, FS, recip
+    T = np.zeros((*s.shape, k), dtype=s.dtype)
+    if mode.variant == "inv" and np.count_nonzero(equal) > s.size:
+        # a fresh mask, not the shared one, so its diagonals are cleared as
+        # a view, as F_rel's are; T reads s_pinv before its zeros are set
+        fill = equal.copy() if zero is None else equal & ~(zero[..., :, None] & zero[..., None, :])
+        fill.reshape(*fill.shape[:-2], k * k)[..., :: k + 1] = False
+        np.copyto(T, s_pinv[..., None, :], where=fill)
+    if zero is not None:
+        s_pinv[zero] = 0
+    return FS, T, s_pinv
 
 
 def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
@@ -363,17 +381,13 @@ def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
     clamped; an overflowing relative F is clamped before FS is formed from
     it, so that it cannot meet a zero sigma as inf * 0.
 
-    The pair classification, FS and 1/s, with their clamps, do not branch
-    per spectrum. `svd_vjp` forms them once per stack (`_aux_terms`) and
-    passes each spectrum's row as `pairs`: the tuple (lo, equal, FS,
-    s_pinv, T) of that spectrum's smallest value, the equal mask, its FS,
-    its 1/s (clamped in the safeguarded modes) and its zeroed k×k T, with s
-    already validated. This call then does only what branches per
-    spectrum, in place in the row: it fills T's equal pairs and zeros
-    s_pinv at the exact zeros. lo, equal and FS are never written, and the
-    returned arrays are the row's FS, T and s_pinv, not copies. Without
-    `pairs` the spectrum is checked, and its row formed, here through the
-    same helper.
+    All of it is formed by `_aux_terms`, in one pass over a stack of
+    spectra or over this one. `svd_vjp` runs that pass once per stack and
+    passes each spectrum's row as `pairs`: the tuple (FS, T, s_pinv) of
+    that spectrum's views of the stack's arrays, with s already validated.
+    This call then does no array work: it returns the row's arrays, not
+    copies. Without `pairs` the spectrum is checked, and its row formed,
+    here through the same pass.
 
     Every intermediate is k×k or smaller: the degree-K Taylor series is
     summed in place, and the pair masks of exact zeros are formed only when
@@ -384,20 +398,8 @@ def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
     if pairs is None:
         s = _as_vector(s)
         with np.errstate(**_QUIET):
-            pairs = *_aux_terms(s, mode), np.zeros((s.shape[0],) * 2, dtype=s.dtype)
-    lo, equal, FS, s_pinv, T = pairs
-    k = s.shape[0]
-    # the exact zeros, None when no value is zero
-    zero = s == 0 if lo == 0 else None
-    # only a classified-equal pair off the diagonal fills T; every diagonal
-    # pair is classified equal. T takes 1/s before its zeros are set
-    if mode.variant == "inv" and np.count_nonzero(equal) > k:
-        # each such pair, unless both values are zero
-        fill = equal.copy() if zero is None else equal & ~(zero[:, None] & zero[None, :])
-        np.fill_diagonal(fill, False)
-        np.copyto(T, s_pinv, where=fill)
-    if zero is not None:
-        s_pinv[zero] = 0
+            pairs = _aux_terms(s, mode)
+    FS, T, s_pinv = pairs
     return AuxMatrices(FS=FS, T=T, s_pinv=s_pinv)
 
 
@@ -441,26 +443,22 @@ def _diag(v: np.ndarray) -> np.ndarray:
 
 
 def _stacked_aux(s: np.ndarray, mode: GradMode, classes: dict | None = None) -> tuple:
-    """FS, T and s_pinv of every spectrum of the (..., k) stack s.
+    """FS, T and s_pinv of every spectrum of the (..., k) stack s, formed
+    by `_aux_terms` in one pass over the stack (`classes` as there). A lone
+    spectrum is its own row.
 
-    Per stack: one vectorised pass (`_aux_terms`) validates every spectrum
-    (the first one that fails raises), classifies its pairs, or takes their
-    classification from `classes` (see there), and forms FS and 1/s with
-    their clamps; its FS is the stack's, its fresh 1/s the stack's s_pinv,
-    and T is allocated once, as zeros. Per spectrum: build_aux takes that
-    spectrum's row of these and fills its T and s_pinv in place (the exact
-    zeros, T's fill). build_aux stays per spectrum for the benchmark tracer
-    (see `svd_vjp`). A lone spectrum is its own row.
+    build_aux still runs once per spectrum, on that spectrum's row of
+    views, for the benchmark tracer only (see `svd_vjp`): it does no array
+    work.
     """
     k = s.shape[-1]
     spectra = s if s.ndim == 1 else s.reshape(-1, k)
     with np.errstate(**_QUIET):
-        lo, equal, FS, s_pinv = _aux_terms(spectra, mode, classes)
-    T = np.zeros((*spectra.shape, k), dtype=s.dtype)
+        FS, T, s_pinv = _aux_terms(spectra, mode, classes)
     if s.ndim == 1:
-        build_aux(s, mode, pairs=(lo, equal, FS, s_pinv, T))
+        build_aux(s, mode, pairs=(FS, T, s_pinv))
         return FS, T, s_pinv
-    for si, *row in zip(spectra, lo, equal, FS, s_pinv, T):
+    for si, *row in zip(spectra, FS, T, s_pinv):
         build_aux(si, mode, pairs=row)
     return FS.reshape(*s.shape, k), T.reshape(*s.shape, k), s_pinv.reshape(s.shape)
 
@@ -473,10 +471,14 @@ class SvdPullback(NamedTuple):
     brackets br_u = P - P^H and br_v = Q - Q^H, sbar_diag = diag(sbar) in
     U's dtype, the projection residuals res_u = Ubar - U P and res_vh =
     (Vbar - V Q)^H, and for complex input the gauge vector
-    (Im diag P - Im diag Q) / 2 (None for real input). The pair
-    classification depends on t as well: `classes` maps each resolved t
-    that an `svd_vjp` call has asked for to the spectra's classification,
-    formed by the first such call.
+    (Im diag P - Im diag Q) / 2 (None for real input). Two more parts are
+    shared by the modes that agree on one setting, and each is formed by
+    the first `svd_vjp` call that asks for it: `classes` maps each resolved
+    t to the spectra's pair classification, and `projections` maps each
+    resolved clamp to the two projection terms (res_u * s_pinv) @ Vh and
+    (U * s_pinv) @ res_vh, which read the modes' s_pinv and nothing else of
+    the mode. s_pinv is min(1/s, clamp) with 0 at the exact zeros in every
+    safeguarded mode; `exact` does not clamp, so its terms are keyed None.
     """
 
     U: np.ndarray
@@ -490,6 +492,7 @@ class SvdPullback(NamedTuple):
     res_vh: np.ndarray
     gauge: np.ndarray | None
     classes: dict
+    projections: dict
 
 
 def _pullback(factors, Ubar, sbar, Vbar) -> SvdPullback:
@@ -539,6 +542,7 @@ def _pullback(factors, Ubar, sbar, Vbar) -> SvdPullback:
         res_vh=_ct(Vbar - V @ Q),
         gauge=gauge,
         classes={},
+        projections={},
     )
 
 
@@ -569,23 +573,26 @@ def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode, *, pullback: SvdPullback 
     a stack each matrix's gradient is bit-identical to its own 2-D call.
 
     Everything above except F, T and s_pinv is the same in every mode
-    (`SvdPullback`), and so is the pair classification at a given t.
-    `pullback`, when given, holds those terms for these factors and
-    cotangents, which are then not read again; `_svd_vjps` shares one among
-    several modes' calls. Without it the call forms its own.
+    (`SvdPullback`), and so are the pair classification at a given t and
+    both projection terms at a given clamp. `pullback`, when given, holds
+    those terms for these factors and cotangents, which are then not read
+    again, and keeps the classification and the projection terms that this
+    call forms for the calls after it; `_svd_vjps` shares one among several
+    modes' calls. Without it the call forms its own. A shared term is the
+    array the call would form, so each result is bit-identical to its own
+    call's.
 
     The call takes one GradMode (else TypeError) and returns one array, so
     that the benchmark tracer can read each mode's variant and result off
     its own call. On a stack the spectra are validated, their pairs
-    classified and FS and 1/s formed and clamped once per stack; the first
-    spectrum that fails raises its own 2-D call's error. The stack's T is
-    allocated once and its 1/s becomes the stack's s_pinv. `build_aux`
-    still runs once per spectrum, for the work that branches per spectrum
-    (the exact zeros, T's fill), and fills that spectrum's rows of both in
-    place: the benchmark tracer's pair-count hook passes every s that
-    reaches `build_aux` to `classify_pairs` as one spectrum, and
-    `classify_pairs` refuses a stack, so one call per stack waits for a
-    tracer that counts a stack's pairs.
+    classified, and FS, T and s_pinv formed, clamped and fixed at ties and
+    zeros in one pass per stack (`_aux_terms`); the first spectrum that
+    fails raises its own 2-D call's error. `build_aux` still runs once per
+    spectrum, on that spectrum's row of views, and does no array work: the
+    benchmark tracer's pair-count hook passes every s that reaches
+    `build_aux` to `classify_pairs` as one spectrum, and `classify_pairs`
+    refuses a stack, so one call per stack waits for a tracer that counts
+    a stack's pairs.
     """
     if not isinstance(mode, GradMode):
         raise TypeError(f"svd_vjp takes one GradMode, got {mode!r}")
@@ -603,8 +610,14 @@ def svd_vjp(factors, Ubar, sbar, Vbar, mode: GradMode, *, pullback: SvdPullback 
         if pb.gauge is not None:
             core = core + 1j * _diag(pb.gauge * s_pinv_r).astype(dtype)
         Abar = pb.U @ core @ pb.Vh
-        Abar = Abar + (pb.res_u * s_pinv) @ pb.Vh
-        Abar = Abar + (pb.U * s_pinv) @ pb.res_vh
+        # s_pinv differs between modes only by the clamp, which exact does
+        # not apply; a pullback formed by this call is shared with no other
+        key = None if pullback is None or mode.variant == "exact" else _limits(mode.stability, pb.s.dtype)[1]
+        terms = pb.projections.get(key)
+        if terms is None:
+            terms = pb.projections[key] = ((pb.res_u * s_pinv) @ pb.Vh, (pb.U * s_pinv) @ pb.res_vh)
+        Abar = Abar + terms[0]
+        Abar = Abar + terms[1]
     return Abar
 
 
@@ -615,8 +628,9 @@ def _svd_vjps(factors, Ubar, sbar, Vbar, modes: tuple) -> list:
     This is where the modes of one backward share an SVD node: the checks
     and the terms no mode changes (`SvdPullback`: U^H Ubar, V^H Vbar, both
     brackets, both projection residuals, the gauge vector) are formed once,
-    the pairs are classified once per distinct t, and `svd_vjp` runs once
-    per mode on them, so that the benchmark tracer sees one call per mode.
+    the pairs are classified once per distinct t, both projection terms are
+    formed once per distinct clamp, and `svd_vjp` runs once per mode on
+    them, so that the benchmark tracer sees one call per mode.
     """
     with np.errstate(**_ARITHMETIC):
         pullback = _pullback(factors, Ubar, sbar, Vbar)

@@ -49,6 +49,16 @@ _CASE_SCALES = {1: 1e-10, 2: 1e-18}
 _EFFICACY_CHUNK = 256
 
 
+def _ints(name: str, values) -> tuple[int, ...]:
+    """values as a tuple of Python ints. An entry that is not a Python or
+    NumPy integer (a bool or a float is none) raises TypeError naming
+    `name`."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise TypeError(f"{name}: expected an integer, got {v!r}")
+    return tuple(int(v) for v in values)
+
+
 def _rng(*entropy) -> np.random.Generator:
     """Counter-style generator: a Philox stream keyed by an entropy tuple.
 
@@ -83,7 +93,8 @@ class Scenario:
     1e-18 (case 2). basis "identity" keeps A = diag(spectrum) exactly;
     "rotated" conjugates by seeded Haar orthogonal factors so the matrix is
     dense while the double-precision spectrum is unchanged. `size` must be
-    two values (ValueError).
+    two values (ValueError). case, the seed (an int or a tuple of them) and
+    size take integers, and a bool or a float raises TypeError naming it.
     """
 
     case: int = 1
@@ -92,12 +103,15 @@ class Scenario:
     basis: str = "identity"
 
     def __post_init__(self):
+        _ints("case", (self.case,))
+        _ints("seed", self.seed if isinstance(self.seed, tuple) else (self.seed,))
         if self.case not in _CASE_SCALES:
             raise ValueError("case must be 1 or 2")
         if self.basis not in ("identity", "rotated"):
             raise ValueError("basis must be 'identity' or 'rotated'")
         if len(self.size) != 2:
             raise ValueError("size must be two integers")
+        _ints("size", self.size)
         if min(self.size) < 3:
             raise ValueError("size must allow at least 3 singular values")
 
@@ -332,14 +346,15 @@ def run_efficacy(
     trials one at a time and adding them in a loop, and bit-reproducible
     for a fixed configuration. A repeated seed, case, workflow or mode
     variant is refused, like every other bad setting, before any trial
-    runs.
+    runs. n_trials, the seeds, cases, workflows and size take integers
+    (NumPy's too), and a bool or a float raises TypeError naming it.
     """
     modes = _normalize_modes(modes)
+    # NumPy integers are taken, and reported, as Python ints
+    (n_trials,) = _ints("n_trials", (n_trials,))
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    seeds = tuple(int(s) for s in seeds)
-    cases = tuple(cases)
-    workflows = tuple(workflows)
+    seeds, cases, workflows = _ints("seeds", seeds), _ints("cases", cases), _ints("workflows", workflows)
     for label, values in (("seeds", seeds), ("cases", cases), ("workflows", workflows)):
         if not values:
             raise ValueError(f"{label} must not be empty")
@@ -355,6 +370,7 @@ def run_efficacy(
         raise ValueError("workflows must be from 1, 2, 3")
     for case in cases:  # refuses a case, size or basis before any cell runs
         Scenario(case=case, size=size, basis=basis)
+    size = _ints("size", size)
     per_cell = len(seeds) * n_trials
     # case-major, so each case's trials are one slice in (seed, trial) order
     keys = [(master, trial, case) for case in cases for master in seeds for trial in range(n_trials)]

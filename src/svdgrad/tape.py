@@ -216,10 +216,14 @@ class Tape:
                     if stacked:
                         gp = _sum_to(gp, values[p])
                     cot[p] = cot[p] + gp if p in cot else gp
-        sets = [
-            GradientSet({idx: g[j] if type(g) is _PerMode else g for idx, g in cot.items()}, dict(self.names))
-            for j in range(len(modes))
-        ]
+        if len(modes) == 1:
+            # no cotangent differs by mode, so the set takes the dict itself
+            sets = [GradientSet(cot, dict(self.names))]
+        else:
+            sets = [
+                GradientSet({idx: g[j] if type(g) is _PerMode else g for idx, g in cot.items()}, dict(self.names))
+                for j in range(len(modes))
+            ]
         return sets[0] if isinstance(mode, GradMode) else sets
 
 

@@ -681,12 +681,12 @@ def test_stacked_aux_across_branches_matches_per_matrix(monkeypatch):
         assert np.count_nonzero(build_aux(s[1], GradMode.inv()).T) == 2
 
 
-def test_pairs_row_fills_T_and_s_pinv_in_place():
-    # the row svd_vjp hands each spectrum carries the stack's FS, 1/s and
-    # zeroed T: build_aux reads lo, equal and FS, never writes them, and
-    # fills that spectrum's T and s_pinv rows in place. On every branch
-    # spectrum the result is the row itself and byte-equal to the lone call
-    # and to the reference construction
+def test_stack_pass_fixes_T_and_s_pinv_as_the_lone_call():
+    # one pass over the stack of branch spectra fills inv's T at the tie and
+    # zeros s_pinv at the zero tail; it reads the shared classification and
+    # never writes it. Each spectrum's FS, T and s_pinv are byte-equal to
+    # its lone call and to the reference construction, and build_aux hands
+    # back the row of views it is given, not copies
     import svdgrad.backward as backward
 
     beyond = StabilityParams(t=1e45)
@@ -695,24 +695,23 @@ def test_pairs_row_fills_T_and_s_pinv_in_place():
         s = _BRANCH_SPECTRA.astype(dtype)
         s.setflags(write=False)
         for mode in modes:
+            t = backward._limits(mode.stability, s.dtype)[0]
             with np.errstate(all="ignore"):
-                lo, equal, FS, recip = backward._aux_terms(s, mode)
-            T = np.zeros((*s.shape, s.shape[-1]), dtype=dtype)
-            read = (lo, equal, FS)
-            before = [field.tobytes() for field in read]
-            for field in read:
-                field.setflags(write=False)
+                classes = {t: backward._classify(s, t)}
+                for field in classes[t]:
+                    field.setflags(write=False)
+                FS, T, s_pinv = backward._aux_terms(s, mode, classes)
             for i in range(len(s)):
-                aux = build_aux(s[i], mode, pairs=(lo[i], equal[i], FS[i], recip[i], T[i]))
-                assert np.shares_memory(aux.FS, FS[i]) and np.shares_memory(aux.T, T[i])
-                assert np.shares_memory(aux.s_pinv, recip[i])
+                row = (FS[i], T[i], s_pinv[i])
+                aux = build_aux(s[i], mode, pairs=row)
+                assert aux.FS is row[0] and aux.T is row[1] and aux.s_pinv is row[2]
+                assert np.shares_memory(aux.T, T) and np.shares_memory(aux.s_pinv, s_pinv)
                 own = build_aux(s[i], mode)
                 ref = build_aux_reference(s[i], mode)
-                for got, lone, want in zip((FS[i], T[i], recip[i]), (own.FS, own.T, own.s_pinv), ref):
+                for got, lone, want in zip(row, (own.FS, own.T, own.s_pinv), ref):
                     assert got.tobytes() == lone.tobytes() == want.tobytes(), (dtype, mode, i)
-            assert [field.tobytes() for field in read] == before
-        # the tie fills T and the zero tail zeros s_pinv, in the rows
-        assert np.count_nonzero(T[1]) == 2 and (recip[2, 2:] == 0).all()
+        # the tie fills T and the zero tail zeros s_pinv
+        assert np.count_nonzero(T[1]) == 2 and (s_pinv[2, 2:] == 0).all()
 
 
 @pytest.mark.parametrize("dtype,top", [(np.float32, 3e38), (np.float64, 1.7e308)])
@@ -793,7 +792,11 @@ def test_svd_vjp_on_a_shared_pullback_matches_its_own_call(dtype):
     s = np.array([[3.0, 2.0, 2.0, 0.0], [4.0, 1.5, 1.0, 0.5], [1.0, 1.0, 1e-3, 0.0]], dtype=rdt)
     factors = SvdFactors(U=U, s=s, V=V)
     Ubar, Vbar, sbar = _random(rng, U.shape, dtype), _random(rng, V.shape, dtype), _random(rng, s.shape, rdt)
-    modes = ALL_MODES + [GradMode.inv(StabilityParams(t=1e6)), GradMode.tf(StabilityParams(t=1e6))]
+    # at clamp 10 the zero and the 1e-3 value clamp s_pinv, so these modes
+    # take projection terms of their own
+    clamped = StabilityParams(clamp=10.0)
+    modes = ALL_MODES + [GradMode.inv(StabilityParams(t=1e6)), GradMode.tf(StabilityParams(t=1e6)),
+                         GradMode.tf(clamped), GradMode.inv(clamped)]
     with np.errstate(all="ignore"):
         shared = _svd_vjps(factors, Ubar, sbar, Vbar, tuple(modes))
     assert len(shared) == len(modes)

@@ -52,6 +52,12 @@ def test_scenario_validation():
     for size in ((10,), (10, 10, 10)):
         with pytest.raises(ValueError, match="size must be two"):
             Scenario(size=size)
+    # a bool or a float where an integer is meant; NumPy integers are taken
+    for kwargs, name in (({"case": True}, "case"), ({"seed": 1.5}, "seed"), ({"seed": (1, True)}, "seed"),
+                         ({"size": (10, 10.0)}, "size")):
+        with pytest.raises(TypeError, match=name):
+            Scenario(**kwargs)
+    Scenario(case=np.int32(2), seed=(np.int64(3), 1), size=(np.int64(10), 10))
 
 
 def test_generate_scenario_deterministic():
@@ -107,7 +113,7 @@ def test_case2_pair_gap_overflows_single():
         assert 1.0 / (d[1] ** 2 - d[0] ** 2) > f32_max, seed
 
 
-def test_run_efficacy_input_validation():
+def test_run_efficacy_input_validation(monkeypatch):
     with pytest.raises(ValueError):
         run_efficacy(2, ["exact", "inv"])
     with pytest.raises(ValueError):
@@ -121,6 +127,34 @@ def test_run_efficacy_input_validation():
             run_efficacy(2, ["tf", "inv"], **{empty: ()})
     with pytest.raises(ValueError, match="seeds"):
         run_efficacy(1, ("tf", "inv"), seeds=(3407, -5))
+    # a bool or a float where an integer is meant is refused by name before
+    # any cell runs, not written to the report or truncated
+    import svdgrad.experiments as ex
+
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(ex, "_efficacy_workflow", no_cell)
+    for n_trials, kwargs, name in (
+        (2, {"cases": (True,), "workflows": (1,), "seeds": (1,)}, "cases"),
+        (2, {"cases": (1,), "workflows": (1.0,), "seeds": (1,)}, "workflows"),
+        (2, {"seeds": (2.7, 1)}, "seeds"),
+        (2, {"seeds": (3, True)}, "seeds"),
+        (2, {"size": (10.0, 10)}, "size"),
+        (True, {}, "n_trials"),
+        (2.0, {}, "n_trials"),
+    ):
+        with pytest.raises(TypeError, match=name):
+            run_efficacy(n_trials, ["tf", "inv"], **kwargs)
+
+
+def test_run_efficacy_takes_numpy_integers():
+    # and reports them as the Python ints they equal
+    kw = dict(cases=(1,), workflows=(1,), seeds=(5,), size=(6, 5))
+    want = run_efficacy(1, ["tf", "inv"], **kw)
+    got = run_efficacy(np.int64(1), ["tf", "inv"], **{k: tuple(np.int64(x) for x in v) for k, v in kw.items()})
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert got.to_csv_text() == want.to_csv_text()
 
 
 @pytest.mark.parametrize("kwargs,needle", [
