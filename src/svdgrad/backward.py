@@ -399,8 +399,7 @@ def build_aux(s, mode: GradMode, *, pairs=None) -> AuxMatrices:
         s = _as_vector(s)
         with np.errstate(**_QUIET):
             pairs = _aux_terms(s, mode)
-    FS, T, s_pinv = pairs
-    return AuxMatrices(FS=FS, T=T, s_pinv=s_pinv)
+    return AuxMatrices(*pairs)
 
 
 def _taylor_relative(s: np.ndarray, scale, diff: np.ndarray, K: int) -> np.ndarray:
@@ -458,7 +457,7 @@ def _stacked_aux(s: np.ndarray, mode: GradMode, classes: dict | None = None) -> 
     if s.ndim == 1:
         build_aux(s, mode, pairs=(FS, T, s_pinv))
         return FS, T, s_pinv
-    for si, *row in zip(spectra, FS, T, s_pinv):
+    for si, row in zip(spectra, zip(FS, T, s_pinv)):
         build_aux(si, mode, pairs=row)
     return FS.reshape(*s.shape, k), T.reshape(*s.shape, k), s_pinv.reshape(s.shape)
 

@@ -7,9 +7,11 @@ duplicate singular-value pair (relative gap 1e-15) at scales 1e-10 (case 1)
 and 1e-18 (case 2). Workflows: 1 reconstruct + L1, 2 hard-threshold the two
 trailing values + L1, 3 soft-threshold chosen so the two trailing values
 vanish + L1. All modes share one cached forward per trial; only backward
-differs. Each workflow runs as one stack over all its cases: one float32
-forward and one backward under all the modes serve all of its trials, and
-each cell's rows are sliced back out of it.
+differs. The trials run in chunks that span every workflow: each round of
+generation draws every workflow's pending trials as one stack, each
+workflow references its own slice of it, and then one float32 forward and
+one backward under all the modes serve each workflow's trials over all its
+cases; each cell's rows are sliced back out.
 
 The completion demos unroll ADMM / proximal gradient descent over the tape
 with per-iteration learnable positive scalars and train them with Adam.
@@ -44,8 +46,10 @@ __all__ = [
 ]
 
 _CASE_SCALES = {1: 1e-10, 2: 1e-18}
-# trials scored as one stack: each holds about 22 KB while it is scored,
-# and the benchmark's 40-trial workflows stay one stack
+# trials scored as one chunk, summed over its workflows (each workflow takes
+# _EFFICACY_CHUNK // len(workflows) keys, at least one): each trial holds
+# about 22 KB while it is scored, and the benchmark's 3 x 40 trials stay one
+# chunk
 _EFFICACY_CHUNK = 256
 
 
@@ -244,82 +248,84 @@ def _normalize_modes(modes) -> list[GradMode]:
     return out
 
 
-def _efficacy_workflow(workflow: int, keys, size, basis: str, modes):
-    """All paired trials of one workflow, across its cases, on one workflow
-    tape, scored as stacks of at most _EFFICACY_CHUNK trials.
+def _efficacy_chunk(tapes: dict, keys, size, basis: str, modes):
+    """The trials of keys in every workflow of tapes, each workflow's trials
+    one stack on its (tape, loss node): their squared gradient errors, shaped
+    (mode, workflow, trial), and their attempts, shaped (workflow, trial).
 
-    keys lists each trial's (master seed, trial index, case). Returns the
-    squared gradient errors, shaped (mode, trial), and the attempts each
-    trial used, in the order of keys. A trial scores alike in any chunk, so
-    the chunk size bounds the memory a workflow holds without changing a
-    result.
+    keys lists each trial's (master seed, trial index, case). A trial whose
+    reference is invalid is regenerated with an incremented sub-seed. Each
+    round generates the trials still invalid, in every workflow, as one
+    stack ordered by workflow and then by key; each workflow then cut-tests
+    and references its own slice of it. The scored trials then take one
+    single-precision forward and one backward under all the modes per
+    workflow, which forms the L1 and factor cotangents, the SVD pullback and
+    each distinct t's pair classification once for every mode.
     """
-    tape, loss = _workflow_tape(workflow)
-    parts = [_efficacy_chunk(tape, loss, workflow, keys[start:start + _EFFICACY_CHUNK], size, basis, modes)
-             for start in range(0, len(keys), _EFFICACY_CHUNK)]
-    return np.concatenate([p[0] for p in parts], axis=1), np.concatenate([p[1] for p in parts])
-
-
-def _efficacy_chunk(tape: Tape, loss: int, workflow: int, keys, size, basis: str, modes):
-    """The trials of keys as one stack on the workflow's tape: their squared
-    gradient errors, shaped (mode, trial), and their attempts.
-
-    A trial whose reference is invalid is regenerated with an incremented
-    sub-seed; each round generates, cut-tests and references only the
-    trials still invalid, each as one stack. The scored trials then take
-    one single-precision forward and one backward under all the modes,
-    which forms the L1 and factor cotangents, the SVD pullback and each
-    distinct t's pair classification once for every mode.
-    """
+    workflows = list(tapes)
     m, n = size
-    A64 = np.empty((len(keys), m, n))
-    svals = np.empty((len(keys), min(m, n)))
+    # a flat index j is trial j % len(keys) of workflow j // len(keys)
+    total = len(workflows) * len(keys)
+    A64 = np.empty((total, m, n))
+    svals = np.empty((total, min(m, n)))
     Aref = np.empty_like(A64)
-    attempts = np.zeros(len(keys), dtype=int)
-    pending = np.arange(len(keys))
+    attempts = np.zeros(total, dtype=int)
+    pending = np.arange(total)
     while pending.size:
         draws = []
-        for i in pending:
+        for j in pending:
+            w, i = divmod(int(j), len(keys))
             master, trial, case = keys[i]
-            draws.append((case, (master, case, workflow, trial, int(attempts[i]))))
+            draws.append((case, (master, case, workflows[w], trial, int(attempts[j]))))
         A, s = _scenario_parts(draws, size, basis)
         valid = np.ones(len(pending), dtype=bool)
-        if workflow == 2:
-            # hard_tail(2) cuts the spectrum between the third- and
-            # second-smallest values. When that boundary splits a pair the
-            # single-precision forward cannot represent as distinct (relative
-            # gap below float32 epsilon; the built-in near-tie sits at 1e-15)
-            # the reference derivative scales like a^2/(a^2-b^2) >= 1e7 while
-            # every bounded safeguard stays O(1), and the trial only measures
-            # that common unrepresentable spike. Such a reference is invalid
-            # for scoring and the trial is regenerated like a non-finite one.
-            # The spectrum comes from its own LAPACK call without vectors: it
-            # may differ in the last bit from the reference forward's.
-            sd = np.linalg.svd(A, compute_uv=False)
-            a2, b2 = sd[:, -3] ** 2, sd[:, -2] ** 2
-            valid = a2 - b2 >= np.finfo(np.float32).eps * a2
-        if valid.any():
-            # only the workflow-3 tape has a `tau` node; the others ignore it
-            bindings = {"A": A[valid], "tau": _workflow_tau(s[valid])}
-            ref, ok = reference_gradient(tape, bindings, loss)
-            done = pending[valid][ok]
-            A64[done], svals[done] = A[valid][ok], s[valid][ok]
-            Aref[done] = ref.by_name("A")[ok]
-            valid[valid] = ok
+        bounds = np.searchsorted(pending, np.arange(len(workflows) + 1) * len(keys))
+        for workflow, lo, hi in zip(workflows, bounds, bounds[1:]):
+            if lo == hi:
+                continue
+            rows = slice(lo, hi)
+            if workflow == 2:
+                # hard_tail(2) cuts the spectrum between the third- and
+                # second-smallest values. When that boundary splits a pair the
+                # single-precision forward cannot represent as distinct (relative
+                # gap below float32 epsilon; the built-in near-tie sits at 1e-15)
+                # the reference derivative scales like a^2/(a^2-b^2) >= 1e7 while
+                # every bounded safeguard stays O(1), and the trial only measures
+                # that common unrepresentable spike. Such a reference is invalid
+                # for scoring and the trial is regenerated like a non-finite one.
+                # The spectrum comes from its own LAPACK call without vectors: it
+                # may differ in the last bit from the reference forward's.
+                sd = np.linalg.svd(A[rows], compute_uv=False)
+                a2, b2 = sd[:, -3] ** 2, sd[:, -2] ** 2
+                valid[rows] = a2 - b2 >= np.finfo(np.float32).eps * a2
+            ok = valid[rows]  # a view: filling it fills valid
+            if ok.any():
+                tape, loss = tapes[workflow]
+                A_ok, s_ok = A[rows][ok], s[rows][ok]
+                # only the workflow-3 tape has a `tau` node; the others ignore it
+                ref, good = reference_gradient(tape, {"A": A_ok, "tau": _workflow_tau(s_ok)}, loss)
+                done = pending[rows][ok][good]
+                A64[done], svals[done] = A_ok[good], s_ok[good]
+                Aref[done] = ref.by_name("A")[good]
+                ok[ok] = good
         pending = pending[~valid]
         attempts[pending] += 1
         if pending.size and attempts[pending[0]] > 200:
-            master, trial, case = keys[pending[0]]
+            w, i = divmod(int(pending[0]), len(keys))
+            master, trial, case = keys[i]
             raise RuntimeError(
                 f"reference stayed invalid after {attempts[pending[0]]} regenerations "
-                f"(case {case}, workflow {workflow}, trial {trial})"
+                f"(case {case}, workflow {workflows[w]}, trial {trial})"
             )
-    values32 = tape.forward({"A": A64.astype(np.float32), "tau": _workflow_tau(svals)})
-    sumsq = np.empty((len(modes), len(keys)))
-    for j, grads in enumerate(tape.backward(values32, loss, modes)):
-        diff = grads.by_name("A").astype(np.float64) - Aref
-        sumsq[j] = np.sum(diff * diff, axis=(-2, -1))
-    return sumsq, attempts
+    sumsq = np.empty((len(modes), len(workflows), len(keys)))
+    for w, workflow in enumerate(workflows):
+        rows = slice(w * len(keys), (w + 1) * len(keys))
+        tape, loss = tapes[workflow]
+        values32 = tape.forward({"A": A64[rows].astype(np.float32), "tau": _workflow_tau(svals[rows])})
+        for j, grads in enumerate(tape.backward(values32, loss, modes)):
+            diff = grads.by_name("A").astype(np.float64) - Aref[rows]
+            sumsq[j, w] = np.sum(diff * diff, axis=(-2, -1))
+    return sumsq, attempts.reshape(len(workflows), len(keys))
 
 
 def run_efficacy(
@@ -337,10 +343,13 @@ def run_efficacy(
     double-precision gradient as reference (regenerating with an incremented
     sub-seed when the reference itself is non-finite), runs the forward once
     in single precision, and accumulates each mode's squared gradient error.
-    Each workflow runs its len(cases) * len(seeds) * n_trials trials on one
-    tape, as consecutive stacks of at most _EFFICACY_CHUNK trials: one
-    Tape.backward per stack, under all the modes at once, plus one per
-    regeneration round of the reference. Each (case, workflow) cell's
+    Each workflow's len(cases) * len(seeds) * n_trials trials share one
+    tape, built once per call. The trials run as consecutive chunks of at
+    most _EFFICACY_CHUNK trials summed over the workflows, every workflow
+    taking the same keys. In a chunk each regeneration round draws all the
+    workflows' pending trials in one stack. Each workflow runs one
+    Tape.backward for the reference of its trials in a round, and one, under
+    all the modes at once, for its scored trials. Each (case, workflow) cell's
     per-trial errors are sliced back out and added in (seed, trial) order
     by one cumulative sum, so the report is bit-identical to scoring the
     trials one at a time and adding them in a loop, and bit-reproducible
@@ -374,12 +383,17 @@ def run_efficacy(
     per_cell = len(seeds) * n_trials
     # case-major, so each case's trials are one slice in (seed, trial) order
     keys = [(master, trial, case) for case in cases for master in seeds for trial in range(n_trials)]
-    scored = {workflow: _efficacy_workflow(workflow, keys, size, basis, modes) for workflow in workflows}
+    tapes = {workflow: _workflow_tape(workflow) for workflow in workflows}
+    step = max(1, _EFFICACY_CHUNK // len(workflows))
+    parts = [_efficacy_chunk(tapes, keys[start:start + step], size, basis, modes)
+             for start in range(0, len(keys), step)]
+    sumsq_all = np.concatenate([p[0] for p in parts], axis=-1)
+    attempts_all = np.concatenate([p[1] for p in parts], axis=-1)
     cells: list[CellStats] = []
     for c, case in enumerate(cases):
         rows = slice(c * per_cell, (c + 1) * per_cell)
-        for workflow in workflows:
-            sumsq, attempts = scored[workflow]
+        for w, workflow in enumerate(workflows):
+            sumsq, attempts = sumsq_all[:, w], attempts_all[w]
             # cumsum adds in (seed, trial) order; np.sum would add pairwise
             sums = np.cumsum(sumsq[:, rows], axis=-1)[..., -1].tolist()
             means = np.cumsum(sumsq[:, rows] / (size[0] * size[1]), axis=-1)[..., -1].tolist()
@@ -444,10 +458,14 @@ _PRECISIONS = {"single": np.float32, "double": np.float64}
 class UnrolledConfig:
     """Unrolled completion demo: sizes, unroll depth, optimizer, grad mode.
 
-    The trainer's settings are range-checked on construction (ValueError).
-    `size` must be two values. `lr` must be >= 0 and finite; 0 keeps the
-    parameters frozen. `steps` must be >= 0; 0 only scores the initial
-    parameters.
+    The trainer's settings are type-checked and range-checked on
+    construction. `size`, `rank`, `n_unroll`, `steps` and `seed` take
+    integers (NumPy's too); `sampling_ratio`, `lr` and `inject_rate` take
+    numbers; `mode` takes a GradMode. A bool, or a float where an integer is
+    meant, raises TypeError naming the field, as does a mode that is not a
+    GradMode. `size` must be two values (ValueError). `lr` must be >= 0 and
+    finite; 0 keeps the parameters frozen. `steps` must be >= 0; 0 only
+    scores the initial parameters.
     """
 
     size: tuple[int, int] = (20, 20)
@@ -463,10 +481,19 @@ class UnrolledConfig:
     seed: int = 3407
 
     def __post_init__(self):
-        if not 0 < self.sampling_ratio <= 1:
-            raise ValueError("sampling_ratio must be in (0, 1]")
         if len(self.size) != 2:
             raise ValueError("size must be two integers")
+        _ints("size", self.size)
+        for name in ("rank", "n_unroll", "steps", "seed"):
+            _ints(name, (getattr(self, name),))
+        for name in ("sampling_ratio", "lr", "inject_rate"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise TypeError(f"{name}: expected a number, got {value!r}")
+        if not isinstance(self.mode, GradMode):
+            raise TypeError(f"mode: expected a GradMode, got {self.mode!r}")
+        if not 0 < self.sampling_ratio <= 1:
+            raise ValueError("sampling_ratio must be in (0, 1]")
         if self.n_unroll < 1:
             raise ValueError("n_unroll must be >= 1")
         if self.steps < 0:

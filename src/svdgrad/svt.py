@@ -30,7 +30,9 @@ class ThresholdSpec:
     """Threshold rule: soft(tau) shrinks, hard_tail(d) zeroes the last d values.
 
     tau is a float, or a float64 array holding one threshold per matrix of a
-    stack.
+    stack. d is an integer (a NumPy one is kept as a Python int). A bool, or
+    a tau that is not a real number or array, or a d that is not an integer,
+    raises TypeError.
     """
 
     kind: str
@@ -41,23 +43,43 @@ class ThresholdSpec:
         if self.kind not in ("soft", "hard_tail"):
             raise ValueError(f"unknown threshold kind {self.kind!r}")
         if self.kind == "soft":
+            _check_tau(self.tau)
             taus = self.tau.ravel().tolist() if isinstance(self.tau, np.ndarray) else [self.tau]
             if not all(map(math.isfinite, taus)):
                 raise NonFiniteError("soft threshold tau must be finite")
             if any(t < 0 for t in taus):
                 raise ValueError("soft threshold tau must be >= 0")
         else:
+            if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)):
+                raise TypeError(f"hard_tail d: expected an integer, got {self.d!r}")
             if self.d < 0:
                 raise ValueError("hard_tail d must be >= 0")
+            object.__setattr__(self, "d", int(self.d))
 
     @classmethod
     def soft(cls, tau) -> "ThresholdSpec":
-        tau = float(tau) if np.ndim(tau) == 0 else np.asarray(tau, dtype=np.float64)
+        if np.ndim(tau) == 0:
+            _check_tau(tau)
+            tau = float(tau)
+        else:
+            tau = np.asarray(tau, dtype=np.float64)
         return cls("soft", tau=tau)
 
     @classmethod
     def hard_tail(cls, d: int) -> "ThresholdSpec":
-        return cls("hard_tail", d=int(d))
+        return cls("hard_tail", d=d)
+
+
+def _check_tau(tau) -> None:
+    """Refuse a soft threshold that is a bool, or neither a real number nor
+    an array of them, with TypeError. A type test only: `Tape.forward` builds
+    one soft spec per svt node per forward."""
+    if isinstance(tau, np.ndarray):
+        if tau.dtype.kind in "fiu":
+            return
+    elif not isinstance(tau, bool) and isinstance(tau, (int, float, np.integer, np.floating)):
+        return
+    raise TypeError(f"soft threshold tau: expected a real number, got {tau!r}")
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,7 @@ def test_run_efficacy_input_validation(monkeypatch):
     def no_cell(*args):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr(ex, "_efficacy_workflow", no_cell)
+    monkeypatch.setattr(ex, "_efficacy_chunk", no_cell)
     for n_trials, kwargs, name in (
         (2, {"cases": (True,), "workflows": (1,), "seeds": (1,)}, "cases"),
         (2, {"cases": (1,), "workflows": (1.0,), "seeds": (1,)}, "workflows"),
@@ -181,7 +181,7 @@ def test_run_efficacy_refuses_settings_before_any_cell(kwargs, needle, monkeypat
     def no_cell(*args):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr(ex, "_efficacy_workflow", no_cell)
+    monkeypatch.setattr(ex, "_efficacy_chunk", no_cell)
     with pytest.raises(ValueError, match=needle):
         run_efficacy(1, **{"modes": ("tf", "inv"), **kwargs})
 
@@ -205,6 +205,20 @@ def test_run_efficacy_builds_one_tape_per_workflow(monkeypatch):
     monkeypatch.setattr(experiments, "_workflow_tape", counting)
     run_efficacy(3, ["tf", "inv"], seeds=(1, 2))
     assert built == [1, 2, 3]
+    # and once per run, however many chunks share them
+    chunks = []
+    original = experiments._efficacy_chunk
+
+    def counting_chunks(tapes, keys, *args):
+        chunks.append(len(keys))
+        return original(tapes, keys, *args)
+
+    built.clear()
+    monkeypatch.setattr(experiments, "_EFFICACY_CHUNK", 6)
+    monkeypatch.setattr(experiments, "_efficacy_chunk", counting_chunks)
+    run_efficacy(3, ["tf", "inv"], seeds=(1, 2))
+    assert built == [1, 2, 3]
+    assert chunks == [2] * 6
 
 
 _MODES = ("tf", "clip", "taylor", "inv")
@@ -233,20 +247,49 @@ def test_batched_efficacy_regenerates_like_the_loop():
 
 
 def test_chunked_efficacy_matches_one_stack(monkeypatch):
-    # a workflow's trials scored three at a time, the last chunk partial and
+    # trials scored three keys at a time in each of the three workflows (a
+    # cap of 10 trials summed over the workflows), the last chunk partial and
     # regenerated trials among them, give the report of one stack
     whole = run_efficacy(modes=_MODES, **_EFFICACY_CONFIGS[0]).to_csv_text()
     chunks = []
     original = experiments._efficacy_chunk
 
-    def counting(tape, loss, workflow, keys, *args):
-        chunks.append(len(keys))
-        return original(tape, loss, workflow, keys, *args)
+    def counting(tapes, keys, *args):
+        chunks.append(len(tapes) * len(keys))
+        return original(tapes, keys, *args)
 
-    monkeypatch.setattr(experiments, "_EFFICACY_CHUNK", 3)
+    monkeypatch.setattr(experiments, "_EFFICACY_CHUNK", 10)
     monkeypatch.setattr(experiments, "_efficacy_chunk", counting)
     assert run_efficacy(modes=_MODES, **_EFFICACY_CONFIGS[0]).to_csv_text() == whole
-    assert chunks == 3 * ([3] * 13 + [1])
+    assert chunks == [9] * 13 + [3]
+
+
+def test_run_efficacy_generates_every_workflow_per_round(monkeypatch):
+    # one chunk: the first round draws all 3 x 40 trials in one stack, by
+    # workflow and then by key, and each later round draws, again in one
+    # stack, only the trials the round before left invalid
+    calls = []
+    original = experiments._scenario_parts
+
+    def recording(keys, *args):
+        calls.append(list(keys))
+        return original(keys, *args)
+
+    monkeypatch.setattr(experiments, "_scenario_parts", recording)
+    report = run_efficacy(modes=_MODES, **_EFFICACY_CONFIGS[0])
+    first = [(case, (master, case, workflow, trial, 0)) for workflow in (1, 2, 3)
+             for case in (1, 2) for master in (1, 2) for trial in range(10)]
+    assert calls[0] == first
+    for attempt, (before, now) in enumerate(zip(calls, calls[1:]), start=1):
+        assert {seed[:4] for _, seed in now} <= {seed[:4] for _, seed in before}
+        assert [seed for _, seed in now] == [seed[:4] + (attempt,) for _, seed in now]
+        # still ordered by workflow and then by key
+        positions = [first.index((case, seed[:4] + (0,))) for case, seed in now]
+        assert positions == sorted(positions)
+    # every regenerated draw was one of these rounds
+    regenerated = sum(c.invalid_trials for c in report.cells) // len(_MODES)
+    assert regenerated > 0
+    assert sum(map(len, calls[1:])) == regenerated
 
 
 @pytest.mark.parametrize("entropy", [
@@ -541,6 +584,29 @@ def test_unrolled_config_validation():
     for size in ((8,), (8, 8, 3)):
         with pytest.raises(ValueError, match="size must be two"):
             UnrolledConfig(size=size)
+    # a bool, or a float where an integer is meant, is refused by name: it
+    # would train as another seed or step count, or fail only once the
+    # datasets are drawn; so is a mode given by name
+    for kwargs, name in (
+        ({"seed": 2.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"steps": True}, "steps"),
+        ({"steps": 1.5}, "steps"),
+        ({"n_unroll": 2.5}, "n_unroll"),
+        ({"rank": 2.0}, "rank"),
+        ({"size": (6.0, 6)}, "size"),
+        ({"size": (6, False)}, "size"),
+        ({"lr": True}, "lr"),
+        ({"inject_rate": True}, "inject_rate"),
+        ({"sampling_ratio": True}, "sampling_ratio"),
+        ({"lr": "0.05"}, "lr"),
+        ({"mode": "inv"}, "mode"),
+    ):
+        with pytest.raises(TypeError, match=name):
+            UnrolledConfig(**kwargs)
+    # NumPy integers and floats are taken
+    UnrolledConfig(size=(np.int64(6), 6), rank=np.int32(2), n_unroll=np.int64(2), steps=np.int64(3),
+                   seed=np.uint32(7), lr=np.float32(0.1), inject_rate=np.float64(0.5), sampling_ratio=1)
 
 
 @pytest.mark.parametrize("kwargs,needle", [

@@ -69,6 +69,23 @@ def test_threshold_spec_validation():
         ThresholdSpec.hard_tail(-1)
     with pytest.raises(ValueError):
         ThresholdSpec("median", tau=1.0)
+    # a bool or a non-integer d, and a bool or a non-number tau, are refused:
+    # they would be truncated, taken as 1, or fail only inside svt
+    for make in (lambda: ThresholdSpec.hard_tail(2.7), lambda: ThresholdSpec.hard_tail(True),
+                 lambda: ThresholdSpec("hard_tail", d=2.5), lambda: ThresholdSpec("hard_tail", d=np.float64(2))):
+        with pytest.raises(TypeError, match="hard_tail d"):
+            make()
+    for make in (lambda: ThresholdSpec.soft(True), lambda: ThresholdSpec.soft(np.True_),
+                 lambda: ThresholdSpec.soft("0.5"), lambda: ThresholdSpec("soft", tau=True),
+                 lambda: ThresholdSpec("soft", tau="0.5"), lambda: ThresholdSpec("soft", tau=np.array([True]))):
+        with pytest.raises(TypeError, match="tau"):
+            make()
+    # NumPy integers and floats are taken; d is kept as a Python int
+    spec = ThresholdSpec.hard_tail(np.int64(2))
+    assert spec.d == 2 and type(spec.d) is int
+    assert ThresholdSpec.soft(np.float32(0.5)).tau == 0.5
+    assert ThresholdSpec.soft(np.int64(1)).tau == 1.0
+    assert ThresholdSpec.soft(np.array(0.25)).tau == 0.25
 
 
 def test_soft_matches_nuclear_prox_oracle():
